@@ -57,7 +57,6 @@ from .geometry import (
 from .lhv import (
     CLASSICAL_BOUND,
     LhvModel,
-    all_deterministic_strategies,
     chsh_classical_value,
     classical_correlations,
     monte_carlo_correlations,
@@ -183,7 +182,7 @@ def _load_config_file(path: str) -> dict:
         return {}
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a mapping at top level")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
+    unknown = sorted(str(key) for key in data if key not in _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     return data
@@ -271,16 +270,9 @@ def _classical_reports(
 ) -> list[BoundReport]:
     details: dict[str, object] = {}
     if model is None:
-        # No model supplied: brute-force the deterministic strategies and
-        # report the maximum (every mixture is a convex combination of them).
-        best_value = -math.inf
-        best_strategy = None
-        for strategy in all_deterministic_strategies():
-            candidate = LhvModel.deterministic(*strategy)
-            value = chsh_classical_value(classical_correlations(candidate))
-            if value > best_value:
-                best_value = value
-                best_strategy = strategy
+        # No model supplied: report the deterministic maximum (every mixture
+        # is a convex combination of the deterministic strategies).
+        best_strategy = maximize_classical().best_strategy
         model = LhvModel.deterministic(*best_strategy)
         model_echo = "deterministic-maximum"
         details["maximizing_responses"] = list(best_strategy)
@@ -366,6 +358,8 @@ def _run_verify(args: argparse.Namespace) -> int:
     seed = _require_int(_pick(args.seed, config, "seed", 0), "seed")
     samples = _require_int(_pick(args.samples, config, "samples", 0), "samples", minimum=0)
     out_path = _pick(args.out, config, "output_path", None)
+    if out_path is not None and not isinstance(out_path, str):
+        raise ConfigError(f"output_path must be a string, got {out_path!r}")
     out_format = _pick(args.format, config, "output_format", "json")
     if out_format not in ("json", "csv"):
         raise ConfigError(f"output_format must be json or csv, got {out_format!r}")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _kernels
-from .geometry import magnitude as vector_magnitude  # noqa: F401  (re-exported)
 from .tables import BLADE_NAMES
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "E3",
     "geometric_product",
     "commutator",
-    "vector_magnitude",
 ]
 
 _GRADE_SLICES = {0: (0,), 1: (1, 2, 3), 2: (4, 5, 6), 3: (7,)}
@@ -49,10 +47,6 @@ class Multivector:
             )
         if not all(math.isfinite(c) for c in self.coefficients):
             raise ValueError(f"non-finite multivector coefficients: {self.coefficients!r}")
-
-    @classmethod
-    def from_coefficients(cls, values: Sequence[float]) -> "Multivector":
-        return cls(tuple(float(v) for v in values))
 
     @classmethod
     def scalar(cls, value: float) -> "Multivector":

@@ -1,8 +1,8 @@
 """Unit vectors in R^3 and measurement-direction configurations.
 
 A configuration is the quadruple of unit directions (a, a', b, b') measured
-by the two sides of a correlation experiment, together with the six pairwise
-angles derived from their dot products.
+by the two sides of a correlation experiment.  Its six pairwise angles are
+not stored; they are derived from the dot products when read.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from . import rng
 Vec3 = tuple[float, float, float]
 
 UNIT_TOLERANCE = 1e-12
-ANGLE_TOLERANCE = 1e-12
 
 
 def as_vector(values: Sequence[float], label: str = "vector") -> Vec3:
@@ -43,10 +42,6 @@ def sub(u: Sequence[float], v: Sequence[float]) -> Vec3:
 
 def scale(v: Sequence[float], factor: float) -> Vec3:
     return (factor * v[0], factor * v[1], factor * v[2])
-
-
-def negate(v: Sequence[float]) -> Vec3:
-    return (-v[0], -v[1], -v[2])
 
 
 def cross(u: Sequence[float], v: Sequence[float]) -> Vec3:
@@ -107,42 +102,25 @@ def spherical_vector(polar: float, azimuth: float) -> Vec3:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Measurement directions a, a', b, b' plus their derived pairwise angles.
+    """Measurement directions a, a', b, b', each a unit vector to within 1e-12.
 
-    All four vectors must be unit to within 1e-12 and every stored angle must
-    agree with the arccosine of the corresponding dot product; construct via
-    :meth:`from_vectors` or :meth:`coplanar` rather than by hand.
+    The vectors are the only stored state.  Construction, directly or via
+    :meth:`from_vectors` or :meth:`coplanar`, coerces each one to a float
+    triple and rejects input of the wrong length, non-finite input and
+    non-unit input.  The six pairwise ``theta_*`` angles are derived from the
+    vectors on access.
     """
 
     a: Vec3
     a_prime: Vec3
     b: Vec3
     b_prime: Vec3
-    theta_a_aprime: float
-    theta_b_bprime: float
-    theta_aprime_bprime: float
-    theta_a_b: float
-    theta_a_bprime: float
-    theta_aprime_b: float
 
     def __post_init__(self):
-        for label, v in (
-            ("a", self.a),
-            ("a_prime", self.a_prime),
-            ("b", self.b),
-            ("b_prime", self.b_prime),
-        ):
-            require_unit(v, UNIT_TOLERANCE, label)
-        for label, stored, u, v in (
-            ("theta_a_aprime", self.theta_a_aprime, self.a, self.a_prime),
-            ("theta_b_bprime", self.theta_b_bprime, self.b, self.b_prime),
-            ("theta_aprime_bprime", self.theta_aprime_bprime, self.a_prime, self.b_prime),
-            ("theta_a_b", self.theta_a_b, self.a, self.b),
-            ("theta_a_bprime", self.theta_a_bprime, self.a, self.b_prime),
-            ("theta_aprime_b", self.theta_aprime_b, self.a_prime, self.b),
-        ):
-            if abs(stored - angle_between(u, v)) > ANGLE_TOLERANCE:
-                raise ValueError(f"{label} is inconsistent with its vectors")
+        for label in ("a", "a_prime", "b", "b_prime"):
+            object.__setattr__(
+                self, label, require_unit(getattr(self, label), UNIT_TOLERANCE, label)
+            )
 
     @classmethod
     def from_vectors(
@@ -152,22 +130,16 @@ class Configuration:
         b: Sequence[float],
         b_prime: Sequence[float],
     ) -> "Configuration":
-        va = require_unit(a, UNIT_TOLERANCE, "a")
-        vap = require_unit(a_prime, UNIT_TOLERANCE, "a_prime")
-        vb = require_unit(b, UNIT_TOLERANCE, "b")
-        vbp = require_unit(b_prime, UNIT_TOLERANCE, "b_prime")
-        return cls(
-            a=va,
-            a_prime=vap,
-            b=vb,
-            b_prime=vbp,
-            theta_a_aprime=angle_between(va, vap),
-            theta_b_bprime=angle_between(vb, vbp),
-            theta_aprime_bprime=angle_between(vap, vbp),
-            theta_a_b=angle_between(va, vb),
-            theta_a_bprime=angle_between(va, vbp),
-            theta_aprime_b=angle_between(vap, vb),
-        )
+        """Same as ``Configuration(a, a_prime, b, b_prime)``."""
+        return cls(a, a_prime, b, b_prime)
+
+    # Derived on access; only tests read them, so nothing is cached.
+    theta_a_aprime = property(lambda self: angle_between(self.a, self.a_prime))
+    theta_b_bprime = property(lambda self: angle_between(self.b, self.b_prime))
+    theta_aprime_bprime = property(lambda self: angle_between(self.a_prime, self.b_prime))
+    theta_a_b = property(lambda self: angle_between(self.a, self.b))
+    theta_a_bprime = property(lambda self: angle_between(self.a, self.b_prime))
+    theta_aprime_b = property(lambda self: angle_between(self.a_prime, self.b))
 
     @classmethod
     def coplanar(

@@ -198,20 +198,16 @@ def singlet_correlation_closed_form(a: Sequence[float], b: Sequence[float]) -> f
     return -dot(ua, ub)
 
 
-def _spin4(v: Vec3, side: str) -> ComplexMatrix:
-    """(sigma.v) acting on one tensor factor, embedded in the joint space."""
-    s = ComplexMatrix(2, tuple(_kernels.spin_matrix(v[0], v[1], v[2])))
-    if side == "A":
-        return tensor_product(s, IDENTITY_2)
-    return tensor_product(IDENTITY_2, s)
+def _spin_matrices(
+    cfg: Configuration,
+) -> tuple[ComplexMatrix, ComplexMatrix, ComplexMatrix, ComplexMatrix]:
+    """The 2x2 spin matrices A, A', B, B' of a configuration; no validation."""
+    return tuple(ComplexMatrix(2, tuple(_kernels.spin_matrix(*v))) for v in cfg.vectors())
 
 
 def chsh_operator(cfg: Configuration) -> ComplexMatrix:
     """The CHSH operator A(x)B + A(x)B' + A'(x)B - A'(x)B' on the joint space."""
-    sa = ComplexMatrix(2, tuple(_kernels.spin_matrix(*cfg.a)))
-    sap = ComplexMatrix(2, tuple(_kernels.spin_matrix(*cfg.a_prime)))
-    sb = ComplexMatrix(2, tuple(_kernels.spin_matrix(*cfg.b)))
-    sbp = ComplexMatrix(2, tuple(_kernels.spin_matrix(*cfg.b_prime)))
+    sa, sap, sb, sbp = _spin_matrices(cfg)
     return (
         tensor_product(sa, sb)
         + tensor_product(sa, sbp)
@@ -236,10 +232,7 @@ def chsh_squared_identity_deviation(cfg: Configuration) -> float:
         )
     op = chsh_operator(cfg)
     squared = op @ op
-    sa = ComplexMatrix(2, tuple(_kernels.spin_matrix(*cfg.a)))
-    sap = ComplexMatrix(2, tuple(_kernels.spin_matrix(*cfg.a_prime)))
-    sb = ComplexMatrix(2, tuple(_kernels.spin_matrix(*cfg.b)))
-    sbp = ComplexMatrix(2, tuple(_kernels.spin_matrix(*cfg.b_prime)))
+    sa, sap, sb, sbp = _spin_matrices(cfg)
     c_joint = tensor_product(commutator_matrix(sa, sap), commutator_matrix(sb, sbp))
     rhs = ComplexMatrix.identity(4) * 4.0 - c_joint
     return squared.max_abs_difference(rhs)
@@ -251,8 +244,9 @@ def cross_commutator_residual(cfg: Configuration) -> float:
     Exactly zero in exact arithmetic for every pair drawn from
     {A, A'} x {B, B'}; returns the numerical maximum over the four pairs.
     """
-    a_ops = [_spin4(cfg.a, "A"), _spin4(cfg.a_prime, "A")]
-    b_ops = [_spin4(cfg.b, "B"), _spin4(cfg.b_prime, "B")]
+    sa, sap, sb, sbp = _spin_matrices(cfg)
+    a_ops = [tensor_product(s, IDENTITY_2) for s in (sa, sap)]
+    b_ops = [tensor_product(IDENTITY_2, s) for s in (sb, sbp)]
     residual = 0.0
     for x in a_ops:
         for y in b_ops:

@@ -25,6 +25,7 @@ from .geometry import (
     Configuration,
     Vec3,
     add,
+    angle_between,
     dot,
     magnitude,
     require_unit,
@@ -189,11 +190,6 @@ def equality_condition_check(
     ubp = require_unit(b_prime, label="b_prime")
     value = vector_bound_expression(ub, ubp, 1.0, 1.0)
     is_two = abs(value - 2.0) <= 1e-9
-    cosine = dot(ub, ubp)
-    if cosine > 1.0:
-        cosine = 1.0
-    elif cosine < -1.0:
-        cosine = -1.0
-    angle = math.acos(cosine)
+    angle = angle_between(ub, ubp)
     is_parallel = min(angle, math.pi - angle) <= 1e-6
     return EqualityCondition(value=value, is_two=is_two, is_parallel=is_parallel)

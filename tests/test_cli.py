@@ -166,6 +166,24 @@ def test_verify_rejects_unknown_config_keys(capsys, tmp_path):
     assert "unknown config keys: tracks" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("track: classical\n1: x\nfoo: y\n", "unknown config keys: 1, foo"),
+        ("track: classical\noutput_path: 5\n", "output_path must be a string"),
+        ("track: classical\noutput_path: true\n", "output_path must be a string"),
+        ("track: classical\noutput_path: [a]\n", "output_path must be a string"),
+    ],
+)
+def test_verify_rejects_malformed_config_entries(capsys, tmp_path, text, message):
+    path = tmp_path / "run.yaml"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"chshbounds: error: {message}")
+
+
 def test_verify_rejects_malformed_yaml(capsys, tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("{unclosed", encoding="utf-8")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -73,25 +74,45 @@ def test_angle_between_clamps_rounding():
 
 
 def test_configuration_rejects_non_unit():
-    with pytest.raises(ValueError):
-        Configuration.from_vectors((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0))
+    e1, e2, e3 = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+    for bad in ((2.0, 0.0, 0.0), (1.0, 1e-5, 0.0), (math.nan, 0.0, 0.0), (1.0, 0.0)):
+        for build in (Configuration.from_vectors, Configuration):
+            with pytest.raises(ValueError):
+                build(e1, e2, e3, bad)
 
 
-def test_configuration_rejects_inconsistent_angles():
-    cfg = canonical_configuration()
-    with pytest.raises(ValueError):
-        Configuration(
-            a=cfg.a,
-            a_prime=cfg.a_prime,
-            b=cfg.b,
-            b_prime=cfg.b_prime,
-            theta_a_aprime=cfg.theta_a_aprime + 0.1,
-            theta_b_bprime=cfg.theta_b_bprime,
-            theta_aprime_bprime=cfg.theta_aprime_bprime,
-            theta_a_b=cfg.theta_a_b,
-            theta_a_bprime=cfg.theta_a_bprime,
-            theta_aprime_b=cfg.theta_aprime_b,
-        )
+def test_configuration_stores_only_vectors_validated_once(monkeypatch):
+    assert [f.name for f in dataclasses.fields(Configuration)] == ["a", "a_prime", "b", "b_prime"]
+    calls = {"require_unit": 0, "acos": 0}
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(geometry, "require_unit", counting("require_unit", require_unit))
+    monkeypatch.setattr(geometry.math, "acos", counting("acos", math.acos))
+    cfg = Configuration.from_vectors([1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0])
+    assert calls == {"require_unit": 4, "acos": 0}
+    assert cfg.a == (1.0, 0.0, 0.0) and type(cfg.a[0]) is float
+
+
+def test_configuration_angles_are_derived_and_read_only():
+    cfg = random_configuration(2, 3)
+    pairs = {
+        "theta_a_aprime": (cfg.a, cfg.a_prime),
+        "theta_b_bprime": (cfg.b, cfg.b_prime),
+        "theta_aprime_bprime": (cfg.a_prime, cfg.b_prime),
+        "theta_a_b": (cfg.a, cfg.b),
+        "theta_a_bprime": (cfg.a, cfg.b_prime),
+        "theta_aprime_b": (cfg.a_prime, cfg.b),
+    }
+    for name, (u, v) in pairs.items():
+        assert getattr(cfg, name) == angle_between(u, v)
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, 0.0)
 
 
 def test_canonical_configuration_geometry():
