@@ -1,11 +1,8 @@
-"""Build script: compiles the optional native kernel extension when Cython is available.
+"""Build script: compiles the optional native kernel extension.
 
 The package is fully functional without the extension; ``chshbounds._kernels``
-falls back to the pure-Python kernels at import time.  Set CHSHBOUNDS_NO_EXT=1
-to skip the compile step entirely.
+falls back to the pure-Python kernels when it is not built.
 """
-
-import os
 
 from setuptools import Extension, setup
 
@@ -19,23 +16,13 @@ _STRICT_FP_FLAGS = [
     "-ffp-contract=off",
 ]
 
-ext_modules = []
-if os.environ.get("CHSHBOUNDS_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        cythonize = None
-    if cythonize is not None:
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "chshbounds._kernels._native",
-                    ["src/chshbounds/_kernels/_native.pyx"],
-                    extra_compile_args=_STRICT_FP_FLAGS,
-                    optional=True,
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+setup(
+    ext_modules=[
+        Extension(
+            "chshbounds._kernels._native",
+            ["src/chshbounds/_kernels/_native.c"],
+            extra_compile_args=_STRICT_FP_FLAGS,
+            optional=True,
         )
-
-setup(ext_modules=ext_modules)
+    ]
+)

@@ -8,8 +8,8 @@ with an exact deterministic-strategy enumeration on the classical side, a
 singlet-state matrix pipeline plus operator-norm argument on the quantum
 side, and a purely vector-algebraic bound chain for factorized vector
 responses.  A small geometric-algebra core (G3 multivectors) supplies the
-noncommutativity diagnostics.  Hot kernels run on a compiled extension when
-available, with a pure-Python fallback selected at import time.
+noncommutativity diagnostics.  Hot kernels run on an optional C extension
+when it is built, with a pure-Python fallback selected at import time.
 """
 
 from ._kernels import BACKEND_NAME

@@ -3,9 +3,10 @@
 Reference implementations of every hot numerical loop in the package: the
 geometric product, small complex-matrix algebra, the cyclic Jacobi
 eigensolver, the counter-based random stream, and the Monte Carlo
-accumulator.  The optional compiled module ``chshbounds._kernels._native``
-mirrors each function operation-for-operation so that both backends produce
-bit-identical results on the same machine; keep the two files in sync.
+accumulator.  The optional C extension ``chshbounds._kernels._native``
+(``_native.c``) mirrors each function operation-for-operation so that both
+backends produce bit-identical results on the same machine; keep the two
+files in sync.
 
 Conventions shared by both backends:
 
@@ -30,6 +31,11 @@ _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_MULT_1 = 0xBF58476D1CE4E5B9
 _MIX_MULT_2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
+
+# Jacobi stopping rule: off-diagonal Frobenius mass below _JACOBI_TOL, at most
+# _JACOBI_MAX_SWEEPS sweeps.  The native backend uses the same values.
+_JACOBI_TOL = 1e-14
+_JACOBI_MAX_SWEEPS = 100
 
 
 def rng_u64(seed: int, index: int) -> int:
@@ -61,11 +67,6 @@ def gp8(u, v):
             out[targets[k]] += signs[k] * ui * v[j]
             k += 1
     return out
-
-
-def spin_matrix(x: float, y: float, z: float):
-    """Flat 2x2 matrix x*sigma_x + y*sigma_y + z*sigma_z."""
-    return [complex(z, 0.0), complex(x, -y), complex(x, y), complex(-z, 0.0)]
 
 
 def kron2(a, b):
@@ -103,28 +104,28 @@ def expectation(m, psi, n: int) -> complex:
     return total
 
 
-def eigvals_hermitian(entries, n: int, tol: float = 1e-14, max_sweeps: int = 100):
+def eigvals_hermitian(entries, n: int):
     """Eigenvalues of a flat n x n complex Hermitian matrix, ascending.
 
     Cyclic Jacobi rotations: each pivot (p, q) is phase-reduced to a real
     off-diagonal entry and annihilated by a plane rotation with
     tan(2*theta) = 2|a_pq| / (a_pp - a_qq).  Convergence is declared when the
-    off-diagonal Frobenius mass falls below ``tol``; exceeding ``max_sweeps``
-    raises RuntimeError.
+    off-diagonal Frobenius mass falls below 1e-14; exceeding 100 sweeps raises
+    RuntimeError.
     """
     a = [complex(value) for value in entries]
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(_JACOBI_MAX_SWEEPS + 1):
         off = 0.0
         for p in range(n):
             for q in range(n):
                 if p != q:
                     z = a[p * n + q]
                     off += z.real * z.real + z.imag * z.imag
-        if math.sqrt(off) < tol:
+        if math.sqrt(off) < _JACOBI_TOL:
             return sorted(a[i * n + i].real for i in range(n))
-        if sweep == max_sweeps:
+        if sweep == _JACOBI_MAX_SWEEPS:
             raise RuntimeError(
-                "jacobi eigensolver failed to converge within %d sweeps" % max_sweeps
+                "jacobi eigensolver failed to converge within %d sweeps" % _JACOBI_MAX_SWEEPS
             )
         for p in range(n - 1):
             for q in range(p + 1, n):

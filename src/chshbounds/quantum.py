@@ -68,6 +68,9 @@ class ComplexMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[complex]]) -> "ComplexMatrix":
         dim = len(rows)
+        for row in rows:
+            if len(row) != dim:
+                raise ValueError(f"every row of a {dim}x{dim} matrix needs {dim} entries")
         return cls(dim, tuple(complex(v) for row in rows for v in row))
 
     @classmethod
@@ -133,6 +136,12 @@ IDENTITY_2 = ComplexMatrix.identity(2)
 _SINGLET = (0j, complex(math.sqrt(0.5), 0.0), complex(-math.sqrt(0.5), 0.0), 0j)
 
 
+def _spin_entries(v: Vec3) -> tuple[complex, complex, complex, complex]:
+    """Flat 2x2 matrix v_x sigma_x + v_y sigma_y + v_z sigma_z; no validation."""
+    x, y, z = v
+    return (complex(z, 0.0), complex(x, -y), complex(x, y), complex(-z, 0.0))
+
+
 def spin_operator(direction: Sequence[float]) -> ComplexMatrix:
     """Spin component along ``direction``: d_x sigma_x + d_y sigma_y + d_z sigma_z.
 
@@ -142,7 +151,7 @@ def spin_operator(direction: Sequence[float]) -> ComplexMatrix:
     ceiling assumes.
     """
     d = require_unit(direction, SPIN_UNIT_TOLERANCE, "spin direction")
-    return ComplexMatrix(2, tuple(_kernels.spin_matrix(d[0], d[1], d[2])))
+    return ComplexMatrix(2, _spin_entries(d))
 
 
 def tensor_product(left: ComplexMatrix, right: ComplexMatrix) -> ComplexMatrix:
@@ -167,9 +176,7 @@ def singlet_state() -> tuple[complex, complex, complex, complex]:
 
 def _correlation_from_vectors(a: Vec3, b: Vec3) -> float:
     """Singlet expectation of (sigma.a)(x)(sigma.b); no input validation."""
-    sa = _kernels.spin_matrix(a[0], a[1], a[2])
-    sb = _kernels.spin_matrix(b[0], b[1], b[2])
-    joint = _kernels.kron2(sa, sb)
+    joint = _kernels.kron2(_spin_entries(a), _spin_entries(b))
     value = _kernels.expectation(joint, _SINGLET, 4)
     if abs(value.imag) > IMAG_RESIDUE_TOLERANCE:
         raise RuntimeError(
@@ -202,7 +209,7 @@ def _spin_matrices(
     cfg: Configuration,
 ) -> tuple[ComplexMatrix, ComplexMatrix, ComplexMatrix, ComplexMatrix]:
     """The 2x2 spin matrices A, A', B, B' of a configuration; no validation."""
-    return tuple(ComplexMatrix(2, tuple(_kernels.spin_matrix(*v))) for v in cfg.vectors())
+    return tuple(ComplexMatrix(2, _spin_entries(v)) for v in cfg.vectors())
 
 
 def chsh_operator(cfg: Configuration) -> ComplexMatrix:

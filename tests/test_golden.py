@@ -1,8 +1,8 @@
 """Command-line outputs compared byte for byte against files in tests/golden/.
 
-The files were captured from known-good code and hold on either kernel
-backend.  A change that is meant to alter report bytes regenerates the
-affected file with the same arguments, e.g.::
+The files were captured from known-good code and must hold on both kernel
+backends; each case runs once per backend.  A change that is meant to alter
+report bytes regenerates the affected file with the same arguments, e.g.::
 
     PYTHONPATH=src python -m chshbounds.cli sweep --steps 101 --out tests/golden/sweep_101.json
 """
@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from chshbounds import cli
+from chshbounds import _kernels, cli
+from chshbounds._kernels import reference
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -31,8 +32,19 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, tmp_path):
+# The python cases keep the bare file name as their id.
+BACKEND_CASES = [pytest.param(name, "python", id=name) for name in sorted(CASES)] + [
+    pytest.param(name, "native", id=f"{name}-native") for name in sorted(CASES)
+]
+
+
+@pytest.mark.parametrize("name, backend", BACKEND_CASES)
+def test_cli_output_matches_golden(name, backend, tmp_path, monkeypatch, request):
+    # Every caller looks the kernels up on the facade at call time, so
+    # rebinding its attributes switches the whole pipeline to one backend.
+    module = reference if backend == "python" else request.getfixturevalue("native")
+    for kernel in _kernels.KERNEL_NAMES:
+        monkeypatch.setattr(_kernels, kernel, getattr(module, kernel))
     argv = [str(GOLDEN / arg) if arg.endswith(".yaml") else arg for arg in CASES[name]]
     out = tmp_path / name
     assert cli.main([*argv, "--out", str(out)]) == 0

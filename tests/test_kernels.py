@@ -1,104 +1,157 @@
-"""Backend parity: the compiled kernels must match the pure-Python reference
-bit for bit on real outputs (complex outputs may differ only in zero signs)."""
+"""Backend parity: the C kernels must match the pure-Python reference bit for
+bit on real outputs (complex outputs may differ only in zero signs).
+
+The ``native`` fixture (conftest.py) builds the C module with setup.py, so
+these tests run wherever a C compiler is installed.
+"""
+
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chshbounds import _kernels, rng
+from chshbounds import _kernels, quantum
 from chshbounds._kernels import reference
+from chshbounds.geometry import random_configuration
 
-native = pytest.importorskip("chshbounds._kernels._native")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
-
-def _rand_mv(stream):
-    return [stream.uniform(-2.0, 2.0) for _ in range(8)]
-
-
-def _rand_complex_matrix(stream, n):
-    return [complex(stream.uniform(-1, 1), stream.uniform(-1, 1)) for _ in range(n * n)]
+# Random inputs per kernel in each parity test.
+PARITY_INPUTS = 10_000
 
 
-def _rand_hermitian(stream, n):
-    m = np.array(_rand_complex_matrix(stream, n)).reshape(n, n)
-    h = (m + m.conj().T) / 2
-    return [complex(x) for x in h.reshape(-1)]
+def _bits(values):
+    """Exact bit patterns of floats, so 0.0 and -0.0 count as different."""
+    return [float(v).hex() for v in values]
 
 
-def test_backend_names():
+def _rand_complex(r):
+    """Half of the draws are exactly real, imaginary or zero, so that the
+    zero-sign paths of the complex arithmetic are exercised too."""
+    re, im = r.uniform(-1, 1), r.uniform(-1, 1)
+    return r.choice((complex(re, 0.0), complex(0.0, im), 0j) + (complex(re, im),) * 3)
+
+
+def _rand_matrix(r, n):
+    return [_rand_complex(r) for _ in range(n * n)]
+
+
+def _rand_hermitian(r, n):
+    h = [0j] * (n * n)
+    for i in range(n):
+        h[i * n + i] = complex(r.uniform(-1, 1), 0.0)
+        for j in range(i + 1, n):
+            z = _rand_complex(r)
+            h[i * n + j] = z
+            h[j * n + i] = z.conjugate()
+    return h
+
+
+def _rand_direction(r):
+    """A unit vector; a third lie on a coordinate axis and a third in the xy-plane."""
+    theta, z = r.uniform(0, 2 * math.pi), r.uniform(-1, 1)
+    rho = math.sqrt(1 - z * z)
+    axis = [0.0, 0.0, 0.0]
+    axis[r.randrange(3)] = r.choice((1.0, -1.0))
+    planar = (math.cos(theta), math.sin(theta), 0.0)
+    return r.choice((tuple(axis), planar, (rho * planar[0], rho * planar[1], z)))
+
+
+def test_backend_names(native, monkeypatch):
     assert reference.BACKEND_NAME == "python"
     assert native.BACKEND_NAME == "native"
-    assert set(_kernels.available_backends()) == {"python", "native"}
+    monkeypatch.setitem(sys.modules, "chshbounds._kernels._native", native)
+    assert _kernels.available_backends() == ("python", "native")
+    assert _kernels.load_backend("native") is native
 
 
-def test_rng_bitwise_identical():
-    for seed in (0, 1, 2**63, 2**64 - 1):
-        for index in (0, 1, 17, 10**6):
-            assert native.rng_u64(seed, index) == reference.rng_u64(seed, index)
-            assert native.rng_u01(seed, index) == reference.rng_u01(seed, index)
+def test_rng_bitwise_identical(native):
+    r = random.Random(1)
+    cases = [(seed, index) for seed in (0, 1, 2**63, 2**64 - 1) for index in (0, 1, 17, 10**6)]
+    cases += [
+        (r.getrandbits(64), r.getrandbits(r.choice((8, 32, 64)))) for _ in range(PARITY_INPUTS)
+    ]
+    # Out-of-range ints reduce modulo 2**64 on both backends.
+    cases += [(-1, 5), (2**64 + 3, -7), (-(2**70), 2**65)]
+    for seed, index in cases:
+        assert native.rng_u64(seed, index) == reference.rng_u64(seed, index)
+        assert native.rng_u01(seed, index).hex() == reference.rng_u01(seed, index).hex()
 
 
-def test_gp8_bitwise_identical():
-    s = rng.CounterStream(1)
-    for _ in range(200):
-        u = _rand_mv(s)
-        v = _rand_mv(s)
-        assert native.gp8(u, v) == reference.gp8(u, v)
+def test_gp8_bitwise_identical(native):
+    r = random.Random(2)
+    for i in range(PARITY_INPUTS):
+        # Every other pair holds pure vectors, whose products have exact zeros.
+        if i % 2:
+            u = [r.uniform(-2.0, 2.0) for _ in range(8)]
+            v = [r.uniform(-2.0, 2.0) for _ in range(8)]
+        else:
+            u = [0.0, *_rand_direction(r), 0.0, 0.0, 0.0, 0.0]
+            v = [0.0, *_rand_direction(r), 0.0, 0.0, 0.0, 0.0]
+        assert _bits(native.gp8(u, v)) == _bits(reference.gp8(u, v))
 
 
-def test_spin_matrix_identical():
-    s = rng.CounterStream(2)
-    for _ in range(50):
-        x, y, z = s.uniform(-1, 1), s.uniform(-1, 1), s.uniform(-1, 1)
-        assert native.spin_matrix(x, y, z) == reference.spin_matrix(x, y, z)
+def test_kron2_matches_reference_and_numpy(native):
+    r = random.Random(10)
+    for i in range(PARITY_INPUTS):
+        a = _rand_matrix(r, 2)
+        b = _rand_matrix(r, 2)
+        assert native.kron2(a, b) == reference.kron2(a, b)
+        if i < 50:
+            expected = np.kron(np.array(a).reshape(2, 2), np.array(b).reshape(2, 2))
+            got = np.array(reference.kron2(a, b)).reshape(4, 4)
+            assert np.max(np.abs(got - expected)) < 1e-14
 
 
-def _assert_same_complex(a, b):
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert x == y  # -0.0 == 0.0, so zero-sign differences pass
-
-
-def test_kron2_matches_reference_and_numpy():
-    s = rng.CounterStream(10)
-    for _ in range(50):
-        a = _rand_complex_matrix(s, 2)
-        b = _rand_complex_matrix(s, 2)
-        _assert_same_complex(native.kron2(a, b), reference.kron2(a, b))
-        expected = np.kron(np.array(a).reshape(2, 2), np.array(b).reshape(2, 2))
-        got = np.array(reference.kron2(a, b)).reshape(4, 4)
-        assert np.max(np.abs(got - expected)) < 1e-14
-
-
-def test_matmul_matches_reference_and_numpy():
-    s = rng.CounterStream(11)
-    for n in (2, 4):
-        for _ in range(30):
-            a = _rand_complex_matrix(s, n)
-            b = _rand_complex_matrix(s, n)
-            _assert_same_complex(native.matmul(a, b, n), reference.matmul(a, b, n))
+def test_matmul_matches_reference_and_numpy(native):
+    r = random.Random(11)
+    for i in range(PARITY_INPUTS):
+        n = 1 + i % 4
+        a = _rand_matrix(r, n)
+        b = _rand_matrix(r, n)
+        assert native.matmul(a, b, n) == reference.matmul(a, b, n)
+        if i < 120:
             expected = np.array(a).reshape(n, n) @ np.array(b).reshape(n, n)
             got = np.array(reference.matmul(a, b, n)).reshape(n, n)
             assert np.max(np.abs(got - expected)) < 1e-14
 
 
-def test_expectation_matches_reference_and_numpy():
-    s = rng.CounterStream(12)
-    for n in (2, 4):
-        for _ in range(30):
-            m = _rand_complex_matrix(s, n)
-            psi = [complex(s.uniform(-1, 1), s.uniform(-1, 1)) for _ in range(n)]
-            assert native.expectation(m, psi, n) == reference.expectation(m, psi, n)
+def test_expectation_matches_reference_and_numpy(native):
+    r = random.Random(12)
+    for i in range(PARITY_INPUTS):
+        n = 1 + i % 4
+        m = _rand_matrix(r, n)
+        psi = [_rand_complex(r) for _ in range(n)]
+        assert native.expectation(m, psi, n) == reference.expectation(m, psi, n)
+        if i < 120:
             p = np.array(psi)
             expected = p.conj() @ (np.array(m).reshape(n, n) @ p)
             assert abs(reference.expectation(m, psi, n) - expected) < 1e-14
 
 
+def test_singlet_pipeline_identical(native):
+    """Spin matrices and the singlet have exact zeros; the kernels must agree on them."""
+    r = random.Random(15)
+    singlet = quantum.singlet_state()
+    for _ in range(PARITY_INPUTS):
+        sa = quantum._spin_entries(_rand_direction(r))
+        sb = quantum._spin_entries(_rand_direction(r))
+        joint = reference.kron2(sa, sb)
+        assert native.kron2(sa, sb) == joint
+        assert native.expectation(joint, singlet, 4) == reference.expectation(joint, singlet, 4)
+
+
 def test_eigvals_match_numpy_oracle():
-    s = rng.CounterStream(13)
+    r = random.Random(13)
     worst = 0.0
     for n in (2, 3, 4):
         for _ in range(100):
-            h = _rand_hermitian(s, n)
+            h = _rand_hermitian(r, n)
             got = reference.eigvals_hermitian(h, n)
             assert list(got) == sorted(got)
             expected = np.linalg.eigvalsh(np.array(h).reshape(n, n))
@@ -106,14 +159,21 @@ def test_eigvals_match_numpy_oracle():
     assert worst < 1e-12
 
 
-def test_eigvals_backends_agree():
-    s = rng.CounterStream(14)
-    for _ in range(100):
-        h = _rand_hermitian(s, 4)
-        assert native.eigvals_hermitian(h, 4) == reference.eigvals_hermitian(h, 4)
+def test_eigvals_backends_agree(native):
+    r = random.Random(14)
+    for i in range(PARITY_INPUTS):
+        n = 1 + i % 4
+        h = _rand_hermitian(r, n)
+        assert _bits(native.eigvals_hermitian(h, n)) == _bits(reference.eigvals_hermitian(h, n))
+    # The spectral path of the quantum track: B and B^dagger B.
+    for cfg in (random_configuration(5, i) for i in range(200)):
+        op = quantum.chsh_operator(cfg)
+        for m in (op, op.dagger() @ op):
+            got = native.eigvals_hermitian(m.entries, 4)
+            assert _bits(got) == _bits(reference.eigvals_hermitian(m.entries, 4))
 
 
-def test_eigvals_diagonal_and_degenerate():
+def test_eigvals_diagonal_and_degenerate(native):
     diag = [0j] * 16
     for i, x in enumerate((3.0, -1.0, 3.0, 0.5)):
         diag[4 * i + i] = complex(x)
@@ -121,18 +181,117 @@ def test_eigvals_diagonal_and_degenerate():
         assert list(backend.eigvals_hermitian(diag, 4)) == [-1.0, 0.5, 3.0, 3.0]
 
 
-def test_lhv_mc_sums_bitwise_identical():
-    cum_weights = [0.25, 0.75, 1.0]
-    products = [
-        1.0, 1.0, -1.0, 1.0,
-        -1.0, 0.5, 0.25, -0.5,
-        0.0, -1.0, 1.0, 0.0,
-    ]
-    for seed in (0, 9):
-        for start, stop in ((0, 1000), (250, 750)):
-            got_native = native.lhv_mc_sums(cum_weights, products, seed, start, stop)
-            got_ref = reference.lhv_mc_sums(cum_weights, products, seed, start, stop)
-            assert got_native == got_ref
+def test_eigvals_reports_non_convergence(native):
+    nan = [complex(float("nan"), 0.0)] * 4
+    for backend in (reference, native):
+        with pytest.raises(RuntimeError, match="within 100 sweeps"):
+            backend.eigvals_hermitian(nan, 2)
+
+
+def test_lhv_mc_sums_bitwise_identical(native):
+    r = random.Random(16)
+    for i in range(PARITY_INPUTS):
+        seed = r.getrandbits(64)
+        start = r.randrange(10**6)
+        stop = start + r.randint(-2, 40)
+        nstates = r.randint(2, 6)
+        weights = [r.random() + 0.01 for _ in range(nstates)]
+        total = sum(weights)
+        acc = 0.0
+        cum_weights = []
+        for w in weights:
+            acc += w / total
+            cum_weights.append(acc)
+        if i % 10 == 0:
+            # The first draw lands exactly on a cumulative weight, which
+            # selects the next state.
+            cum_weights = [reference.rng_u01(seed, start), 1.0]
+            nstates = 2
+        elif i % 10 == 1:
+            nstates = 1
+            cum_weights = [1.0]
+        products = [r.choice((1.0, -1.0, 0.0, r.uniform(-1, 1))) for _ in range(4 * nstates)]
+        got = native.lhv_mc_sums(cum_weights, products, seed, start, stop)
+        assert _bits(got) == _bits(reference.lhv_mc_sums(cum_weights, products, seed, start, stop))
+
+
+# Wrong arity, a too-short sequence and a non-number, per kernel.
+_C4, _C3 = [0j] * 4, [0j] * 3
+BAD_CALLS = {
+    "rng_u64": [(1,), (None, 0)],
+    "rng_u01": [(1, 2, 3), (0, 1.5)],
+    "gp8": [([0.0] * 8,), ([0.0] * 7, [0.0] * 8), ([0.0] * 8, [None] * 8), (5.0, [0.0] * 8)],
+    "kron2": [(_C4,), (_C4, _C3), ([None] * 4, _C4)],
+    "matmul": [(_C4, _C4), ([0j] * 16, [0j] * 15, 4), (_C4, _C4, 2.0), (_C4, [0j, "x", 0j, 0j], 2)],
+    "expectation": [(_C4, [0j] * 2), (_C4, [0j], 2), (_C4, [None, 0j], 2)],
+    "eigvals_hermitian": [(_C4,), (_C4, 2, 1e-14), (_C3, 2), ([object()] * 4, 2)],
+    "lhv_mc_sums": [
+        ([1.0], [1.0] * 4, 0, 0),
+        ([0.5, 1.0], [1.0] * 4, 0, 0, 100),
+        ([1.0], [1.0, 1.0, None, 1.0], 0, 0, 10),
+        ([None], [1.0] * 4, 0, 0, 10),
+        ([1.0], [1.0] * 4, 0.5, 0, 10),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name, args", [(name, args) for name, calls in BAD_CALLS.items() for args in calls]
+)
+def test_bad_arguments_raise_on_both_backends(native, name, args):
+    """Wrong arity, short sequences and non-numbers raise the same error type
+    on both backends; the native one must never crash the interpreter."""
+    errors = []
+    for backend in (reference, native):
+        with pytest.raises((TypeError, IndexError)) as info:
+            getattr(backend, name)(*args)
+        errors.append(info.type)
+    assert errors[0] is errors[1]
+
+
+_FAKE_NATIVE = """
+import importlib.abc, sys
+
+class NativeFinder(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name == "chshbounds._kernels._native":
+            raise {error}
+        return None
+
+sys.meta_path.insert(0, NativeFinder())
+import chshbounds
+print(chshbounds.BACKEND_NAME)
+"""
+
+
+@pytest.mark.parametrize(
+    "error, backend_env, failure",
+    [
+        # Not built: the import system reports the module itself as missing.
+        ('ModuleNotFoundError("not built", name=name)', None, None),
+        # Built but broken, or missing a module of its own: never hidden.
+        ('ImportError("undefined symbol: broken_build")', None, "broken_build"),
+        ('ModuleNotFoundError("no numpy9", name="numpy9")', None, "no numpy9"),
+        # An explicit python backend never touches the native module.
+        ('ImportError("undefined symbol: broken_build")', "python", None),
+    ],
+)
+def test_native_import_failure_handling(error, backend_env, failure):
+    """Only a native module that is not built falls back to python."""
+    env = {k: v for k, v in os.environ.items() if k != "CHSHBOUNDS_BACKEND"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if backend_env:
+        env["CHSHBOUNDS_BACKEND"] = backend_env
+    script = _FAKE_NATIVE.format(error=error)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    if failure is None:
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "python"
+    else:
+        assert proc.returncode != 0
+        assert failure in proc.stderr
 
 
 def test_load_backend_rejects_unknown():
@@ -141,6 +300,7 @@ def test_load_backend_rejects_unknown():
 
 
 def test_selected_backend_exports():
-    for name in ("gp8", "spin_matrix", "kron2", "matmul", "expectation",
-                 "eigvals_hermitian", "rng_u64", "rng_u01", "lhv_mc_sums"):
+    assert "spin_matrix" not in _kernels.KERNEL_NAMES
+    for name in _kernels.KERNEL_NAMES:
         assert callable(getattr(_kernels, name))
+        assert callable(getattr(reference, name))
