@@ -20,7 +20,7 @@ KERNEL_NAMES = (
     "gp8",
     "kron2",
     "matmul",
-    "expectation",
+    "singlet_expectation",
     "eigvals_hermitian",
     "rng_u64",
     "rng_u01",

@@ -202,30 +202,26 @@ static PyObject *matmul(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return result;
 }
 
-static PyObject *expectation(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* <psi-| (sigma.a) (x) (sigma.b) |psi->: the four Kronecker entries at rows
+ * and columns |01>, |10>, contracted with the singlet's two non-zero
+ * amplitudes, in the order of kron2 followed by the full quadratic form. */
+static PyObject *singlet_expectation(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_ssize_t n, size;
-    if (check_nargs("expectation", nargs, 3) < 0 || load_size(args[2], &n, &size) < 0)
+    double a[3], b[3];
+    if (check_nargs("singlet_expectation", nargs, 2) < 0
+        || load_items(args[0], 3, "a", a, NULL) < 0 || load_items(args[1], 3, "b", b, NULL) < 0)
         return NULL;
-    cplx *m = PyMem_New(cplx, size + n);
-    if (m == NULL)
-        return PyErr_NoMemory();
-    cplx *psi = m + size;
-    PyObject *result = NULL;
-    if (load_items(args[0], size, "m", NULL, m) == 0
-        && load_items(args[1], n, "psi", NULL, psi) == 0) {
-        cplx total = {0.0, 0.0};
-        for (Py_ssize_t i = 0; i < n; i++) {
-            cplx row = {0.0, 0.0};
-            for (Py_ssize_t j = 0; j < n; j++)
-                row = c_add(row, c_mul(m[i * n + j], psi[j]));
-            cplx conj = {psi[i].re, -psi[i].im};
-            total = c_add(total, c_mul(conj, row));
-        }
-        result = PyComplex_FromDoubles(total.re, total.im);
-    }
-    PyMem_Free(m);
-    return result;
+    double s = sqrt(0.5);
+    cplx psi01 = {s, 0.0}, psi10 = {-s, 0.0};
+    cplx conj01 = {psi01.re, -psi01.im}, conj10 = {psi10.re, -psi10.im};
+    cplx m11 = c_mul((cplx){a[2], 0.0}, (cplx){-b[2], 0.0});
+    cplx m12 = c_mul((cplx){a[0], -a[1]}, (cplx){b[0], b[1]});
+    cplx m21 = c_mul((cplx){a[0], a[1]}, (cplx){b[0], -b[1]});
+    cplx m22 = c_mul((cplx){-a[2], 0.0}, (cplx){b[2], 0.0});
+    cplx row1 = c_add(c_mul(m11, psi01), c_mul(m12, psi10));
+    cplx row2 = c_add(c_mul(m21, psi01), c_mul(m22, psi10));
+    cplx total = c_add(c_mul(conj01, row1), c_mul(conj10, row2));
+    return PyComplex_FromDoubles(total.re, total.im);
 }
 
 /* Cyclic Jacobi sweeps over a (n x n, row-major); returns 0 on convergence,
@@ -363,7 +359,7 @@ static PyMethodDef kernel_methods[] = {
     KERNEL(gp8, "Geometric product of two 8-coefficient multivectors."),
     KERNEL(kron2, "Kronecker product of two flat 2x2 matrices as a flat 4x4 matrix."),
     KERNEL(matmul, "Product of two flat n x n complex matrices."),
-    KERNEL(expectation, "Quadratic form <psi| M |psi> for a flat n x n matrix."),
+    KERNEL(singlet_expectation, "<psi-| (sigma.a) (x) (sigma.b) |psi-> for directions a and b."),
     KERNEL(eigvals_hermitian, "Eigenvalues of a flat n x n complex Hermitian matrix, ascending."),
     KERNEL(lhv_mc_sums, "Accumulate Monte Carlo sums for a finite hidden-state mixture."),
     {NULL, NULL, 0, NULL},

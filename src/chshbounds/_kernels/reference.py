@@ -37,6 +37,13 @@ _INV_2_53 = 2.0 ** -53
 _JACOBI_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 100
 
+# Singlet amplitudes on |01> and |10> (those on |00> and |11> are zero) and
+# their conjugates, which carry an imaginary part of -0.0.
+_SINGLET_01 = complex(math.sqrt(0.5), 0.0)
+_SINGLET_10 = complex(-math.sqrt(0.5), 0.0)
+_SINGLET_01_CONJ = _SINGLET_01.conjugate()
+_SINGLET_10_CONJ = _SINGLET_10.conjugate()
+
 
 def rng_u64(seed: int, index: int) -> int:
     """Return draw ``index`` of the stream ``seed`` as a 64-bit integer.
@@ -93,15 +100,27 @@ def matmul(a, b, n: int):
     return out
 
 
-def expectation(m, psi, n: int) -> complex:
-    """Quadratic form <psi| M |psi> for a flat n x n matrix."""
-    total = 0j
-    for i in range(n):
-        row = 0j
-        for j in range(n):
-            row = row + m[i * n + j] * psi[j]
-        total = total + psi[i].conjugate() * row
-    return total
+def singlet_expectation(a, b) -> complex:
+    """<psi-| (sigma.a) (x) (sigma.b) |psi-> for two directions a and b.
+
+    The singlet (|01> - |10>)/sqrt(2) has zero amplitudes on |00> and |11>,
+    so only the four Kronecker entries at rows and columns |01>, |10> reach
+    the quadratic form.  Those entries and the contraction use the complex
+    products of ``kron2`` followed by the full quadratic form, in the same
+    order; only additions of exact-zero terms are dropped, which can change
+    nothing but the sign of a zero result.
+    """
+    ax, ay, az = a[0], a[1], a[2]
+    bx, by, bz = b[0], b[1], b[2]
+    # Kronecker entries (1,1), (1,2), (2,1), (2,2) of the two spin matrices
+    # ((z, x - iy), (x + iy, -z)).
+    m11 = complex(az, 0.0) * complex(-bz, 0.0)
+    m12 = complex(ax, -ay) * complex(bx, by)
+    m21 = complex(ax, ay) * complex(bx, -by)
+    m22 = complex(-az, 0.0) * complex(bz, 0.0)
+    row1 = m11 * _SINGLET_01 + m12 * _SINGLET_10
+    row2 = m21 * _SINGLET_01 + m22 * _SINGLET_10
+    return _SINGLET_01_CONJ * row1 + _SINGLET_10_CONJ * row2
 
 
 def eigvals_hermitian(entries, n: int):

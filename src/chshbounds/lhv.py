@@ -53,7 +53,12 @@ def _check_response(value: float, label: str) -> float:
 
 @dataclass(frozen=True)
 class HiddenState:
-    """One hidden state: a weight and the four response values (a, a', b, b')."""
+    """One hidden state: a weight and the four response values (a, a', b, b').
+
+    Responses within 1e-12 of [-1, 1] are accepted and stored as floats
+    clamped to [-1, 1], so every product of two responses, and every
+    weighted average of such products, lies in [-1, 1] as well.
+    """
 
     weight: float
     responses: tuple[float, float, float, float]
@@ -63,8 +68,10 @@ class HiddenState:
             raise ValueError(f"state weight must be >= 0, got {self.weight!r}")
         if len(self.responses) != 4:
             raise ValueError("each hidden state needs exactly 4 responses")
-        for r in self.responses:
-            _check_response(r, "response")
+        clamped = tuple(
+            min(1.0, max(-1.0, _check_response(r, "response"))) for r in self.responses
+        )
+        object.__setattr__(self, "responses", clamped)
 
 
 @dataclass(frozen=True)
@@ -84,9 +91,7 @@ class LhvModel:
     def from_pairs(
         cls, pairs: Sequence[tuple[float, Sequence[float]]]
     ) -> "LhvModel":
-        return cls(
-            tuple(HiddenState(float(w), tuple(float(r) for r in rs)) for w, rs in pairs)
-        )
+        return cls(tuple(HiddenState(float(w), tuple(rs)) for w, rs in pairs))
 
     @classmethod
     def deterministic(cls, ra: float, ra_prime: float, rb: float, rb_prime: float) -> "LhvModel":

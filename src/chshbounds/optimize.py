@@ -55,6 +55,16 @@ DEFAULT_RESTARTS = 32
 _MAX_SWEEPS_PER_LEVEL = 1000
 
 
+def _chart_vectors(t: Sequence[float]) -> tuple[Vec3, Vec3, Vec3, Vec3]:
+    """Directions a, a', b, b' from the first 8 chart angles; no validation."""
+    return (
+        spherical_vector(t[0], t[1]),
+        spherical_vector(t[2], t[3]),
+        spherical_vector(t[4], t[5]),
+        spherical_vector(t[6], t[7]),
+    )
+
+
 @dataclass(frozen=True)
 class AngleParameterization:
     """Spherical chart on configurations: (polar, azimuth) per direction a, a', b, b'."""
@@ -66,13 +76,7 @@ class AngleParameterization:
             raise ValueError("expected 8 angles (polar, azimuth) x (a, a', b, b')")
 
     def vectors(self) -> tuple[Vec3, Vec3, Vec3, Vec3]:
-        t = self.angles
-        return (
-            spherical_vector(t[0], t[1]),
-            spherical_vector(t[2], t[3]),
-            spherical_vector(t[4], t[5]),
-            spherical_vector(t[6], t[7]),
-        )
+        return _chart_vectors(self.angles)
 
     def to_configuration(self) -> Configuration:
         return Configuration.from_vectors(*self.vectors())
@@ -225,8 +229,7 @@ def maximize_quantum(restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> Optimiz
         raise ValueError(f"restarts must be >= 1, got {restarts}")
 
     def objective(params: Sequence[float]) -> float:
-        chart = AngleParameterization(tuple(params))
-        return _chsh_value_from_vectors(*chart.vectors())
+        return _chsh_value_from_vectors(*_chart_vectors(params))
 
     state = _SearchState()
     bounds = [None] * 8
@@ -261,8 +264,7 @@ def maximize_ga(restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> Optimization
         raise ValueError(f"restarts must be >= 1, got {restarts}")
 
     def objective(params: Sequence[float]) -> float:
-        chart = AngleParameterization(tuple(params[:8]))
-        a, a_prime, b, b_prime = chart.vectors()
+        a, a_prime, b, b_prime = _chart_vectors(params)
         return _chsh_vector_from_dots(
             dot(a, b),
             dot(a, b_prime),

@@ -122,9 +122,18 @@ class ComplexMatrix:
         )
 
     def expectation(self, state: Sequence[complex]) -> complex:
-        if len(state) != self.dim:
-            raise ValueError(f"state has length {len(state)}, expected {self.dim}")
-        return _kernels.expectation(self.entries, tuple(state), self.dim)
+        """Quadratic form <state| M |state>, summed row by row in index order."""
+        n = self.dim
+        if len(state) != n:
+            raise ValueError(f"state has length {len(state)}, expected {n}")
+        m = self.entries
+        total = 0j
+        for i in range(n):
+            row = 0j
+            for j in range(n):
+                row = row + m[i * n + j] * state[j]
+            total = total + state[i].conjugate() * row
+        return total
 
 
 PAULI_X = ComplexMatrix(2, (0j, 1 + 0j, 1 + 0j, 0j))
@@ -175,9 +184,14 @@ def singlet_state() -> tuple[complex, complex, complex, complex]:
 
 
 def _correlation_from_vectors(a: Vec3, b: Vec3) -> float:
-    """Singlet expectation of (sigma.a)(x)(sigma.b); no input validation."""
-    joint = _kernels.kron2(_spin_entries(a), _spin_entries(b))
-    value = _kernels.expectation(joint, _SINGLET, 4)
+    """Singlet expectation of (sigma.a)(x)(sigma.b); no input validation.
+
+    The singlet's amplitudes on |00> and |11> are zero, so of the 16 entries
+    of the Kronecker product only the four at rows and columns |01>, |10>
+    contribute; the ``singlet_expectation`` kernel contracts just those,
+    with the same complex products as the full Kronecker-product pipeline.
+    """
+    value = _kernels.singlet_expectation(a, b)
     if abs(value.imag) > IMAG_RESIDUE_TOLERANCE:
         raise RuntimeError(
             "singlet expectation of a Hermitian observable has imaginary residue "
@@ -190,8 +204,11 @@ def singlet_correlation(a: Sequence[float], b: Sequence[float]) -> float:
     """Correlation <psi|(sigma.a)(x)(sigma.b)|psi> in the singlet, by matrix contraction.
 
     Equals -a.b; the closed form is kept separate as an independent oracle.
-    The imaginary residue of the contraction is checked (must not exceed
-    1e-9) and discarded.
+    The contraction takes the four entries of (sigma.a)(x)(sigma.b) at rows
+    and columns |01>, |10>: the other twelve meet a zero singlet amplitude
+    on the row or the column side, so they add only exact zeros.  The
+    imaginary residue of the contraction is checked (must not exceed 1e-9)
+    and discarded.
     """
     ua = require_unit(a, SPIN_UNIT_TOLERANCE, "a")
     ub = require_unit(b, SPIN_UNIT_TOLERANCE, "b")
@@ -289,8 +306,8 @@ def _chsh_value_from_vectors(a: Vec3, ap: Vec3, b: Vec3, bp: Vec3) -> float:
 def chsh_quantum_value(cfg: Configuration) -> float:
     """Absolute value of the four-term singlet correlation combination.
 
-    Computed through the full matrix pipeline (spin operators, Kronecker
-    products, singlet expectations); bounded by 2*sqrt(2) for every
+    Computed by contracting spin-operator Kronecker entries with the singlet
+    (see :func:`singlet_correlation`); bounded by 2*sqrt(2) for every
     configuration and attains it at :func:`canonical_configuration`.
     """
     return _chsh_value_from_vectors(cfg.a, cfg.a_prime, cfg.b, cfg.b_prime)

@@ -49,6 +49,25 @@ def test_verify_classical_with_supplied_model(capsys, tmp_path):
     assert report["inputs"]["lhv_model"]["states"][0]["weight"] == 1
 
 
+def test_verify_classical_accepts_responses_within_tolerance(capsys, tmp_path):
+    # Responses just above 1 pass the 1e-12 tolerance; their products must too.
+    config = write_config(
+        tmp_path,
+        {
+            "track": "classical",
+            "lhv_model": {"states": [{"weight": 1.0, "responses": [1.0000000000009] * 4}]},
+            "samples": 100,
+        },
+    )
+    code, out, err = run_cli(capsys, "verify", "--config", config)
+    assert code == 0
+    assert "Traceback" not in err
+    (report,) = json.loads(out)["reports"]
+    assert report["value"] == 2.0
+    assert report["details"]["correlations"] == [1, 1, 1, 1]
+    assert report["details"]["monte_carlo"]["chsh_value"] == 2.0
+
+
 def test_verify_classical_monte_carlo_details(capsys, tmp_path):
     config = write_config(
         tmp_path,

@@ -121,29 +121,53 @@ def test_matmul_matches_reference_and_numpy(native):
             assert np.max(np.abs(got - expected)) < 1e-14
 
 
-def test_expectation_matches_reference_and_numpy(native):
+def test_matrix_expectation_matches_numpy():
     r = random.Random(12)
-    for i in range(PARITY_INPUTS):
+    for i in range(400):
         n = 1 + i % 4
         m = _rand_matrix(r, n)
         psi = [_rand_complex(r) for _ in range(n)]
-        assert native.expectation(m, psi, n) == reference.expectation(m, psi, n)
-        if i < 120:
-            p = np.array(psi)
-            expected = p.conj() @ (np.array(m).reshape(n, n) @ p)
-            assert abs(reference.expectation(m, psi, n) - expected) < 1e-14
+        p = np.array(psi)
+        expected = p.conj() @ (np.array(m).reshape(n, n) @ p)
+        assert abs(quantum.ComplexMatrix(n, tuple(m)).expectation(psi) - expected) < 1e-14
+
+
+def _complex_bits(z):
+    return _bits((z.real, z.imag))
+
+
+def _singlet_oracle(a, b):
+    """The unfused pipeline: the full Kronecker product, then the quadratic form."""
+    joint = reference.kron2(quantum._spin_entries(a), quantum._spin_entries(b))
+    return quantum.ComplexMatrix(4, tuple(joint)).expectation(quantum.singlet_state())
+
+
+def _exact_zero_directions():
+    """Signed axes and planar diagonals, whose spin matrices hold exact zeros."""
+    h = math.sqrt(0.5)
+    axes = [tuple(s if i == k else 0.0 for i in range(3)) for k in range(3) for s in (1.0, -1.0)]
+    diagonals = [
+        tuple(u if i == p else (v if i == q else 0.0) for i in range(3))
+        for p, q in ((0, 1), (0, 2), (1, 2))
+        for u in (h, -h)
+        for v in (h, -h)
+    ]
+    return axes + diagonals
 
 
 def test_singlet_pipeline_identical(native):
-    """Spin matrices and the singlet have exact zeros; the kernels must agree on them."""
+    """The fused singlet kernel matches across backends bit for bit, and the
+    unfused Kronecker-product pipeline up to the sign of a zero (``==``)."""
     r = random.Random(15)
-    singlet = quantum.singlet_state()
-    for _ in range(PARITY_INPUTS):
-        sa = quantum._spin_entries(_rand_direction(r))
-        sb = quantum._spin_entries(_rand_direction(r))
-        joint = reference.kron2(sa, sb)
-        assert native.kron2(sa, sb) == joint
-        assert native.expectation(joint, singlet, 4) == reference.expectation(joint, singlet, 4)
+    special = _exact_zero_directions()
+    pairs = [(_rand_direction(r), _rand_direction(r)) for _ in range(PARITY_INPUTS)]
+    pairs += [(a, b) for a in special for b in special]
+    for a, b in pairs:
+        got = reference.singlet_expectation(a, b)
+        assert _complex_bits(native.singlet_expectation(a, b)) == _complex_bits(got)
+        assert got == _singlet_oracle(a, b)
+        sa, sb = quantum._spin_entries(a), quantum._spin_entries(b)
+        assert native.kron2(sa, sb) == reference.kron2(sa, sb)
 
 
 def test_eigvals_match_numpy_oracle():
@@ -216,14 +240,14 @@ def test_lhv_mc_sums_bitwise_identical(native):
 
 
 # Wrong arity, a too-short sequence and a non-number, per kernel.
-_C4, _C3 = [0j] * 4, [0j] * 3
+_C4, _C3, _V3 = [0j] * 4, [0j] * 3, [0.0, 0.0, 1.0]
 BAD_CALLS = {
     "rng_u64": [(1,), (None, 0)],
     "rng_u01": [(1, 2, 3), (0, 1.5)],
     "gp8": [([0.0] * 8,), ([0.0] * 7, [0.0] * 8), ([0.0] * 8, [None] * 8), (5.0, [0.0] * 8)],
     "kron2": [(_C4,), (_C4, _C3), ([None] * 4, _C4)],
     "matmul": [(_C4, _C4), ([0j] * 16, [0j] * 15, 4), (_C4, _C4, 2.0), (_C4, [0j, "x", 0j, 0j], 2)],
-    "expectation": [(_C4, [0j] * 2), (_C4, [0j], 2), (_C4, [None, 0j], 2)],
+    "singlet_expectation": [(_V3,), (_V3, _V3[:2]), ([None] * 3, _V3)],
     "eigvals_hermitian": [(_C4,), (_C4, 2, 1e-14), (_C3, 2), ([object()] * 4, 2)],
     "lhv_mc_sums": [
         ([1.0], [1.0] * 4, 0, 0),
@@ -300,7 +324,9 @@ def test_load_backend_rejects_unknown():
 
 
 def test_selected_backend_exports():
+    assert len(_kernels.KERNEL_NAMES) == 8
     assert "spin_matrix" not in _kernels.KERNEL_NAMES
+    assert "expectation" not in _kernels.KERNEL_NAMES
     for name in _kernels.KERNEL_NAMES:
         assert callable(getattr(_kernels, name))
         assert callable(getattr(reference, name))

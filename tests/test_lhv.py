@@ -108,6 +108,16 @@ def test_correlations_are_mixture_linear():
         assert abs(got - (w * x + (1.0 - w) * y)) < 1e-15
 
 
+def test_hidden_state_stores_clamped_float_responses():
+    state = HiddenState(1.0, (1.0000000000009, -1.0000000000009, 1, -0.0))
+    assert state.responses == (1.0, -1.0, 1.0, -0.0)
+    assert all(type(r) is float for r in state.responses)
+    assert math.copysign(1.0, state.responses[3]) == -1.0
+    model = LhvModel((state,))
+    assert classical_correlations(model).as_tuple() == (1.0, -0.0, -1.0, 0.0)
+    assert monte_carlo_correlations(model, 10, 0).correlations.as_tuple() == (1.0, 0.0, -1.0, 0.0)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         LhvModel(())

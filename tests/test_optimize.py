@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from chshbounds import _kernels
 from chshbounds.geometry import canonical_configuration, random_configuration
 from chshbounds.lhv import CLASSICAL_BOUND, LhvModel, chsh_classical_value, classical_correlations
 from chshbounds.optimize import (
@@ -25,6 +26,29 @@ def test_angle_parameterization_roundtrip():
         assert u == v
     with pytest.raises(ValueError):
         AngleParameterization((0.0, 1.0))
+
+
+def _count_kernel_calls(monkeypatch, names):
+    """Rebind facade kernels to counting wrappers; returns the live counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        kernel = getattr(_kernels, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            counts[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    return counts
+
+
+def test_singlet_objective_uses_fused_kernel_only(monkeypatch):
+    counts = _count_kernel_calls(monkeypatch, ("kron2", "singlet_expectation"))
+    result = maximize_quantum(restarts=2, seed=0)
+    assert counts == {"kron2": 0, "singlet_expectation": 4 * result.iterations}
+    counts.update(kron2=0, singlet_expectation=0)
+    sweep_coplanar_family(11)
+    assert counts == {"kron2": 0, "singlet_expectation": 4 * 11}
 
 
 def test_classical_maximum_is_exactly_two():
