@@ -39,7 +39,6 @@ from .lhv import (
     scalar_pair_bound_holds,
 )
 from .optimize import (
-    AngleParameterization,
     OptimizationResult,
     canonicalized,
     maximize_classical,
@@ -129,7 +128,6 @@ __all__ = [
     "EqualityCondition",
     "equality_condition_check",
     # optimization and reporting
-    "AngleParameterization",
     "OptimizationResult",
     "maximize_classical",
     "maximize_quantum",

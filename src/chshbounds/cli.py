@@ -8,8 +8,8 @@ Subcommands:
   optimize  run a maximizer and serialize the best point found
   sweep     tabulate the coplanar quantum family between the two bounds
 
-Run parameters come from flags or a YAML config file; flags win.  The config
-file accepts::
+Run parameters come from flags or a UTF-8 YAML config file; flags win.  The
+config file accepts::
 
     track: all                 # classical | quantum | ga | all
     configuration: canonical   # or explicit vectors / in-plane angles:
@@ -176,7 +176,7 @@ def _load_config_file(path: str) -> dict:
             data = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if data is None:
         return {}

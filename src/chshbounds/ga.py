@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _kernels
-from .tables import BLADE_NAMES
+from .tables import BLADE_GRADES, BLADE_NAMES
 
 __all__ = [
     "Multivector",
@@ -26,9 +26,6 @@ __all__ = [
     "geometric_product",
     "commutator",
 ]
-
-_GRADE_SLICES = {0: (0,), 1: (1, 2, 3), 2: (4, 5, 6), 3: (7,)}
-
 
 @dataclass(frozen=True)
 class Multivector:
@@ -66,11 +63,10 @@ class Multivector:
 
     def grade(self, k: int) -> "Multivector":
         """Projection onto grade k; grades 0..3 partition the coefficients."""
-        if k not in _GRADE_SLICES:
+        if k not in BLADE_GRADES:
             raise ValueError(f"grade must be one of 0..3, got {k}")
-        keep = _GRADE_SLICES[k]
         return Multivector(
-            tuple(c if i in keep else 0.0 for i, c in enumerate(self.coefficients))
+            tuple(c if g == k else 0.0 for c, g in zip(self.coefficients, BLADE_GRADES))
         )
 
     def norm(self) -> float:
@@ -80,8 +76,9 @@ class Multivector:
     def max_abs_difference(self, other: "Multivector") -> float:
         return max(abs(x - y) for x, y in zip(self.coefficients, other.coefficients))
 
-    def approx_equal(self, other: "Multivector", tol: float = 1e-12) -> bool:
-        return self.max_abs_difference(other) <= tol
+    def approx_equal(self, other: "Multivector") -> bool:
+        """Whether every coefficient agrees to within 1e-12."""
+        return self.max_abs_difference(other) <= 1e-12
 
     def __add__(self, other: "Multivector") -> "Multivector":
         return Multivector(

@@ -8,6 +8,7 @@ not stored; they are derived from the dot products when read.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,6 +17,7 @@ from . import rng
 Vec3 = tuple[float, float, float]
 
 UNIT_TOLERANCE = 1e-12
+BOUND_TOLERANCE = 1e-12
 
 
 def as_vector(values: Sequence[float], label: str = "vector") -> Vec3:
@@ -58,10 +60,24 @@ def magnitude(v: Sequence[float]) -> float:
 
 
 def normalized(v: Sequence[float]) -> Vec3:
-    m = magnitude(v)
-    if m == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return (v[0] / m, v[1] / m, v[2] / m)
+    """Unit vector along v; rejects the zero vector and non-finite input.
+
+    Only when the squared magnitude overflows, or underflows below the
+    smallest normal float, is v first divided by its largest |component|;
+    every other input is divided by its plain magnitude.
+    """
+    x, y, z = v[0], v[1], v[2]
+    squared = x * x + y * y + z * z
+    if not sys.float_info.min <= squared < math.inf:
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ValueError(f"cannot normalize a non-finite vector: {tuple(v)!r}")
+        largest = max(abs(x), abs(y), abs(z))
+        if largest == 0.0:
+            raise ValueError("cannot normalize the zero vector")
+        x, y, z = x / largest, y / largest, z / largest
+        squared = x * x + y * y + z * z
+    m = math.sqrt(squared)
+    return (x / m, y / m, z / m)
 
 
 def unit_deviation(v: Sequence[float]) -> float:
@@ -77,6 +93,14 @@ def require_unit(v: Sequence[float], tol: float = UNIT_TOLERANCE, label: str = "
             f"{label} must be a unit vector: |norm - 1| = {deviation:.3e} exceeds {tol:.1e}"
         )
     return u
+
+
+def require_bounded(value: float, label: str) -> float:
+    """Coerce to float, rejecting non-finite values and |value| > 1 + 1e-12."""
+    v = float(value)
+    if not math.isfinite(v) or abs(v) > 1.0 + BOUND_TOLERANCE:
+        raise ValueError(f"{label} must lie in [-1, 1], got {value!r}")
+    return v
 
 
 def angle_between(u: Sequence[float], v: Sequence[float]) -> float:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _kernels, rng
+from .geometry import require_bounded
 
 __all__ = [
     "CLASSICAL_BOUND",
@@ -36,19 +37,11 @@ __all__ = [
 CLASSICAL_BOUND = 2.0
 
 WEIGHT_SUM_TOLERANCE = 1e-12
-RESPONSE_TOLERANCE = 1e-12
 
 # Fixed Monte Carlo block size: estimates are merged block-by-block in index
 # order, so any partitioning of whole blocks across workers reproduces the
 # single-worker result bit for bit.
 MC_BLOCK = 4096
-
-
-def _check_response(value: float, label: str) -> float:
-    v = float(value)
-    if not math.isfinite(v) or abs(v) > 1.0 + RESPONSE_TOLERANCE:
-        raise ValueError(f"{label} must lie in [-1, 1], got {value!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,7 @@ class HiddenState:
         if len(self.responses) != 4:
             raise ValueError("each hidden state needs exactly 4 responses")
         clamped = tuple(
-            min(1.0, max(-1.0, _check_response(r, "response"))) for r in self.responses
+            min(1.0, max(-1.0, require_bounded(r, "response"))) for r in self.responses
         )
         object.__setattr__(self, "responses", clamped)
 
@@ -113,7 +106,7 @@ class CorrelationSet:
 
     def __post_init__(self):
         for label, v in zip(self._fields(), self.as_tuple()):
-            _check_response(v, label)
+            require_bounded(v, label)
 
     @staticmethod
     def _fields() -> tuple[str, str, str, str]:
@@ -165,7 +158,7 @@ def per_state_chsh_value(responses: Sequence[float]) -> float:
     """
     if len(responses) != 4:
         raise ValueError("expected 4 responses (a, a', b, b')")
-    ra, rap, rb, rbp = (_check_response(r, "response") for r in responses)
+    ra, rap, rb, rbp = (require_bounded(r, "response") for r in responses)
     return abs(ra * rb + ra * rbp) + abs(rap * rb - rap * rbp)
 
 
@@ -175,8 +168,8 @@ def scalar_pair_bound_holds(x: float, y: float) -> bool:
     This one-line fact is the entire algebraic content of the classical
     bound; inputs outside [-1, 1] are rejected.
     """
-    vx = _check_response(x, "x")
-    vy = _check_response(y, "y")
+    vx = require_bounded(x, "x")
+    vy = require_bounded(y, "y")
     return abs(vx + vy) + abs(vx - vy) <= 2.0 + 1e-12
 
 
@@ -238,14 +231,14 @@ def monte_carlo_correlations(model: LhvModel, samples: int, seed: int) -> MonteC
     )
 
 
-def random_model(seed: int, index: int, max_states: int = 4) -> LhvModel:
+def random_model(seed: int, index: int) -> LhvModel:
     """The ``index``-th random mixed model of stream ``seed``.
 
-    Uses an independent sub-stream per model: 1..max_states hidden states,
+    Uses an independent sub-stream per model: 1 to 4 hidden states,
     positive weights normalized to 1, responses uniform in [-1, 1).
     """
     stream = rng.CounterStream(rng.derive_seed(seed, index))
-    n_states = 1 + stream.below(max_states)
+    n_states = 1 + stream.below(4)
     raw_weights = [0.05 + stream.u01() for _ in range(n_states)]
     total = sum(raw_weights)
     states = []

@@ -22,6 +22,8 @@ from .geometry import (
     cross,
     dot,
     normalized,
+    planar_vector,
+    scale,
     spherical_vector,
     sub,
 )
@@ -36,7 +38,6 @@ from .quantum import TSIRELSON_BOUND, _chsh_value_from_vectors
 from .vector_values import ResponseCoefficients, _chsh_vector_from_dots
 
 __all__ = [
-    "AngleParameterization",
     "OptimizationResult",
     "maximize_classical",
     "maximize_quantum",
@@ -63,23 +64,6 @@ def _chart_vectors(t: Sequence[float]) -> tuple[Vec3, Vec3, Vec3, Vec3]:
         spherical_vector(t[4], t[5]),
         spherical_vector(t[6], t[7]),
     )
-
-
-@dataclass(frozen=True)
-class AngleParameterization:
-    """Spherical chart on configurations: (polar, azimuth) per direction a, a', b, b'."""
-
-    angles: tuple[float, float, float, float, float, float, float, float]
-
-    def __post_init__(self):
-        if len(self.angles) != 8:
-            raise ValueError("expected 8 angles (polar, azimuth) x (a, a', b, b')")
-
-    def vectors(self) -> tuple[Vec3, Vec3, Vec3, Vec3]:
-        return _chart_vectors(self.angles)
-
-    def to_configuration(self) -> Configuration:
-        return Configuration.from_vectors(*self.vectors())
 
 
 @dataclass(frozen=True)
@@ -167,13 +151,32 @@ def _coordinate_ascent(
         step *= STEP_SHRINK
 
 
-def _random_angles(stream: rng.CounterStream) -> list[float]:
-    """Uniform-on-sphere starting angles for the four directions."""
-    out = []
-    for _ in range(4):
-        out.append(math.acos(2.0 * stream.u01() - 1.0))
-        out.append(rng.TWO_PI * stream.u01())
-    return out
+def _multistart(
+    objective: Callable[[Sequence[float]], float],
+    restarts: int,
+    seed: int,
+    coefficients: int,
+) -> _SearchState:
+    """Coordinate search from ``restarts`` seeded random starts.
+
+    A point is the 8-angle chart of :func:`_chart_vectors` followed by
+    ``coefficients`` parameters bounded to [-1, 1].  Restart ``index`` draws
+    its start from the stream ``derive_seed(seed, index)``: uniform-on-sphere
+    angles for a, a', b, b', then the coefficients uniform on [-1, 1).
+    """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    state = _SearchState()
+    bounds = [None] * 8 + [(-1.0, 1.0)] * coefficients
+    for index in range(restarts):
+        stream = rng.CounterStream(rng.derive_seed(seed, index))
+        start = []
+        for _ in range(4):
+            start.append(math.acos(2.0 * stream.u01() - 1.0))
+            start.append(rng.TWO_PI * stream.u01())
+        start += [stream.uniform(-1.0, 1.0) for _ in range(coefficients)]
+        _coordinate_ascent(objective, start, state, bounds)
+    return state
 
 
 def maximize_classical() -> OptimizationResult:
@@ -225,27 +228,18 @@ def maximize_quantum(restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> Optimiz
     Coordinate search over the 8-angle chart from ``restarts`` seeded random
     starts; recovers 2*sqrt(2) well within 1e-6.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
 
     def objective(params: Sequence[float]) -> float:
         return _chsh_value_from_vectors(*_chart_vectors(params))
 
-    state = _SearchState()
-    bounds = [None] * 8
-    for index in range(restarts):
-        stream = rng.CounterStream(rng.derive_seed(seed, index))
-        _coordinate_ascent(objective, _random_angles(stream), state, bounds)
-
-    assert state.best_point is not None
-    best_chart = AngleParameterization(tuple(state.best_point))
+    state = _multistart(objective, restarts, seed, 0)
     return OptimizationResult(
         track="quantum",
         best_value=state.best_value,
         bound=TSIRELSON_BOUND,
         iterations=state.evaluations,
         history=tuple(state.history),
-        best_configuration=best_chart.to_configuration(),
+        best_configuration=Configuration.from_vectors(*_chart_vectors(state.best_point)),
         restarts=restarts,
         seed=seed,
     )
@@ -260,8 +254,6 @@ def maximize_ga(restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> Optimization
     fixed).  Recovers 2*sqrt(2) with |alpha_b| = |alpha_b'| = 1 and
     b perpendicular to b'.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
 
     def objective(params: Sequence[float]) -> float:
         a, a_prime, b, b_prime = _chart_vectors(params)
@@ -276,27 +268,16 @@ def maximize_ga(restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> Optimization
             params[9],
         )
 
-    state = _SearchState()
-    bounds: list[tuple[float, float] | None] = [None] * 8 + [(-1.0, 1.0), (-1.0, 1.0)]
-    for index in range(restarts):
-        stream = rng.CounterStream(rng.derive_seed(seed, index))
-        start = _random_angles(stream)
-        start.append(stream.uniform(-1.0, 1.0))
-        start.append(stream.uniform(-1.0, 1.0))
-        _coordinate_ascent(objective, start, state, bounds)
-
-    assert state.best_point is not None
+    state = _multistart(objective, restarts, seed, 2)
     best = state.best_point
-    best_chart = AngleParameterization(tuple(best[:8]))
-    coefficients = ResponseCoefficients(1.0, 1.0, best[8], best[9])
     return OptimizationResult(
         track="ga",
         best_value=state.best_value,
         bound=TSIRELSON_BOUND,
         iterations=state.evaluations,
         history=tuple(state.history),
-        best_configuration=best_chart.to_configuration(),
-        best_coefficients=coefficients,
+        best_configuration=Configuration.from_vectors(*_chart_vectors(best)),
+        best_coefficients=ResponseCoefficients(1.0, 1.0, best[8], best[9]),
         restarts=restarts,
         seed=seed,
     )
@@ -311,11 +292,12 @@ def sweep_coplanar_family(steps: int) -> list[tuple[float, float]]:
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
+    a, a_prime = planar_vector(0.0), planar_vector(0.5 * math.pi)
     rows = []
     for i in range(steps):
         theta = math.pi * i / (steps - 1)
-        cfg = Configuration.coplanar(0.0, 0.5 * math.pi, theta, -theta)
-        rows.append((theta, _chsh_value_from_vectors(*cfg.vectors())))
+        value = _chsh_value_from_vectors(a, a_prime, planar_vector(theta), planar_vector(-theta))
+        rows.append((theta, value))
     return rows
 
 
@@ -334,12 +316,7 @@ def _sign_normalized_vectors(cfg: Configuration) -> tuple[Vec3, Vec3, Vec3, Vec3
             best_signed = signed
             best_signs = signs
     sa, sap, sb, sbp = best_signs
-    return (
-        (sa * cfg.a[0], sa * cfg.a[1], sa * cfg.a[2]),
-        (sap * cfg.a_prime[0], sap * cfg.a_prime[1], sap * cfg.a_prime[2]),
-        (sb * cfg.b[0], sb * cfg.b[1], sb * cfg.b[2]),
-        (sbp * cfg.b_prime[0], sbp * cfg.b_prime[1], sbp * cfg.b_prime[2]),
-    )
+    return (scale(cfg.a, sa), scale(cfg.a_prime, sap), scale(cfg.b, sb), scale(cfg.b_prime, sbp))
 
 
 def canonicalized(cfg: Configuration) -> Configuration:
@@ -355,13 +332,13 @@ def canonicalized(cfg: Configuration) -> Configuration:
     """
     a, a_prime, b, b_prime = _sign_normalized_vectors(cfg)
     u1 = a
-    residual = sub(a_prime, (dot(a_prime, u1) * u1[0], dot(a_prime, u1) * u1[1], dot(a_prime, u1) * u1[2]))
+    residual = sub(a_prime, scale(u1, dot(a_prime, u1)))
     if math.sqrt(dot(residual, residual)) < 1e-8:
         # a' is (anti)parallel to a; any orthogonal axis completes the frame.
         fallback = (1.0, 0.0, 0.0) if abs(u1[0]) <= min(abs(u1[1]), abs(u1[2])) else (
             (0.0, 1.0, 0.0) if abs(u1[1]) <= abs(u1[2]) else (0.0, 0.0, 1.0)
         )
-        residual = sub(fallback, (dot(fallback, u1) * u1[0], dot(fallback, u1) * u1[1], dot(fallback, u1) * u1[2]))
+        residual = sub(fallback, scale(u1, dot(fallback, u1)))
     u2 = normalized(residual)
     u3 = cross(u1, u2)
 

@@ -86,8 +86,8 @@ class ComplexMatrix:
             n, tuple(self.entries[j * n + i].conjugate() for i in range(n) for j in range(n))
         )
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOLERANCE) -> bool:
-        return self.max_abs_difference(self.dagger()) <= tol
+    def is_hermitian(self) -> bool:
+        return self.max_abs_difference(self.dagger()) <= HERMITIAN_TOLERANCE
 
     def max_abs_entry(self) -> float:
         return max(abs(v) for v in self.entries)

@@ -82,9 +82,9 @@ class CounterStream:
 
     __slots__ = ("seed", "index")
 
-    def __init__(self, seed: int, start: int = 0):
+    def __init__(self, seed: int):
         self.seed = normalize_seed(seed)
-        self.index = start
+        self.index = 0
 
     def u64(self) -> int:
         value = _kernels.rng_u64(self.seed, self.index)

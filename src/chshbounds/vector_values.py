@@ -28,6 +28,7 @@ from .geometry import (
     angle_between,
     dot,
     magnitude,
+    require_bounded,
     require_unit,
     scale,
     sub,
@@ -44,16 +45,6 @@ __all__ = [
     "equality_condition_check",
 ]
 
-COEFFICIENT_TOLERANCE = 1e-12
-
-
-def _check_coefficient(value: float, label: str) -> float:
-    v = float(value)
-    if not math.isfinite(v) or abs(v) > 1.0 + COEFFICIENT_TOLERANCE:
-        raise ValueError(f"{label} must lie in [-1, 1], got {value!r}")
-    return v
-
-
 @dataclass(frozen=True)
 class ResponseCoefficients:
     """Magnitude coefficients of the four vector-valued responses, each in [-1, 1]."""
@@ -64,10 +55,10 @@ class ResponseCoefficients:
     alpha_b_prime: float
 
     def __post_init__(self):
-        _check_coefficient(self.alpha_a, "alpha_a")
-        _check_coefficient(self.alpha_a_prime, "alpha_a_prime")
-        _check_coefficient(self.alpha_b, "alpha_b")
-        _check_coefficient(self.alpha_b_prime, "alpha_b_prime")
+        require_bounded(self.alpha_a, "alpha_a")
+        require_bounded(self.alpha_a_prime, "alpha_a_prime")
+        require_bounded(self.alpha_b, "alpha_b")
+        require_bounded(self.alpha_b_prime, "alpha_b_prime")
 
     @classmethod
     def ones(cls) -> "ResponseCoefficients":
@@ -79,7 +70,7 @@ class ResponseCoefficients:
 
 def response_vector(direction: Sequence[float], alpha: float) -> Vec3:
     """Single-side vector response alpha*direction; magnitude |alpha| <= 1."""
-    a = _check_coefficient(alpha, "alpha")
+    a = require_bounded(alpha, "alpha")
     return scale(direction, a)
 
 
@@ -91,8 +82,8 @@ def pair_value(
     At alpha = 1, beta = -1 this equals -x.y, the singlet correlation, which
     is the correspondence making the vector-valued chain quantum-relevant.
     """
-    a = _check_coefficient(alpha, "alpha")
-    b = _check_coefficient(beta, "beta")
+    a = require_bounded(alpha, "alpha")
+    b = require_bounded(beta, "beta")
     return a * b * dot(x, y)
 
 
@@ -134,8 +125,8 @@ def vector_bound_expression(
     (the a-side is absorbed by |coefficient| <= 1 and Cauchy-Schwarz), and is
     itself at most 2*sqrt(2).
     """
-    a = _check_coefficient(alpha, "alpha")
-    bb = _check_coefficient(beta, "beta")
+    a = require_bounded(alpha, "alpha")
+    bb = require_bounded(beta, "beta")
     left = scale(b, a)
     right = scale(b_prime, bb)
     return magnitude(add(left, right)) + magnitude(sub(left, right))
@@ -146,7 +137,6 @@ def case_inequality_holds(
     b_prime: Sequence[float],
     alpha: float,
     beta: float,
-    tol: float = 1e-12,
 ) -> bool:
     """Check the sign-case step of the bound chain (must always hold).
 
@@ -156,15 +146,15 @@ def case_inequality_holds(
     (direct pairing for alpha*beta > 0, swapped pairing for alpha*beta < 0),
     so the comparison of the sums is the same.  For alpha*beta = 0 the
     expression collapses to 2*max(|alpha|, |beta|) and is checked against 2
-    directly.
+    directly.  Both comparisons allow 1e-12 for rounding.
     """
-    a = _check_coefficient(alpha, "alpha")
-    bb = _check_coefficient(beta, "beta")
+    a = require_bounded(alpha, "alpha")
+    bb = require_bounded(beta, "beta")
     lhs = vector_bound_expression(b, b_prime, a, bb)
     if a * bb == 0.0:
-        return lhs <= 2.0 * max(abs(a), abs(bb)) + tol
+        return lhs <= 2.0 * max(abs(a), abs(bb)) + 1e-12
     rhs = vector_bound_expression(b, b_prime, 1.0, 1.0)
-    return lhs <= rhs + tol
+    return lhs <= rhs + 1e-12
 
 
 class EqualityCondition(NamedTuple):

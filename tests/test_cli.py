@@ -203,9 +203,14 @@ def test_verify_rejects_malformed_config_entries(capsys, tmp_path, text, message
     assert err.startswith(f"chshbounds: error: {message}")
 
 
-def test_verify_rejects_malformed_yaml(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "content",
+    [b"{unclosed", b"track: classical\n\xff\xfe\n"],
+    ids=["unclosed", "not-utf8"],
+)
+def test_verify_rejects_malformed_yaml(capsys, tmp_path, content):
     path = tmp_path / "broken.yaml"
-    path.write_text("{unclosed", encoding="utf-8")
+    path.write_bytes(content)
     code, _, err = run_cli(capsys, "verify", "--config", str(path))
     assert code == 2
     assert "not valid YAML" in err

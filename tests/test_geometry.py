@@ -39,9 +39,16 @@ def test_magnitude_matches_numpy(v):
     assert abs(magnitude(v) - float(np.linalg.norm(v))) < 1e-12
 
 
-def test_normalized_rejects_zero():
-    with pytest.raises(ValueError):
-        normalized((0.0, 0.0, 0.0))
+def test_normalized_across_scales():
+    directions = ((1.0, 0.0, 0.0), (3.0, 4.0, 0.0), (1.0, 1.0, 0.0), (-2.0, 3.0, 6.0))
+    for exponent in range(-300, 301, 20):
+        for d in directions:
+            v = normalized(tuple(c * 10.0**exponent for c in d))
+            assert abs(magnitude(v) - 1.0) < 1e-15
+            assert max(abs(x - c / magnitude(d)) for x, c in zip(v, d)) < 1e-15
+    for bad in ((0.0, 0.0, 0.0), (math.inf, 0.0, 0.0), (1.0, math.nan, 0.0)):
+        with pytest.raises(ValueError):
+            normalized(bad)
 
 
 def test_require_unit_gates():

@@ -3,10 +3,9 @@ import math
 import pytest
 
 from chshbounds import _kernels
-from chshbounds.geometry import canonical_configuration, random_configuration
+from chshbounds.geometry import Configuration, canonical_configuration, random_configuration
 from chshbounds.lhv import CLASSICAL_BOUND, LhvModel, chsh_classical_value, classical_correlations
 from chshbounds.optimize import (
-    AngleParameterization,
     canonicalized,
     maximize_classical,
     maximize_ga,
@@ -17,15 +16,6 @@ from chshbounds.quantum import TSIRELSON_BOUND, chsh_quantum_value
 from chshbounds.vector_values import chsh_vector_value
 
 SQRT8 = 2.0 * math.sqrt(2.0)
-
-
-def test_angle_parameterization_roundtrip():
-    chart = AngleParameterization((0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 0.25, 0.75))
-    cfg = chart.to_configuration()
-    for u, v in zip(chart.vectors(), cfg.vectors()):
-        assert u == v
-    with pytest.raises(ValueError):
-        AngleParameterization((0.0, 1.0))
 
 
 def _count_kernel_calls(monkeypatch, names):
@@ -49,6 +39,22 @@ def test_singlet_objective_uses_fused_kernel_only(monkeypatch):
     counts.update(kron2=0, singlet_expectation=0)
     sweep_coplanar_family(11)
     assert counts == {"kron2": 0, "singlet_expectation": 4 * 11}
+
+
+def test_configuration_built_only_for_the_reported_maximizer(monkeypatch):
+    built = []
+    validate = Configuration.__post_init__
+
+    def counted(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Configuration, "__post_init__", counted)
+    sweep_coplanar_family(11)
+    assert built == []
+    quantum = maximize_quantum(restarts=2, seed=0)
+    ga = maximize_ga(restarts=2, seed=0)
+    assert built == [quantum.best_configuration, ga.best_configuration]
 
 
 def test_classical_maximum_is_exactly_two():
