@@ -33,8 +33,10 @@ config file accepts::
 
 Explicit vectors must be unit within 1e-9; they are renormalized to full
 precision before use and echoed back verbatim in the report.  Exit codes:
-0 success, 2 malformed configuration or usage, 3 a bound was violated beyond
-tolerance (the report is still written).
+0 success, 1 the output could not be written (for example an unwritable
+``--out`` or ``output_path``), 2 malformed configuration or usage (an
+unreadable config file included), 3 a bound was violated beyond tolerance (the
+report is still written).
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ import argparse
 import math
 import sys
 from typing import Sequence
-
-import yaml
 
 from ._version import __version__
 from .geometry import (
@@ -77,8 +77,6 @@ from .quantum import (
     operator_norm,
 )
 from .reporting import (
-    ATTAINMENT_TOLERANCE,
-    MARGIN_TOLERANCE,
     BoundReport,
     canonical_json,
     reports_to_csv,
@@ -171,6 +169,8 @@ def _require_numbers(value: object, count: int, label: str) -> list[float]:
 
 
 def _load_config_file(path: str) -> dict:
+    import yaml  # only --config needs the parser, so other runs skip its import cost
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
@@ -397,14 +397,13 @@ def _configuration_mapping(cfg: Configuration) -> dict[str, list[float]]:
     }
 
 
-def _optimization_mapping(result) -> dict[str, object]:
-    margin = result.bound - result.best_value
+def _optimization_mapping(result, verdict: BoundReport) -> dict[str, object]:
     out: dict[str, object] = {
         "track": result.track,
         "best_value": result.best_value,
         "bound": result.bound,
-        "margin": margin,
-        "attained": margin <= ATTAINMENT_TOLERANCE,
+        "margin": verdict.margin,
+        "attained": verdict.attained,
         "iterations": result.iterations,
         "improvements": [[index, value] for index, value in result.history],
         "version": __version__,
@@ -437,8 +436,10 @@ def _run_optimize(args: argparse.Namespace) -> int:
         result = maximize_quantum(restarts=args.restarts, seed=args.seed)
     else:
         result = maximize_ga(restarts=args.restarts, seed=args.seed)
-    _emit(canonical_json(_optimization_mapping(result)), args.out)
-    return 3 if (result.bound - result.best_value) < MARGIN_TOLERANCE else 0
+    # The best value is judged by the same margin rules as a verify report.
+    verdict = BoundReport(result.track, result.best_value, result.bound, inputs={}, seed=args.seed)
+    _emit(canonical_json(_optimization_mapping(result, verdict)), args.out)
+    return violation_exit_code([verdict])
 
 
 def _run_sweep(args: argparse.Namespace) -> int:

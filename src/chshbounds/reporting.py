@@ -93,65 +93,64 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _json_fragment(value: object) -> str:
+def _scalar(value: object) -> str:
+    """Canonical text of a bool, int or float; JSON values and CSV cells share it."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
         return format_float(value)
-    if isinstance(value, str):
-        out = ['"']
-        for ch in value:
-            if ch == '"':
-                out.append('\\"')
-            elif ch == "\\":
-                out.append("\\\\")
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(value).__name__} as a JSON scalar")
+    raise TypeError(f"cannot serialize {type(value).__name__} as a report value")
+
+
+# JSON string escapes: the quote, the backslash and the C0 controls as \u00xx;
+# every other character, DEL and non-ASCII included, is written raw.
+_STRING_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\"}
+_STRING_ESCAPES.update((code, f"\\u{code:04x}") for code in range(0x20))
+
+
+def _quote(text: str) -> str:
+    return '"' + text.translate(_STRING_ESCAPES) + '"'
 
 
 def _write_json(value: object, indent: int, pieces: list[str]) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, Mapping):
-        if not value:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        keys = sorted(value)
-        for i, key in enumerate(keys):
+    if isinstance(value, dict):
+        for key in value:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            pieces.append(inner)
-            pieces.append(_json_fragment(key))
-            pieces.append(": ")
-            _write_json(value[key], indent + 1, pieces)
-            pieces.append(",\n" if i + 1 < len(keys) else "\n")
-        pieces.append(pad + "}")
+        entries = [(_quote(key) + ": ", value[key]) for key in sorted(value)]
+        _write_entries("{}", entries, indent, pieces)
     elif isinstance(value, (list, tuple)):
-        if not value:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for i, item in enumerate(value):
-            pieces.append(inner)
-            _write_json(item, indent + 1, pieces)
-            pieces.append(",\n" if i + 1 < len(value) else "\n")
-        pieces.append(pad + "]")
+        _write_entries("[]", [("", item) for item in value], indent, pieces)
+    elif isinstance(value, str):
+        pieces.append(_quote(value))
+    elif value is None:
+        pieces.append("null")
     else:
-        pieces.append(_json_fragment(value))
+        pieces.append(_scalar(value))
+
+
+def _write_entries(brackets: str, entries: list, indent: int, pieces: list[str]) -> None:
+    """(prefix, value) entries one per line, a level deeper; an empty container stays inline."""
+    if not entries:
+        pieces.append(brackets)
+        return
+    inner = "\n" + "  " * (indent + 1)
+    separator = brackets[0]
+    for prefix, item in entries:
+        pieces.append(separator + inner + prefix)
+        _write_json(item, indent + 1, pieces)
+        separator = ","
+    pieces.append("\n" + "  " * indent + brackets[1])
 
 
 def canonical_json(value: object) -> str:
-    """Deterministic JSON text: sorted keys, 2-space indent, trailing newline."""
+    """Deterministic JSON text: sorted keys, 2-space indent, trailing newline.
+
+    Containers are ``dict`` (string keys only), ``list`` and ``tuple``; other
+    mapping or sequence types are rejected like any unknown value.
+    """
     pieces: list[str] = []
     _write_json(value, 0, pieces)
     pieces.append("\n")
@@ -163,19 +162,18 @@ def reports_to_json(reports: Sequence[BoundReport]) -> str:
 
 
 def _csv_cell(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)
+    return value if isinstance(value, str) else _scalar(value)
+
+
+def _csv_table(columns: Sequence[str], rows) -> str:
+    lines = [",".join(columns)]
+    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def reports_to_csv(reports: Sequence[BoundReport]) -> str:
-    lines = [",".join(REPORT_COLUMNS)]
-    for r in reports:
-        row = (r.track, r.value, r.bound, r.margin, r.attained, r.seed, r.version)
-        lines.append(",".join(_csv_cell(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+    rows = ([getattr(r, column) for column in REPORT_COLUMNS] for r in reports)
+    return _csv_table(REPORT_COLUMNS, rows)
 
 
 def sweep_rows(points: Sequence[tuple[float, float]], classical: float, tsirelson: float):
@@ -192,10 +190,7 @@ def sweep_to_json(points: Sequence[tuple[float, float]], classical: float, tsire
 
 
 def sweep_to_csv(points: Sequence[tuple[float, float]], classical: float, tsirelson: float) -> str:
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in sweep_rows(points, classical, tsirelson):
-        lines.append(",".join(format_float(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+    return _csv_table(SWEEP_COLUMNS, sweep_rows(points, classical, tsirelson))
 
 
 def violation_exit_code(reports: Sequence[BoundReport]) -> int:

@@ -67,8 +67,13 @@ def unit_vector_draw(seed: int, index: int) -> tuple[float, float, float]:
     azimuth uniform on [0, 2*pi).
     """
     s = normalize_seed(seed)
-    z = 2.0 * _kernels.rng_u01(s, 2 * index) - 1.0
-    phi = TWO_PI * _kernels.rng_u01(s, 2 * index + 1)
+    return _unit_vector(_kernels.rng_u01(s, 2 * index), _kernels.rng_u01(s, 2 * index + 1))
+
+
+def _unit_vector(u_polar: float, u_azimuth: float) -> tuple[float, float, float]:
+    """Unit vector with cos(polar) = 2*u_polar - 1 and azimuth = 2*pi*u_azimuth."""
+    z = 2.0 * u_polar - 1.0
+    phi = TWO_PI * u_azimuth
     r = math.sqrt(max(0.0, 1.0 - z * z))
     return (r * math.cos(phi), r * math.sin(phi), z)
 
@@ -104,7 +109,4 @@ class CounterStream:
         return self.u64() % bound
 
     def unit_vector(self) -> tuple[float, float, float]:
-        z = 2.0 * self.u01() - 1.0
-        phi = TWO_PI * self.u01()
-        r = math.sqrt(max(0.0, 1.0 - z * z))
-        return (r * math.cos(phi), r * math.sin(phi), z)
+        return _unit_vector(self.u01(), self.u01())

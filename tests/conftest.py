@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import importlib.util
+import os
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,14 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def child_env():
+    """Environment in which a child ``python -m chshbounds.cli`` imports the package under test."""
+    import chshbounds
+
+    return dict(os.environ, PYTHONPATH=str(Path(chshbounds.__file__).resolve().parents[1]))
 
 
 @pytest.fixture(scope="session")

@@ -273,7 +273,7 @@ def test_criterion_8_commutator_separates_distinct_directions():
     )
 
 
-def test_criterion_9_verify_runs_are_byte_identical():
+def test_criterion_9_verify_runs_are_byte_identical(child_env):
     command = [
         sys.executable,
         "-m",
@@ -285,8 +285,8 @@ def test_criterion_9_verify_runs_are_byte_identical():
         "--seed",
         "7",
     ]
-    first = subprocess.run(command, capture_output=True, check=False)
-    second = subprocess.run(command, capture_output=True, check=False)
+    first = subprocess.run(command, capture_output=True, check=False, env=child_env)
+    second = subprocess.run(command, capture_output=True, check=False, env=child_env)
     _gate(
         9,
         first.returncode == 0

@@ -1,10 +1,15 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 import yaml
 
 from chshbounds import cli
+from chshbounds.optimize import OptimizationResult
+from chshbounds.quantum import TSIRELSON_BOUND
+from chshbounds.reporting import BoundReport
 
 SQRT8 = 2.8284271247461903
 
@@ -331,6 +336,30 @@ def test_optimize_ga_reports_coefficients(capsys, tmp_path):
     assert all(abs(c) <= 1 for c in coefficients)
 
 
+@pytest.mark.parametrize("margin", [-2e-9, -1e-9, 1e-6, 2e-6])
+def test_optimize_verdict_follows_bound_report(capsys, monkeypatch, margin):
+    value = TSIRELSON_BOUND - margin
+    result = OptimizationResult(
+        track="quantum",
+        best_value=value,
+        bound=TSIRELSON_BOUND,
+        iterations=1,
+        history=((1, value),),
+    )
+    monkeypatch.setattr(cli, "maximize_quantum", lambda restarts, seed: result)
+    code, out, _ = run_cli(capsys, "optimize", "--track", "quantum")
+    report = BoundReport("quantum", value, TSIRELSON_BOUND, inputs={}, seed=0)
+    parsed = json.loads(out)
+    assert code == (3 if report.violated else 0)
+    assert parsed["attained"] is report.attained
+    assert parsed["margin"] == report.margin
+    # Away from the two thresholds the verdict does not hang on rounding.
+    if margin == -2e-9:
+        assert (code, parsed["attained"]) == (3, True)
+    if margin == 2e-6:
+        assert (code, parsed["attained"]) == (0, False)
+
+
 def test_optimize_rejects_bad_restarts(capsys):
     code, _, err = run_cli(capsys, "optimize", "--track", "quantum", "--restarts", "0")
     assert code == 2
@@ -367,3 +396,12 @@ def test_bad_track_choice_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["verify", "--track", "bogus"])
     assert excinfo.value.code == 2
+
+
+def test_importing_cli_does_not_load_yaml(child_env):
+    # yaml is imported only when --config is given, to keep start-up short.
+    probe = "import sys, chshbounds.cli; print('yaml' in sys.modules)"
+    command = [sys.executable, "-c", probe]
+    run = subprocess.run(command, capture_output=True, text=True, env=child_env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

@@ -59,6 +59,35 @@ def test_canonical_json_round_trips_byte_identically():
     assert canonical_json(json.loads(text)) == text
 
 
+def test_canonical_json_escapes_and_scalars_are_pinned():
+    payload = {
+        "text": '"\\\n\x00\x1f \x7f\u00e9',
+        "tuple": (1, 2.5),
+        "empty_dict": {},
+        "empty_list": [],
+        "negative_zero": -0.0,
+        "flag": True,
+        "big": 2**64 + 1,
+    }
+    # Only the quote, the backslash and C0 controls are escaped, as \u00xx
+    # (so \n becomes \u000a); space, DEL and non-ASCII are written raw.
+    expected = (
+        "{\n"
+        '  "big": 18446744073709551617,\n'
+        '  "empty_dict": {},\n'
+        '  "empty_list": [],\n'
+        '  "flag": true,\n'
+        '  "negative_zero": 0,\n'
+        '  "text": "' + r'\"\\\u000a\u0000\u001f' + ' \x7f\u00e9",\n'
+        '  "tuple": [\n'
+        "    1,\n"
+        "    2.5\n"
+        "  ]\n"
+        "}\n"
+    )
+    assert canonical_json(payload) == expected
+
+
 def test_canonical_json_rejects_unserializable():
     with pytest.raises(ValueError):
         canonical_json({"x": math.inf})

@@ -1,5 +1,6 @@
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,3 +101,14 @@ def test_normalize_seed_is_64_bit(seed):
     n = rng.normalize_seed(seed)
     assert 0 <= n < 2**64
     assert rng.normalize_seed(n) == n
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5, -3])
+def test_counter_stream_unit_vector_matches_counter_draws(seed):
+    stream = rng.CounterStream(seed)
+    assert stream.unit_vector() == rng.unit_vector_draw(seed, 0)
+    assert stream.unit_vector() == rng.unit_vector_draw(seed, 1)
+    shifted = rng.CounterStream(seed)
+    shifted.u01()
+    shifted.u01()
+    assert shifted.unit_vector() == rng.unit_vector_draw(seed, 1)
