@@ -36,7 +36,10 @@ precision before use and echoed back verbatim in the report.  Exit codes:
 0 success, 1 the output could not be written (for example an unwritable
 ``--out`` or ``output_path``), 2 malformed configuration or usage (an
 unreadable config file included), 3 a bound was violated beyond tolerance (the
-report is still written).
+report is still written).  Exit 2 also covers every range or limit check the
+library makes (restarts on every ``optimize`` track, sweep steps, lhv_model
+weights and responses, coefficients); the error line then quotes the library's
+own message.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict, fields
 from typing import Sequence
 
 from ._version import __version__
@@ -63,6 +67,8 @@ from .lhv import (
 )
 from .optimize import (
     DEFAULT_RESTARTS,
+    OptimizationResult,
+    _require_restarts,
     maximize_classical,
     maximize_ga,
     maximize_quantum,
@@ -142,7 +148,7 @@ _REFERENCE_LINES = {
 
 
 class ConfigError(ValueError):
-    """Malformed run configuration; maps to exit code 2."""
+    """A command-line rule (YAML types, keys, track and format names) broken; exit code 2."""
 
 
 def _require_number(value: object, label: str) -> float:
@@ -232,21 +238,13 @@ def _parse_model(spec: object) -> tuple[LhvModel, object]:
         responses = _require_numbers(entry["responses"], 4, f"{label}.responses")
         pairs.append((weight, responses))
         echo_states.append({"weight": weight, "responses": responses})
-    try:
-        model = LhvModel.from_pairs(pairs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid lhv_model: {exc}") from exc
-    return model, {"states": echo_states}
+    return LhvModel.from_pairs(pairs), {"states": echo_states}
 
 
 def _parse_coefficients(spec: object) -> ResponseCoefficients:
     if spec is None:
         return ResponseCoefficients.ones()
-    values = _require_numbers(spec, 4, "coefficients")
-    try:
-        return ResponseCoefficients(*values)
-    except ValueError as exc:
-        raise ConfigError(f"invalid coefficients: {exc}") from exc
+    return ResponseCoefficients(*_require_numbers(spec, 4, "coefficients"))
 
 
 def _pick(flag_value, config: dict, key: str, default):
@@ -388,48 +386,24 @@ def _run_verify(args: argparse.Namespace) -> int:
     return violation_exit_code(reports)
 
 
-def _configuration_mapping(cfg: Configuration) -> dict[str, list[float]]:
-    return {
-        "a": list(cfg.a),
-        "a_prime": list(cfg.a_prime),
-        "b": list(cfg.b),
-        "b_prime": list(cfg.b_prime),
-    }
-
-
-def _optimization_mapping(result, verdict: BoundReport) -> dict[str, object]:
-    out: dict[str, object] = {
-        "track": result.track,
-        "best_value": result.best_value,
-        "bound": result.bound,
-        "margin": verdict.margin,
-        "attained": verdict.attained,
-        "iterations": result.iterations,
-        "improvements": [[index, value] for index, value in result.history],
-        "version": __version__,
-    }
-    if result.restarts is not None:
-        out["restarts"] = result.restarts
-    if result.seed is not None:
-        out["seed"] = result.seed
-    if result.best_configuration is not None:
-        out["best_configuration"] = _configuration_mapping(result.best_configuration)
-    if result.best_coefficients is not None:
-        out["best_coefficients"] = list(result.best_coefficients.as_tuple())
-    if result.best_strategy is not None:
-        out["best_strategy"] = list(result.best_strategy)
-    if result.maximizer_count is not None:
-        out["maximizer_count"] = result.maximizer_count
-    if result.distinct_maximizing_correlations is not None:
-        out["distinct_maximizing_correlations"] = result.distinct_maximizing_correlations
-    if result.note is not None:
-        out["note"] = result.note
+def _optimization_mapping(result: OptimizationResult, verdict: BoundReport) -> dict[str, object]:
+    """The result's set fields (``history`` as ``improvements``) plus the verdict."""
+    out: dict[str, object] = {}
+    for item in fields(result):
+        value = getattr(result, item.name)
+        if isinstance(value, Configuration):
+            value = asdict(value)
+        elif isinstance(value, ResponseCoefficients):
+            value = value.as_tuple()
+        if value is not None:
+            out["improvements" if item.name == "history" else item.name] = value
+    out.update(margin=verdict.margin, attained=verdict.attained, version=verdict.version)
     return out
 
 
 def _run_optimize(args: argparse.Namespace) -> int:
-    if args.restarts < 1:
-        raise ConfigError(f"restarts must be >= 1, got {args.restarts}")
+    # The classical track runs no search, so check the restart count here too.
+    _require_restarts(args.restarts)
     if args.track == "classical":
         result = maximize_classical()
     elif args.track == "quantum":
@@ -443,14 +417,9 @@ def _run_optimize(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    if args.steps < 2:
-        raise ConfigError(f"steps must be >= 2, got {args.steps}")
     points = sweep_coplanar_family(args.steps)
-    if args.format == "json":
-        text = sweep_to_json(points, CLASSICAL_BOUND, TSIRELSON_BOUND)
-    else:
-        text = sweep_to_csv(points, CLASSICAL_BOUND, TSIRELSON_BOUND)
-    _emit(text, args.out)
+    write = sweep_to_json if args.format == "json" else sweep_to_csv
+    _emit(write(points, CLASSICAL_BOUND, TSIRELSON_BOUND), args.out)
     return 0
 
 
@@ -531,7 +500,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "optimize":
             return _run_optimize(args)
         return _run_sweep(args)
-    except ConfigError as exc:
+    except ValueError as exc:
+        # ConfigError and every range or limit check the library makes.
         print(f"chshbounds: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

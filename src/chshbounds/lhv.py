@@ -206,11 +206,10 @@ def monte_carlo_correlations(model: LhvModel, samples: int, seed: int) -> MonteC
         ra, rap, rb, rbp = state.responses
         products.extend((ra * rb, ra * rbp, rap * rb, rap * rbp))
 
-    norm_seed = rng.normalize_seed(seed)
     totals = [0.0] * 8
     for start in range(0, samples, MC_BLOCK):
         stop = min(start + MC_BLOCK, samples)
-        block = _kernels.lhv_mc_sums(cum_weights, products, norm_seed, start, stop)
+        block = _kernels.lhv_mc_sums(cum_weights, products, seed, start, stop)
         for i in range(8):
             totals[i] += block[i]
 

@@ -151,6 +151,11 @@ def _coordinate_ascent(
         step *= STEP_SHRINK
 
 
+def _require_restarts(restarts: int) -> None:
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+
+
 def _multistart(
     objective: Callable[[Sequence[float]], float],
     restarts: int,
@@ -164,8 +169,7 @@ def _multistart(
     its start from the stream ``derive_seed(seed, index)``: uniform-on-sphere
     angles for a, a', b, b', then the coefficients uniform on [-1, 1).
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    _require_restarts(restarts)
     state = _SearchState()
     bounds = [None] * 8 + [(-1.0, 1.0)] * coefficients
     for index in range(restarts):

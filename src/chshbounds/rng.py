@@ -10,6 +10,9 @@ independently of every other.  Consequences relied on throughout the package:
   boundaries without changing the merged result;
 * independent sub-streams are derived from (seed, stream id) pairs instead of
   by jumping a shared generator.
+
+The kernels reduce seed and index modulo 2**64, so any integer seed is
+accepted and ``s`` and ``s + k * 2**64`` name the same stream.
 """
 
 from __future__ import annotations
@@ -43,12 +46,12 @@ def normalize_seed(seed: int) -> int:
 
 def raw_draw(seed: int, index: int) -> int:
     """Draw ``index`` of stream ``seed`` as an unsigned 64-bit integer."""
-    return _kernels.rng_u64(normalize_seed(seed), index)
+    return _kernels.rng_u64(seed, index)
 
 
 def uniform_draw(seed: int, index: int) -> float:
     """Draw ``index`` of stream ``seed``, uniform on [0, 1) with 53-bit resolution."""
-    return _kernels.rng_u01(normalize_seed(seed), index)
+    return _kernels.rng_u01(seed, index)
 
 
 def derive_seed(seed: int, stream: int) -> int:
@@ -57,7 +60,7 @@ def derive_seed(seed: int, stream: int) -> int:
     Pure and collision-salted: sub-stream seeds are themselves counter draws
     from a salted stream, so they are independent of the parent's data draws.
     """
-    return _kernels.rng_u64(normalize_seed(seed) ^ _STREAM_SALT, stream)
+    return _kernels.rng_u64(seed ^ _STREAM_SALT, stream)
 
 
 def unit_vector_draw(seed: int, index: int) -> tuple[float, float, float]:
@@ -66,8 +69,7 @@ def unit_vector_draw(seed: int, index: int) -> tuple[float, float, float]:
     Consumes draws 2*index and 2*index + 1: cos(polar) uniform on [-1, 1),
     azimuth uniform on [0, 2*pi).
     """
-    s = normalize_seed(seed)
-    return _unit_vector(_kernels.rng_u01(s, 2 * index), _kernels.rng_u01(s, 2 * index + 1))
+    return _unit_vector(_kernels.rng_u01(seed, 2 * index), _kernels.rng_u01(seed, 2 * index + 1))
 
 
 def _unit_vector(u_polar: float, u_azimuth: float) -> tuple[float, float, float]:

@@ -125,10 +125,17 @@ def vector_bound_expression(
     (the a-side is absorbed by |coefficient| <= 1 and Cauchy-Schwarz), and is
     itself at most 2*sqrt(2).
     """
-    a = require_bounded(alpha, "alpha")
-    bb = require_bounded(beta, "beta")
-    left = scale(b, a)
-    right = scale(b_prime, bb)
+    return _bound_expression(
+        b, b_prime, require_bounded(alpha, "alpha"), require_bounded(beta, "beta")
+    )
+
+
+def _bound_expression(
+    b: Sequence[float], b_prime: Sequence[float], alpha: float, beta: float
+) -> float:
+    """:func:`vector_bound_expression` without the coefficient checks."""
+    left = scale(b, alpha)
+    right = scale(b_prime, beta)
     return magnitude(add(left, right)) + magnitude(sub(left, right))
 
 
@@ -150,10 +157,10 @@ def case_inequality_holds(
     """
     a = require_bounded(alpha, "alpha")
     bb = require_bounded(beta, "beta")
-    lhs = vector_bound_expression(b, b_prime, a, bb)
+    lhs = _bound_expression(b, b_prime, a, bb)
     if a * bb == 0.0:
         return lhs <= 2.0 * max(abs(a), abs(bb)) + 1e-12
-    rhs = vector_bound_expression(b, b_prime, 1.0, 1.0)
+    rhs = _bound_expression(b, b_prime, 1.0, 1.0)
     return lhs <= rhs + 1e-12
 
 
@@ -178,7 +185,7 @@ def equality_condition_check(
     """
     ub = require_unit(b, label="b")
     ubp = require_unit(b_prime, label="b_prime")
-    value = vector_bound_expression(ub, ubp, 1.0, 1.0)
+    value = _bound_expression(ub, ubp, 1.0, 1.0)
     is_two = abs(value - 2.0) <= 1e-9
     angle = angle_between(ub, ubp)
     is_parallel = min(angle, math.pi - angle) <= 1e-6

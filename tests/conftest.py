@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from chshbounds import _kernels
+from chshbounds._kernels import reference
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -42,3 +45,13 @@ def native(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(params=["python", "native"])
+def backend(request, monkeypatch):
+    """Routes every kernel call of the test through one backend and returns its name."""
+    module = reference if request.param == "python" else request.getfixturevalue("native")
+    # Callers look the kernels up on the facade at call time.
+    for kernel in _kernels.KERNEL_NAMES:
+        monkeypatch.setattr(_kernels, kernel, getattr(module, kernel))
+    return request.param

@@ -360,10 +360,34 @@ def test_optimize_verdict_follows_bound_report(capsys, monkeypatch, margin):
         assert (code, parsed["attained"]) == (0, False)
 
 
-def test_optimize_rejects_bad_restarts(capsys):
-    code, _, err = run_cli(capsys, "optimize", "--track", "quantum", "--restarts", "0")
-    assert code == 2
-    assert "restarts" in err
+@pytest.mark.parametrize("track", ["classical", "quantum", "ga"])
+def test_optimize_rejects_bad_restarts(capsys, track):
+    # The classical track runs no search, yet the restart count is still checked.
+    code, out, err = run_cli(capsys, "optimize", "--track", track, "--restarts", "0")
+    assert (code, out) == (2, "")
+    assert err == "chshbounds: error: restarts must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (
+            {"lhv_model": {"states": [{"weight": 0.5, "responses": [1, 1, 1, 1]}]}},
+            "state weights must sum to 1, got 0.5",
+        ),
+        (
+            {"lhv_model": {"states": [{"weight": 1.0, "responses": [1, 1.5, 1, 1]}]}},
+            "response must lie in [-1, 1], got 1.5",
+        ),
+        ({"coefficients": [1, 1, -1.25, 1]}, "alpha_b must lie in [-1, 1], got -1.25"),
+    ],
+    ids=["weights", "responses", "coefficients"],
+)
+def test_library_range_checks_exit_2_with_their_own_message(capsys, tmp_path, entries, message):
+    config = write_config(tmp_path, {"track": "all", **entries})
+    code, out, err = run_cli(capsys, "verify", "--config", config)
+    assert (code, out) == (2, "")
+    assert err == f"chshbounds: error: {message}\n"
 
 
 def test_sweep_csv_header_and_endpoints(capsys):

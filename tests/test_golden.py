@@ -11,8 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from chshbounds import _kernels, cli
-from chshbounds._kernels import reference
+from chshbounds import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -38,13 +37,8 @@ BACKEND_CASES = [pytest.param(name, "python", id=name) for name in sorted(CASES)
 ]
 
 
-@pytest.mark.parametrize("name, backend", BACKEND_CASES)
-def test_cli_output_matches_golden(name, backend, tmp_path, monkeypatch, request):
-    # Every caller looks the kernels up on the facade at call time, so
-    # rebinding its attributes switches the whole pipeline to one backend.
-    module = reference if backend == "python" else request.getfixturevalue("native")
-    for kernel in _kernels.KERNEL_NAMES:
-        monkeypatch.setattr(_kernels, kernel, getattr(module, kernel))
+@pytest.mark.parametrize("name, backend", BACKEND_CASES, indirect=["backend"])
+def test_cli_output_matches_golden(name, backend, tmp_path):
     argv = [str(GOLDEN / arg) if arg.endswith(".yaml") else arg for arg in CASES[name]]
     out = tmp_path / name
     assert cli.main([*argv, "--out", str(out)]) == 0

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from chshbounds import rng
 from chshbounds.ga import Multivector, commutator
-from chshbounds.geometry import canonical_configuration, random_configuration, random_unit_vector
+from chshbounds.geometry import (
+    canonical_configuration,
+    cross,
+    magnitude,
+    random_configuration,
+    random_unit_vector,
+)
 from chshbounds.quantum import (
     IDENTITY_2,
     PAULI_X,
@@ -177,6 +183,20 @@ def test_commutator_tensor_norm_capped_at_four():
         )
         product = left @ right
         assert operator_norm(product) <= 4.0 + 1e-9
+
+
+def test_operator_norms_match_closed_forms(backend):
+    # ||B|| = 2*sqrt(1 + |a x a'||b x b'|) (Landau 1987), and the commutator
+    # product [A,A'] (x) [B,B'] has norm 2|a x a'| * 2|b x b'|.
+    for i in range(2000 if backend == "python" else 10_000):
+        cfg = random_configuration(69, i)
+        sines = magnitude(cross(cfg.a, cfg.a_prime)) * magnitude(cross(cfg.b, cfg.b_prime))
+        assert abs(operator_norm(chsh_operator(cfg)) - 2.0 * math.sqrt(1.0 + sines)) < 1e-12
+        product = tensor_product(
+            commutator_matrix(spin_operator(cfg.a), spin_operator(cfg.a_prime)),
+            commutator_matrix(spin_operator(cfg.b), spin_operator(cfg.b_prime)),
+        )
+        assert abs(operator_norm(product) - 4.0 * sines) < 1e-12
 
 
 @settings(max_examples=60)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chshbounds import rng
+from chshbounds.lhv import LhvModel, monte_carlo_correlations
 
 # First outputs of the splitmix64 sequence seeded with 0, from the published
 # reference implementation.  raw_draw(0, i) must reproduce them because
@@ -112,3 +113,23 @@ def test_counter_stream_unit_vector_matches_counter_draws(seed):
     shifted.u01()
     shifted.u01()
     assert shifted.unit_vector() == rng.unit_vector_draw(seed, 1)
+
+
+def test_seeds_reduce_modulo_2_64_in_the_kernels(backend):
+    model = LhvModel.from_pairs([(0.25, (1, -1, 1, 1)), (0.75, (-1, 1, 0.5, -0.5))])
+
+    def draws(seed):
+        estimate = monte_carlo_correlations(model, 50, seed)
+        return (
+            [rng.raw_draw(seed, i) for i in (0, 1, 17)],
+            [rng.uniform_draw(seed, i) for i in (0, 1, 17)],
+            [rng.derive_seed(seed, i) for i in (0, 1, 17)],
+            [rng.unit_vector_draw(seed, i) for i in (0, 1, 17)],
+            estimate.correlations,
+            estimate.std_errors,
+        )
+
+    for seed in (0, 1, 7, -1, -3, 2**63 + 5, 2**64 - 1, -(2**70) + 11):
+        expected = draws(rng.normalize_seed(seed))
+        for k in (-1, 0, 1):
+            assert draws(seed + k * 2**64) == expected

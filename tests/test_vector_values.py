@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chshbounds import vector_values
 from chshbounds.geometry import (
     canonical_configuration,
     dot,
@@ -189,3 +190,23 @@ def test_is_two_implies_is_parallel():
 def test_equality_check_requires_unit_inputs():
     with pytest.raises(ValueError):
         equality_condition_check((2.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+
+
+def test_each_coefficient_checked_once_per_call(monkeypatch):
+    b, b_prime = random_unit_vector(83, 0), random_unit_vector(83, 1)
+    alpha, beta = 0.75, -0.5
+    lhs = vector_bound_expression(b, b_prime, alpha, beta)
+    coefficient_free = vector_bound_expression(b, b_prime, 1.0, 1.0)
+    labels = []
+
+    def counting(value, label):
+        labels.append(label)
+        return real(value, label)
+
+    real = vector_values.require_bounded
+    monkeypatch.setattr(vector_values, "require_bounded", counting)
+    assert case_inequality_holds(b, b_prime, alpha, beta) is (lhs <= coefficient_free + 1e-12)
+    assert labels == ["alpha", "beta"]
+    labels.clear()
+    assert equality_condition_check(b, b_prime).value == coefficient_free
+    assert labels == []
