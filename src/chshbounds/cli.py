@@ -52,11 +52,11 @@ from typing import Sequence
 
 from ._version import __version__
 from .geometry import (
+    UNIT_GATE_TOLERANCE,
     Configuration,
     canonical_configuration,
-    magnitude,
     normalized,
-    unit_deviation,
+    require_unit,
 )
 from .lhv import (
     CLASSICAL_BOUND,
@@ -98,10 +98,6 @@ from .vector_values import (
 )
 
 __all__ = ["ConfigError", "main"]
-
-# Explicit input vectors may be off unit by this much; anything tighter is
-# renormalized silently, anything looser is rejected.
-UNIT_GATE_TOLERANCE = 1e-9
 
 _CONFIG_KEYS = frozenset(
     {
@@ -153,11 +149,25 @@ class ConfigError(ValueError):
 
 def _require_number(value: object, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{label} must be a number, got {value!r}")
+        raise ConfigError(f"{label} must be a number, got {value!r}{_yaml_number_hint(value)}")
     v = float(value)
     if not math.isfinite(v):
         raise ConfigError(f"{label} must be finite, got {value!r}")
     return v
+
+
+def _yaml_number_hint(value: object) -> str:
+    """A hint for text that reads as a finite number, such as YAML 1.1's ``1e-3``."""
+    if isinstance(value, str):
+        try:
+            if math.isfinite(float(value)):
+                return (
+                    " (YAML reads a quoted number, or an exponent without a decimal point,"
+                    " as text; write it unquoted with a decimal point, for example 1.0e-3)"
+                )
+        except ValueError:
+            pass
+    return ""
 
 
 def _require_int(value: object, label: str, minimum: int | None = None) -> int:
@@ -208,11 +218,7 @@ def _parse_configuration(spec: object) -> tuple[Configuration, object]:
         vectors = []
         for key in vector_keys:
             raw = _require_numbers(spec[key], 3, f"configuration.{key}")
-            if unit_deviation(raw) > UNIT_GATE_TOLERANCE:
-                raise ConfigError(
-                    f"configuration.{key} must be unit within 1e-9, "
-                    f"got length {magnitude(raw)}"
-                )
+            require_unit(raw, UNIT_GATE_TOLERANCE, f"configuration.{key}")
             echo[key] = raw
             vectors.append(normalized(raw))
         return Configuration.from_vectors(*vectors), echo

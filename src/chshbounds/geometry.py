@@ -18,16 +18,9 @@ Vec3 = tuple[float, float, float]
 
 UNIT_TOLERANCE = 1e-12
 BOUND_TOLERANCE = 1e-12
-
-
-def as_vector(values: Sequence[float], label: str = "vector") -> Vec3:
-    """Coerce a length-3 sequence to a float triple, rejecting non-finite input."""
-    if len(values) != 3:
-        raise ValueError(f"{label} must have exactly 3 components, got {len(values)}")
-    v = (float(values[0]), float(values[1]), float(values[2]))
-    if not (math.isfinite(v[0]) and math.isfinite(v[1]) and math.isfinite(v[2])):
-        raise ValueError(f"{label} has non-finite components: {v!r}")
-    return v
+# Directions supplied from outside the package (spin operators, singlet
+# correlations, config-file vectors) may be off unit by this much.
+UNIT_GATE_TOLERANCE = 1e-9
 
 
 def dot(u: Sequence[float], v: Sequence[float]) -> float:
@@ -80,25 +73,23 @@ def normalized(v: Sequence[float]) -> Vec3:
     return (x / m, y / m, z / m)
 
 
-def unit_deviation(v: Sequence[float]) -> float:
-    """Absolute deviation of |v| from 1."""
-    return abs(magnitude(v) - 1.0)
-
-
 def require_unit(v: Sequence[float], tol: float = UNIT_TOLERANCE, label: str = "vector") -> Vec3:
-    u = as_vector(v, label)
-    deviation = unit_deviation(u)
-    if deviation > tol:
+    """Float triple of a length-3 v whose length is within tol of 1; NaN and inf fail too."""
+    if len(v) != 3:
+        raise ValueError(f"{label} must have exactly 3 components, got {len(v)}")
+    x, y, z = float(v[0]), float(v[1]), float(v[2])
+    deviation = abs(math.sqrt(x * x + y * y + z * z) - 1.0)
+    if not deviation <= tol:
         raise ValueError(
             f"{label} must be a unit vector: |norm - 1| = {deviation:.3e} exceeds {tol:.1e}"
         )
-    return u
+    return (x, y, z)
 
 
 def require_bounded(value: float, label: str) -> float:
-    """Coerce to float, rejecting non-finite values and |value| > 1 + 1e-12."""
+    """Coerce to float, rejecting |value| > 1 + 1e-12 (NaN and +/-inf included)."""
     v = float(value)
-    if not math.isfinite(v) or abs(v) > 1.0 + BOUND_TOLERANCE:
+    if not abs(v) <= 1.0 + BOUND_TOLERANCE:
         raise ValueError(f"{label} must lie in [-1, 1], got {value!r}")
     return v
 

@@ -57,8 +57,10 @@ class HiddenState:
     responses: tuple[float, float, float, float]
 
     def __post_init__(self):
-        if not math.isfinite(self.weight) or self.weight < 0.0:
+        weight = float(self.weight)
+        if not 0.0 <= weight < math.inf:
             raise ValueError(f"state weight must be >= 0, got {self.weight!r}")
+        object.__setattr__(self, "weight", weight)
         if len(self.responses) != 4:
             raise ValueError("each hidden state needs exactly 4 responses")
         clamped = tuple(
@@ -84,7 +86,7 @@ class LhvModel:
     def from_pairs(
         cls, pairs: Sequence[tuple[float, Sequence[float]]]
     ) -> "LhvModel":
-        return cls(tuple(HiddenState(float(w), tuple(rs)) for w, rs in pairs))
+        return cls(tuple(HiddenState(w, tuple(rs)) for w, rs in pairs))
 
     @classmethod
     def deterministic(cls, ra: float, ra_prime: float, rb: float, rb_prime: float) -> "LhvModel":
@@ -105,12 +107,8 @@ class CorrelationSet:
     c_aprime_bprime: float
 
     def __post_init__(self):
-        for label, v in zip(self._fields(), self.as_tuple()):
-            require_bounded(v, label)
-
-    @staticmethod
-    def _fields() -> tuple[str, str, str, str]:
-        return ("c_ab", "c_ab_prime", "c_aprime_b", "c_aprime_bprime")
+        for label in ("c_ab", "c_ab_prime", "c_aprime_b", "c_aprime_bprime"):
+            object.__setattr__(self, label, require_bounded(getattr(self, label), label))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.c_ab, self.c_ab_prime, self.c_aprime_b, self.c_aprime_bprime)

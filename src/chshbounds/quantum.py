@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _kernels
-from .geometry import Configuration, Vec3, dot, require_unit
+from .geometry import UNIT_GATE_TOLERANCE, Configuration, Vec3, dot, require_unit
 
 __all__ = [
     "ComplexMatrix",
@@ -44,9 +44,7 @@ __all__ = [
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
-SPIN_UNIT_TOLERANCE = 1e-9
 IMAG_RESIDUE_TOLERANCE = 1e-9
-HERMITIAN_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,8 @@ class ComplexMatrix:
         )
 
     def is_hermitian(self) -> bool:
-        return self.max_abs_difference(self.dagger()) <= HERMITIAN_TOLERANCE
+        """Exactly equal to its conjugate transpose, entry by entry."""
+        return self.entries == self.dagger().entries
 
     def max_abs_entry(self) -> float:
         return max(abs(v) for v in self.entries)
@@ -159,7 +158,7 @@ def spin_operator(direction: Sequence[float]) -> ComplexMatrix:
     silently normalized, because norm-1 observables are what the 2*sqrt(2)
     ceiling assumes.
     """
-    d = require_unit(direction, SPIN_UNIT_TOLERANCE, "spin direction")
+    d = require_unit(direction, UNIT_GATE_TOLERANCE, "spin direction")
     return ComplexMatrix(2, _spin_entries(d))
 
 
@@ -210,15 +209,15 @@ def singlet_correlation(a: Sequence[float], b: Sequence[float]) -> float:
     imaginary residue of the contraction is checked (must not exceed 1e-9)
     and discarded.
     """
-    ua = require_unit(a, SPIN_UNIT_TOLERANCE, "a")
-    ub = require_unit(b, SPIN_UNIT_TOLERANCE, "b")
+    ua = require_unit(a, UNIT_GATE_TOLERANCE, "a")
+    ub = require_unit(b, UNIT_GATE_TOLERANCE, "b")
     return _correlation_from_vectors(ua, ub)
 
 
 def singlet_correlation_closed_form(a: Sequence[float], b: Sequence[float]) -> float:
     """Closed-form singlet correlation -a.b = -cos(angle between a and b)."""
-    ua = require_unit(a, SPIN_UNIT_TOLERANCE, "a")
-    ub = require_unit(b, SPIN_UNIT_TOLERANCE, "b")
+    ua = require_unit(a, UNIT_GATE_TOLERANCE, "a")
+    ub = require_unit(b, UNIT_GATE_TOLERANCE, "b")
     return -dot(ua, ub)
 
 
@@ -281,8 +280,8 @@ def cross_commutator_residual(cfg: Configuration) -> float:
 def operator_norm(m: ComplexMatrix) -> float:
     """Spectral norm via the Jacobi eigensolver.
 
-    Hermitian input (within 1e-12): the largest absolute eigenvalue.
-    General input: sqrt of the largest eigenvalue of M-dagger M.
+    Exactly Hermitian input: the largest absolute eigenvalue.  Any other
+    input: sqrt of the largest eigenvalue of M-dagger M.
     Raises RuntimeError if the eigensolver fails to converge.
     """
     if m.is_hermitian():

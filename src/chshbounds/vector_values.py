@@ -55,10 +55,8 @@ class ResponseCoefficients:
     alpha_b_prime: float
 
     def __post_init__(self):
-        require_bounded(self.alpha_a, "alpha_a")
-        require_bounded(self.alpha_a_prime, "alpha_a_prime")
-        require_bounded(self.alpha_b, "alpha_b")
-        require_bounded(self.alpha_b_prime, "alpha_b_prime")
+        for label in ("alpha_a", "alpha_a_prime", "alpha_b", "alpha_b_prime"):
+            object.__setattr__(self, label, require_bounded(getattr(self, label), label))
 
     @classmethod
     def ones(cls) -> "ResponseCoefficients":
@@ -119,21 +117,22 @@ def chsh_vector_value(cfg: Configuration, co: ResponseCoefficients) -> float:
 def vector_bound_expression(
     b: Sequence[float], b_prime: Sequence[float], alpha: float, beta: float
 ) -> float:
-    """|alpha*b + beta*b'| + |alpha*b - beta*b'| for unit b, b'.
+    """|alpha*b + beta*b'| + |alpha*b - beta*b'| for unit b, b' (within 1e-12).
 
     Upper-bounds :func:`chsh_vector_value` for matching b-side coefficients
     (the a-side is absorbed by |coefficient| <= 1 and Cauchy-Schwarz), and is
     itself at most 2*sqrt(2).
     """
+    ub, ubp = require_unit(b, label="b"), require_unit(b_prime, label="b_prime")
     return _bound_expression(
-        b, b_prime, require_bounded(alpha, "alpha"), require_bounded(beta, "beta")
+        ub, ubp, require_bounded(alpha, "alpha"), require_bounded(beta, "beta")
     )
 
 
 def _bound_expression(
     b: Sequence[float], b_prime: Sequence[float], alpha: float, beta: float
 ) -> float:
-    """:func:`vector_bound_expression` without the coefficient checks."""
+    """:func:`vector_bound_expression` without the input checks."""
     left = scale(b, alpha)
     right = scale(b_prime, beta)
     return magnitude(add(left, right)) + magnitude(sub(left, right))
@@ -153,14 +152,16 @@ def case_inequality_holds(
     (direct pairing for alpha*beta > 0, swapped pairing for alpha*beta < 0),
     so the comparison of the sums is the same.  For alpha*beta = 0 the
     expression collapses to 2*max(|alpha|, |beta|) and is checked against 2
-    directly.  Both comparisons allow 1e-12 for rounding.
+    directly.  Both comparisons allow 1e-12 for rounding.  b and b' must be
+    unit within 1e-12, which the alpha*beta = 0 case relies on.
     """
+    ub, ubp = require_unit(b, label="b"), require_unit(b_prime, label="b_prime")
     a = require_bounded(alpha, "alpha")
     bb = require_bounded(beta, "beta")
-    lhs = _bound_expression(b, b_prime, a, bb)
+    lhs = _bound_expression(ub, ubp, a, bb)
     if a * bb == 0.0:
         return lhs <= 2.0 * max(abs(a), abs(bb)) + 1e-12
-    rhs = _bound_expression(b, b_prime, 1.0, 1.0)
+    rhs = _bound_expression(ub, ubp, 1.0, 1.0)
     return lhs <= rhs + 1e-12
 
 

@@ -165,7 +165,7 @@ def test_verify_explicit_vectors_rejects_non_unit(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", "--config", config)
     assert code == 2
     assert out == ""
-    assert "unit within 1e-9" in err
+    assert "configuration.a must be a unit vector: |norm - 1| = 1.000e-03 exceeds 1.0e-09" in err
 
 
 def test_verify_angles_route_reproduces_canonical(capsys, tmp_path):
@@ -388,6 +388,77 @@ def test_library_range_checks_exit_2_with_their_own_message(capsys, tmp_path, en
     code, out, err = run_cli(capsys, "verify", "--config", config)
     assert (code, out) == (2, "")
     assert err == f"chshbounds: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "lhv_model: {states: [{weight: .nan, responses: [1, 1, 1, 1]}]}",
+            "lhv_model.states[0].weight must be finite, got nan",
+        ),
+        (
+            "lhv_model: {states: [{weight: 1.0, responses: [1, -.inf, 1, 1]}]}",
+            "lhv_model.states[0].responses[1] must be finite, got -inf",
+        ),
+        ("coefficients: [1, 1, .inf, 1]", "coefficients[2] must be finite, got inf"),
+        (
+            "configuration: {a: [.nan, 0, 0], a_prime: [0, 1, 0],"
+            " b: [0, 0, 1], b_prime: [1, 0, 0]}",
+            "configuration.a[0] must be finite, got nan",
+        ),
+        (
+            "configuration: {angles_deg: [0, .inf, 0, 0]}",
+            "configuration.angles_deg[1] must be finite, got inf",
+        ),
+        (
+            "lhv_model: {states: [{weight: -0.5, responses: [1, 1, 1, 1]}]}",
+            "state weight must be >= 0, got -0.5",
+        ),
+    ],
+    ids=["weight", "response", "coefficient", "vector", "angle", "negative-weight"],
+)
+def test_non_finite_and_negative_values_exit_2(capsys, tmp_path, text, message):
+    path = tmp_path / "run.yaml"
+    path.write_text(f"track: all\n{text}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"chshbounds: error: {message}")
+
+
+YAML_NUMBER_HINT = (
+    " (YAML reads a quoted number, or an exponent without a decimal point, as text;"
+    " write it unquoted with a decimal point, for example 1.0e-3)"
+)
+
+
+@pytest.mark.parametrize(
+    "text, message, hinted",
+    [
+        (
+            "lhv_model: {states: [{weight: 1e-3, responses: [1, 1, 1, 1]}]}",
+            "lhv_model.states[0].weight must be a number, got '1e-3'",
+            True,
+        ),
+        (
+            "configuration: {angles_deg: [1e308, 0, 0, 0]}",
+            "configuration.angles_deg[0] must be a number, got '1e308'",
+            True,
+        ),
+        ("coefficients: ['0.5', 1, 1, 1]", "coefficients[0] must be a number, got '0.5'", True),
+        ("coefficients: [one, 1, 1, 1]", "coefficients[0] must be a number, got 'one'", False),
+        ("coefficients: [nan, 1, 1, 1]", "coefficients[0] must be a number, got 'nan'", False),
+        ("coefficients: [1e999, 1, 1, 1]", "coefficients[0] must be a number, got '1e999'", False),
+    ],
+    ids=["exponent-weight", "exponent-angle", "quoted", "word", "nan-word", "overflow"],
+)
+def test_numbers_read_as_text_get_a_yaml_hint(capsys, tmp_path, text, message, hinted):
+    # PyYAML follows YAML 1.1, whose float pattern needs a decimal point.
+    path = tmp_path / "run.yaml"
+    path.write_text(f"track: all\n{text}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"chshbounds: error: {message}{YAML_NUMBER_HINT if hinted else ''}\n"
 
 
 def test_sweep_csv_header_and_endpoints(capsys):

@@ -57,6 +57,29 @@ def test_require_unit_gates():
         require_unit((1.0, 1e-3, 0.0))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (math.nan, 0.0, 0.0),
+        (math.inf, 0.0, 0.0),
+        (0.0, -math.inf, 0.0),
+        (1e200, 0.0, 0.0),  # the squared length overflows
+        (1.0, 0.0),
+        (1.0, 0.0, 0.0, 0.0),
+    ],
+    ids=["nan", "inf", "-inf", "overflow", "two", "four"],
+)
+def test_require_unit_rejects_non_finite_and_wrong_length(bad):
+    with pytest.raises(ValueError, match="^v "):
+        require_unit(bad, label="v")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0 + 1e-11])
+def test_require_bounded_rejects_non_finite_and_out_of_range(bad):
+    with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+        geometry.require_bounded(bad, "x")
+
+
 @given(st.floats(min_value=-10, max_value=10, allow_nan=False))
 def test_planar_vector_is_unit(angle):
     v = planar_vector(angle)

@@ -133,6 +133,17 @@ def test_model_validation():
         CorrelationSet(1.5, 0, 0, 0)
 
 
+def test_weights_and_correlations_stored_as_checked_floats():
+    state = HiddenState(True, (1, 1, 1, 1))
+    assert type(state.weight) is float and state.weight == 1.0
+    correlations = CorrelationSet(True, 0, -1, 0.5)
+    assert correlations.as_tuple() == (1.0, 0.0, -1.0, 0.5)
+    assert all(type(c) is float for c in correlations.as_tuple())
+    for bad in (math.nan, math.inf, -0.5):
+        with pytest.raises(ValueError, match="state weight must be >= 0"):
+            HiddenState(bad, (0.0, 0.0, 0.0, 0.0))
+
+
 def test_monte_carlo_deterministic_model_is_exact():
     model = LhvModel.deterministic(1.0, -1.0, 1.0, 1.0)
     est = monte_carlo_correlations(model, 500, seed=3)

@@ -1,0 +1,41 @@
+"""Packaging metadata and the CI workflow, read as text."""
+
+import re
+from pathlib import Path
+
+import yaml
+
+from chshbounds import __version__
+
+ROOT = Path(__file__).resolve().parent.parent
+TIER1 = "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"
+
+
+def _toml_table(name: str) -> str:
+    """Body of the ``[name]`` table of pyproject.toml (3.10 has no tomllib)."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(rf"^\[{re.escape(name)}\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert match is not None, f"pyproject.toml has no [{name}] table"
+    return match.group(1)
+
+
+def test_version_has_one_source():
+    project = _toml_table("project")
+    assert re.search(r"^version\s*=", project, re.M) is None
+    assert re.search(r'^dynamic\s*=\s*\["version"\]', project, re.M)
+    dynamic = _toml_table("tool.setuptools.dynamic")
+    assert 'version = { attr = "chshbounds._version.__version__" }' in dynamic
+    assert re.fullmatch(r"\d+\.\d+\.\d+", __version__)
+
+
+def test_ci_runs_tier1_on_both_backends():
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    jobs = workflow["jobs"]
+    assert len(jobs) == 2
+    builds = []
+    for job in jobs.values():
+        assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12"]
+        commands = "\n".join(step.get("run", "") for step in job["steps"])
+        assert TIER1 in commands
+        builds.append("python setup.py build_ext --inplace" in commands)
+    assert sorted(builds) == [False, True]

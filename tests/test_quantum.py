@@ -199,6 +199,32 @@ def test_operator_norms_match_closed_forms(backend):
         assert abs(operator_norm(product) - 4.0 * sines) < 1e-12
 
 
+def test_chsh_and_commutator_operators_are_exactly_hermitian(backend):
+    # Complex products commute and conjugation distributes exactly in IEEE
+    # arithmetic, so B and C = [A,A'] (x) [B,B'] equal their daggers bit for
+    # bit, and operator_norm takes its Hermitian branch on both.
+    for i in range(2000):
+        cfg = random_configuration(501, i)
+        b_operator = chsh_operator(cfg)
+        c_operator = tensor_product(
+            commutator_matrix(spin_operator(cfg.a), spin_operator(cfg.a_prime)),
+            commutator_matrix(spin_operator(cfg.b), spin_operator(cfg.b_prime)),
+        )
+        assert b_operator.entries == b_operator.dagger().entries
+        assert c_operator.entries == c_operator.dagger().entries
+
+
+def test_operator_norm_of_nearly_hermitian_matrices(backend):
+    # Any difference from the dagger, however small in absolute terms, takes
+    # the M-dagger M branch, which is correct for every matrix.
+    tiny = ComplexMatrix(2, (0j, 1e-20 + 0j, 0j, 0j))
+    assert not tiny.is_hermitian()
+    assert operator_norm(tiny) == 1e-20
+    skewed = ComplexMatrix(2, (0j, 1 + 0j, 1 + 1e-13 + 0j, 0j))
+    assert not skewed.is_hermitian()
+    assert abs(operator_norm(skewed) - np.linalg.norm(_np(skewed), 2)) < 1e-15
+
+
 @settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_quantum_value_never_exceeds_tsirelson(index):

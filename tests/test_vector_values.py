@@ -60,6 +60,12 @@ def test_coefficients_validated():
     assert ResponseCoefficients.ones().as_tuple() == (1.0, 1.0, 1.0, 1.0)
 
 
+def test_coefficients_stored_as_checked_floats():
+    co = ResponseCoefficients(True, 1, -1, 0)
+    assert co.as_tuple() == (1.0, 1.0, -1.0, 0.0)
+    assert all(type(c) is float for c in co.as_tuple())
+
+
 def _random_coefficients(stream: CounterStream) -> ResponseCoefficients:
     return ResponseCoefficients(
         stream.uniform(-1.0, 1.0),
@@ -190,6 +196,32 @@ def test_is_two_implies_is_parallel():
 def test_equality_check_requires_unit_inputs():
     with pytest.raises(ValueError):
         equality_condition_check((2.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(2.0, 0.0, 0.0), (math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (1.0, 0.0)],
+    ids=["non-unit", "nan", "inf", "wrong-length"],
+)
+def test_bound_functions_require_unit_directions(bad):
+    unit = (0.0, 0.0, 1.0)
+    for b, b_prime in ((bad, unit), (unit, bad)):
+        with pytest.raises(ValueError):
+            vector_bound_expression(b, b_prime, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            case_inequality_holds(b, b_prime, 1.0, 0.0)
+
+
+def test_bound_functions_unchanged_on_unit_directions():
+    stream = CounterStream(88)
+    for i in range(200):
+        b, b_prime = random_unit_vector(89, 2 * i), random_unit_vector(89, 2 * i + 1)
+        alpha, beta = stream.uniform(-1.0, 1.0), stream.uniform(-1.0, 1.0)
+        value = vector_values._bound_expression(b, b_prime, alpha, beta)
+        assert vector_bound_expression(b, b_prime, alpha, beta) == value
+        free = vector_values._bound_expression(b, b_prime, 1.0, 1.0)
+        assert case_inequality_holds(b, b_prime, alpha, beta) is (value <= free + 1e-12)
+    assert vector_bound_expression((1, 0, 0), (0, 1, 0), 1, 1) == TSIRELSON_BOUND
 
 
 def test_each_coefficient_checked_once_per_call(monkeypatch):
