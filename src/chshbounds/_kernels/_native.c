@@ -1,5 +1,6 @@
-/* Native compute kernels: a C mirror of chshbounds._kernels.reference, with
- * the same functions, signatures and operation order.  Complex arithmetic is
+/* Native compute kernels: the functions of chshbounds._kernels.reference, with
+ * the same signatures and the same floating-point operations in the same
+ * order, so that each returns the same bits.  Complex arithmetic is
  * CPython 3.11's, spelled out: a product is (ar*br - ai*bi, ar*bi + ai*br), and
  * a float operand of a complex product is first promoted to (x, 0.0).  So both
  * backends give bit-identical values on one machine (complex entries may
@@ -13,7 +14,7 @@
 #include <stdint.h>
 
 /* Jacobi stopping rule; must equal the constants of the reference backend. */
-#define JACOBI_TOL 1e-14
+#define JACOBI_RTOL 2.5e-15
 #define JACOBI_MAX_SWEEPS 100
 
 #define GOLDEN_GAMMA 0x9E3779B97F4A7C15ULL
@@ -224,17 +225,41 @@ static PyObject *singlet_expectation(PyObject *self, PyObject *const *args, Py_s
     return PyComplex_FromDoubles(total.re, total.im);
 }
 
+/* Scales the `size` entries of a by the power of two 2**-e that brings the
+ * largest real or imaginary part into [0.5, 1), and returns e.  A NaN fails
+ * the `>` tests and is skipped; a zero or non-finite matrix is left unscaled. */
+static int prescale(cplx *a, Py_ssize_t size)
+{
+    double biggest = 0.0;
+    int e = 0;
+    for (Py_ssize_t i = 0; i < size; i++) {
+        if (fabs(a[i].re) > biggest)
+            biggest = fabs(a[i].re);
+        if (fabs(a[i].im) > biggest)
+            biggest = fabs(a[i].im);
+    }
+    if (isfinite(biggest))
+        frexp(biggest, &e);
+    for (Py_ssize_t i = 0; e != 0 && i < size; i++)
+        a[i] = (cplx){ldexp(a[i].re, -e), ldexp(a[i].im, -e)};
+    return e;
+}
+
 /* Cyclic Jacobi sweeps over a (n x n, row-major); returns 0 on convergence,
  * -1 after JACOBI_MAX_SWEEPS sweeps. */
 static int jacobi(cplx *a, Py_ssize_t n)
 {
+    double norm2 = 0.0;
+    for (Py_ssize_t i = 0; i < n * n; i++)
+        norm2 += a[i].re * a[i].re + a[i].im * a[i].im;
+    double tol = JACOBI_RTOL * sqrt(norm2);
     for (int sweep = 0;; sweep++) {
         double off = 0.0;
         for (Py_ssize_t p = 0; p < n; p++)
             for (Py_ssize_t q = 0; q < n; q++)
                 if (p != q)
                     off += a[p * n + q].re * a[p * n + q].re + a[p * n + q].im * a[p * n + q].im;
-        if (sqrt(off) < JACOBI_TOL)
+        if (off == 0.0 || sqrt(off) < tol)
             return 0;
         if (sweep == JACOBI_MAX_SWEEPS)
             return -1;
@@ -272,11 +297,23 @@ static PyObject *eigvals_hermitian(PyObject *self, PyObject *const *args, Py_ssi
     cplx *a = PyMem_New(cplx, size);
     if (a == NULL)
         return PyErr_NoMemory();
+    if (load_items(args[0], size, "entries", NULL, a) < 0) {
+        PyMem_Free(a);
+        return NULL;
+    }
     PyObject *result = NULL;
-    if (load_items(args[0], size, "entries", NULL, a) == 0 && jacobi(a, n) < 0)
+    int e = prescale(a, size);
+    if (jacobi(a, n) < 0)
         PyErr_Format(PyExc_RuntimeError,
                      "jacobi eigensolver failed to converge within %d sweeps", JACOBI_MAX_SWEEPS);
-    else if (!PyErr_Occurred())
+    /* The diagonal scaled back; the reference's math.ldexp raises on overflow. */
+    for (Py_ssize_t i = 0; i < n && !PyErr_Occurred(); i++) {
+        double x = a[i * (n + 1)].re;
+        a[i * (n + 1)].re = ldexp(x, e);
+        if (isinf(a[i * (n + 1)].re) && isfinite(x))
+            PyErr_SetString(PyExc_OverflowError, "math range error");
+    }
+    if (!PyErr_Occurred())
         result = number_list(&a[0].re, n, 2 * (n + 1), 0); /* real parts of the diagonal */
     /* Python's own sort, so that ties (0.0 and -0.0) keep the reference order. */
     if (result != NULL && PyList_Sort(result) < 0)
@@ -308,7 +345,8 @@ static PyObject *lhv_mc_sums(PyObject *self, PyObject *const *args, Py_ssize_t n
         for (long long i = start; i < stop; i++) {
             /* The uint64 wrap of a negative index matches the reference's mask. */
             double u = u01(seed, (uint64_t)i);
-            /* Inverse CDF; the last state also takes draws beyond its weight. */
+            /* Inverse CDF; the last state also takes draws beyond its weight.  On
+             * nondecreasing cum_weights this is the reference's bisect_right. */
             Py_ssize_t k = 0;
             while (k < nstates - 1 && !(u < cw[k]))
                 k++;
@@ -361,7 +399,12 @@ static PyMethodDef kernel_methods[] = {
     KERNEL(matmul, "Product of two flat n x n complex matrices."),
     KERNEL(singlet_expectation, "<psi-| (sigma.a) (x) (sigma.b) |psi-> for directions a and b."),
     KERNEL(eigvals_hermitian, "Eigenvalues of a flat n x n complex Hermitian matrix, ascending."),
-    KERNEL(lhv_mc_sums, "Accumulate Monte Carlo sums for a finite hidden-state mixture."),
+    KERNEL(lhv_mc_sums,
+           "Accumulate Monte Carlo sums for a finite hidden-state mixture.\n\n"
+           "Draw i in [start, stop) selects the first state j with\n"
+           "rng_u01(seed, i) < cum_weights[j], or the last state when there is none.\n"
+           "Precondition: cum_weights is nondecreasing; the linear search here and the\n"
+           "reference's bisection then select the same state."),
     {NULL, NULL, 0, NULL},
 };
 

@@ -4,9 +4,13 @@ Reference implementations of every hot numerical loop in the package: the
 geometric product, small complex-matrix algebra, the cyclic Jacobi
 eigensolver, the counter-based random stream, and the Monte Carlo
 accumulator.  The optional C extension ``chshbounds._kernels._native``
-(``_native.c``) mirrors each function operation-for-operation so that both
-backends produce bit-identical results on the same machine; keep the two
-files in sync.
+(``_native.c``) implements the same functions with the same signatures.
+The contract between the two is identical results: on the same machine both
+backends return the same bits (complex entries may differ only in the sign
+of a zero) and raise the same error types.  Floating-point operations that
+reach a result must happen in the same order on both sides; everything else
+(how a state is searched for, how a loop is organised) may differ.  Keep the
+two files in sync.
 
 Conventions shared by both backends:
 
@@ -21,6 +25,7 @@ Conventions shared by both backends:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 from ..tables import PRODUCT_SIGNS, PRODUCT_TARGETS
 
@@ -32,9 +37,11 @@ _MIX_MULT_1 = 0xBF58476D1CE4E5B9
 _MIX_MULT_2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
 
-# Jacobi stopping rule: off-diagonal Frobenius mass below _JACOBI_TOL, at most
-# _JACOBI_MAX_SWEEPS sweeps.  The native backend uses the same values.
-_JACOBI_TOL = 1e-14
+# Jacobi stopping rule: off-diagonal Frobenius mass below _JACOBI_RTOL times
+# the Frobenius norm of the matrix, at most _JACOBI_MAX_SWEEPS sweeps.  Every
+# CHSH operator has Frobenius norm 4, so on those this is an absolute 1e-14.
+# The native backend uses the same values.
+_JACOBI_RTOL = 2.5e-15
 _JACOBI_MAX_SWEEPS = 100
 
 # Singlet amplitudes on |01> and |10> (those on |00> and |11> are zero) and
@@ -126,13 +133,32 @@ def singlet_expectation(a, b) -> complex:
 def eigvals_hermitian(entries, n: int):
     """Eigenvalues of a flat n x n complex Hermitian matrix, ascending.
 
-    Cyclic Jacobi rotations: each pivot (p, q) is phase-reduced to a real
-    off-diagonal entry and annihilated by a plane rotation with
-    tan(2*theta) = 2|a_pq| / (a_pp - a_qq).  Convergence is declared when the
-    off-diagonal Frobenius mass falls below 1e-14; exceeding 100 sweeps raises
+    The matrix is first scaled by the power of two 2**-e that brings its
+    largest real or imaginary part into [0.5, 1), so that no square
+    overflows or underflows; the eigenvalues are scaled back by 2**e.  Both
+    scalings are exact.  Cyclic Jacobi rotations follow: each pivot (p, q)
+    is phase-reduced to a real off-diagonal entry and annihilated by a plane
+    rotation with tan(2*theta) = 2|a_pq| / (a_pp - a_qq).  Convergence is
+    declared when the off-diagonal Frobenius mass is zero or below 2.5e-15
+    times the Frobenius norm of the matrix; exceeding 100 sweeps raises
     RuntimeError.
     """
     a = [complex(value) for value in entries]
+    biggest = 0.0
+    for z in a:
+        # Written as `>` tests, as in the native backend, so a NaN is skipped.
+        if abs(z.real) > biggest:
+            biggest = abs(z.real)
+        if abs(z.imag) > biggest:
+            biggest = abs(z.imag)
+    # frexp(0.0) gives exponent 0; a non-finite matrix is left unscaled.
+    exponent = math.frexp(biggest)[1] if biggest < math.inf else 0
+    if exponent:
+        a = [complex(math.ldexp(z.real, -exponent), math.ldexp(z.imag, -exponent)) for z in a]
+    norm2 = 0.0
+    for z in a:
+        norm2 += z.real * z.real + z.imag * z.imag
+    tol = _JACOBI_RTOL * math.sqrt(norm2)
     for sweep in range(_JACOBI_MAX_SWEEPS + 1):
         off = 0.0
         for p in range(n):
@@ -140,8 +166,8 @@ def eigvals_hermitian(entries, n: int):
                 if p != q:
                     z = a[p * n + q]
                     off += z.real * z.real + z.imag * z.imag
-        if math.sqrt(off) < _JACOBI_TOL:
-            return sorted(a[i * n + i].real for i in range(n))
+        if off == 0.0 or math.sqrt(off) < tol:
+            return sorted(math.ldexp(a[i * n + i].real, exponent) for i in range(n))
         if sweep == _JACOBI_MAX_SWEEPS:
             raise RuntimeError(
                 "jacobi eigensolver failed to converge within %d sweeps" % _JACOBI_MAX_SWEEPS
@@ -173,33 +199,47 @@ def eigvals_hermitian(entries, n: int):
 def lhv_mc_sums(cum_weights, products, seed: int, start: int, stop: int):
     """Accumulate Monte Carlo sums for a finite hidden-state mixture.
 
-    For each draw index in [start, stop) one uniform variate selects a hidden
-    state by inverse CDF over ``cum_weights``; ``products`` holds the four
-    per-state response products, flattened.  Returns the four product sums
-    followed by the four sums of squares, accumulated in index order so the
-    result is independent of how callers partition the index range.
+    For each draw index i in [start, stop), the uniform variate
+    ``rng_u01(seed, i)`` selects the first state j with
+    ``u < cum_weights[j]``, or the last state when there is none.
+    Precondition: ``cum_weights`` is nondecreasing, so that bisection finds
+    that state.  ``products`` holds the four per-state response products,
+    flattened.  Returns the four product sums followed by the four sums of
+    squares, accumulated in index order so the result is independent of how
+    callers partition the index range.
+
+    The loop inlines ``rng_u01`` on a running counter and reads each state's
+    products and squares from a table built once per call.
     """
-    nstates = len(cum_weights)
-    s1 = s2 = s3 = s4 = 0.0
-    q1 = q2 = q3 = q4 = 0.0
-    for i in range(start, stop):
-        u = rng_u01(seed, i)
-        k = nstates - 1
-        for j in range(nstates):
-            if u < cum_weights[j]:
-                k = j
-                break
-        base = 4 * k
+    if not cum_weights:
+        raise IndexError("cum_weights is empty")
+    last = len(cum_weights) - 1
+    table = []
+    for base in range(0, 4 * len(cum_weights), 4):
         p1 = products[base]
         p2 = products[base + 1]
         p3 = products[base + 2]
         p4 = products[base + 3]
+        table.append((p1, p2, p3, p4, p1 * p1, p2 * p2, p3 * p3, p4 * p4))
+    s1 = s2 = s3 = s4 = 0.0
+    q1 = q2 = q3 = q4 = 0.0
+    # At draw i, counter & _MASK64 is (seed + (i + 1) * _GOLDEN_GAMMA) & _MASK64.
+    counter = (seed + (start + 1) * _GOLDEN_GAMMA) & _MASK64
+    for _ in range(start, stop):
+        z = counter & _MASK64
+        counter += _GOLDEN_GAMMA
+        z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _MASK64
+        k = bisect_right(cum_weights, ((z ^ (z >> 31)) >> 11) * _INV_2_53)
+        if k > last:
+            k = last
+        p1, p2, p3, p4, r1, r2, r3, r4 = table[k]
         s1 += p1
         s2 += p2
         s3 += p3
         s4 += p4
-        q1 += p1 * p1
-        q2 += p2 * p2
-        q3 += p3 * p3
-        q4 += p4 * p4
+        q1 += r1
+        q2 += r2
+        q3 += r3
+        q4 += r4
     return (s1, s2, s3, s4, q1, q2, q3, q4)

@@ -281,15 +281,32 @@ def operator_norm(m: ComplexMatrix) -> float:
     """Spectral norm via the Jacobi eigensolver.
 
     Exactly Hermitian input: the largest absolute eigenvalue.  Any other
-    input: sqrt of the largest eigenvalue of M-dagger M.
-    Raises RuntimeError if the eigensolver fails to converge.
+    input: sqrt of the largest eigenvalue of M-dagger M, with M first scaled
+    by the power of two 2**-e that brings its largest real or imaginary part
+    into [0.5, 1), so that the Gram matrix cannot overflow or underflow; the
+    norm is scaled back by 2**e.  Both scalings are exact.
+    Raises ValueError naming the first non-finite entry, and RuntimeError if
+    the eigensolver fails to converge.
     """
+    for index, z in enumerate(m.entries):
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ValueError(
+                f"matrix entry ({index // m.dim}, {index % m.dim}) is not finite: {z!r}"
+            )
     if m.is_hermitian():
         eigs = _kernels.eigvals_hermitian(m.entries, m.dim)
         return max(abs(eigs[0]), abs(eigs[-1]))
-    gram = m.dagger() @ m
+    exponent = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in m.entries))[1]
+    scaled = ComplexMatrix(
+        m.dim,
+        tuple(
+            complex(math.ldexp(z.real, -exponent), math.ldexp(z.imag, -exponent))
+            for z in m.entries
+        ),
+    )
+    gram = scaled.dagger() @ scaled
     eigs = _kernels.eigvals_hermitian(gram.entries, gram.dim)
-    return math.sqrt(max(0.0, eigs[-1]))
+    return math.ldexp(math.sqrt(max(0.0, eigs[-1])), exponent)
 
 
 def _chsh_value_from_vectors(a: Vec3, ap: Vec3, b: Vec3, bp: Vec3) -> float:

@@ -212,31 +212,87 @@ def test_eigvals_reports_non_convergence(native):
             backend.eigvals_hermitian(nan, 2)
 
 
+def _cum_weights(weights):
+    """Running sums of the normalised weights, as the LHV track forms them."""
+    total = sum(weights)
+    acc = 0.0
+    cum_weights = []
+    for w in weights:
+        acc += w / total
+        cum_weights.append(acc)
+    return cum_weights
+
+
+def _lhv_mc_case(r, i):
+    """Arguments of one lhv_mc_sums parity case; ``i % 10`` picks the kind."""
+    seed = r.getrandbits(64)
+    start = r.randrange(10**6)
+    stop = start + r.randint(-2, 40)
+    weights = [r.random() + 0.01 for _ in range(r.randint(2, 6))]
+    cum_weights = _cum_weights(weights)
+    kind = i % 10
+    if kind == 0:
+        # The first draw lands exactly on a cumulative weight, which
+        # selects the next state.
+        cum_weights = [reference.rng_u01(seed, start), 1.0]
+    elif kind == 1:
+        cum_weights = [1.0]
+    elif kind == 2:
+        # Zero-weight states make ties in cum_weights, at the first and the
+        # last position too; a tied state is never selected, except the last.
+        for k in {0, len(weights) - 1, r.randrange(len(weights))}:
+            weights[k] = 0.0
+        weights[1] = weights[1] or 0.5
+        cum_weights = _cum_weights(weights)
+    elif kind == 3:
+        # A total below 1: draws beyond it land in the last state.
+        total = r.choice((0.5, 1.0 - 2.0**-53))
+        cum_weights = [c * total for c in cum_weights[:-1]] + [total]
+    elif kind == 4:
+        cum_weights = _cum_weights([r.choice((0.0, r.random())) + 1e-3 for _ in range(16)])
+    elif kind == 5:
+        # Seeds and starts outside [0, 2**64) reduce modulo 2**64.
+        seed = r.choice((seed + 2**64, -seed, -1, 2**70 + seed))
+        start = r.choice((start, -start, -r.randint(1, 40)))
+        stop = start + r.randint(0, 80)
+    return cum_weights, seed, start, stop
+
+
 def test_lhv_mc_sums_bitwise_identical(native):
     r = random.Random(16)
-    for i in range(PARITY_INPUTS):
-        seed = r.getrandbits(64)
-        start = r.randrange(10**6)
-        stop = start + r.randint(-2, 40)
-        nstates = r.randint(2, 6)
-        weights = [r.random() + 0.01 for _ in range(nstates)]
-        total = sum(weights)
-        acc = 0.0
-        cum_weights = []
-        for w in weights:
-            acc += w / total
-            cum_weights.append(acc)
-        if i % 10 == 0:
-            # The first draw lands exactly on a cumulative weight, which
-            # selects the next state.
-            cum_weights = [reference.rng_u01(seed, start), 1.0]
-            nstates = 2
-        elif i % 10 == 1:
-            nstates = 1
-            cum_weights = [1.0]
-        products = [r.choice((1.0, -1.0, 0.0, r.uniform(-1, 1))) for _ in range(4 * nstates)]
+    cases = [_lhv_mc_case(r, i) for i in range(PARITY_INPUTS)]
+    # Ranges longer than one Monte Carlo block of 4096 draws.
+    for cum_weights, seed, start, _ in cases[:8]:
+        cases.append((cum_weights, seed, start, start + 2 * 4096 + r.randint(1, 100)))
+    for cum_weights, seed, start, stop in cases:
+        products = [
+            r.choice((1.0, -1.0, 0.0, r.uniform(-1, 1))) for _ in range(4 * len(cum_weights))
+        ]
         got = native.lhv_mc_sums(cum_weights, products, seed, start, stop)
         assert _bits(got) == _bits(reference.lhv_mc_sums(cum_weights, products, seed, start, stop))
+
+
+def _linear_search_sums(cum_weights, products, seed, start, stop):
+    """lhv_mc_sums written as its specification: rng_u01 per draw, a linear
+    inverse-CDF search, and the squares formed in the loop."""
+    sums = [0.0] * 8
+    for i in range(start, stop):
+        u = reference.rng_u01(seed, i)
+        k = next((j for j, c in enumerate(cum_weights) if u < c), len(cum_weights) - 1)
+        for c in range(4):
+            p = products[4 * k + c]
+            sums[c] += p
+            sums[4 + c] += p * p
+    return tuple(sums)
+
+
+def test_lhv_mc_sums_matches_its_specification():
+    r = random.Random(17)
+    for i in range(2000):
+        cum_weights, seed, start, stop = _lhv_mc_case(r, i)
+        products = [r.uniform(-1, 1) for _ in range(4 * len(cum_weights))]
+        got = reference.lhv_mc_sums(cum_weights, products, seed, start, stop)
+        assert _bits(got) == _bits(_linear_search_sums(cum_weights, products, seed, start, stop))
 
 
 # Wrong arity, a too-short sequence and a non-number, per kernel.
@@ -255,6 +311,7 @@ BAD_CALLS = {
         ([1.0], [1.0, 1.0, None, 1.0], 0, 0, 10),
         ([None], [1.0] * 4, 0, 0, 10),
         ([1.0], [1.0] * 4, 0.5, 0, 10),
+        ([], [], 0, 0, 0),
     ],
 }
 

@@ -184,6 +184,30 @@ def test_monte_carlo_error_scales_as_inverse_sqrt():
         assert expected / 2.0 < est.std_errors[0] < expected * 2.0
 
 
+def test_monte_carlo_bits_are_pinned(backend):
+    # A 16-state mixture with two zero-weight states over three full blocks
+    # and a partial one.  The hex strings were produced by the linear-search
+    # kernel that the bisection kernel replaced; any change of state choice
+    # or summation order moves them.
+    raw = [0.0 if k in (0, 9) else 1.0 + (7 * k % 16) / 16.0 for k in range(16)]
+    model = LhvModel.from_pairs(
+        [(w / sum(raw), r) for w, r in zip(raw, all_deterministic_strategies())]
+    )
+    est = monte_carlo_correlations(model, 3 * 4096 + 17, seed=20201)
+    assert [c.hex() for c in est.correlations.as_tuple()] == [
+        "-0x1.8f72877008526p-8",
+        "-0x1.e9fd21044e799p-10",
+        "-0x1.7cf9127421897p-3",
+        "-0x1.04f8e7d88df86p-8",
+    ]
+    assert [e.hex() for e in est.std_errors] == [
+        "0x1.2767d4a00f1b4p-7",
+        "0x1.27691a6c224eap-7",
+        "0x1.22413dd186351p-7",
+        "0x1.2768a2be10c2ep-7",
+    ]
+
+
 def test_monte_carlo_single_sample_has_zero_errors():
     model = random_model(9, 4)
     est = monte_carlo_correlations(model, 1, seed=0)

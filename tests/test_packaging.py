@@ -39,3 +39,9 @@ def test_ci_runs_tier1_on_both_backends():
         assert TIER1 in commands
         builds.append("python setup.py build_ext --inplace" in commands)
     assert sorted(builds) == [False, True]
+
+
+def test_ci_rejects_tracked_build_artefacts():
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    commands = [step.get("run", "") for job in workflow["jobs"].values() for step in job["steps"]]
+    assert any("git ls-files" in command and "exit 1" in command for command in commands)

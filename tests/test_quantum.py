@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chshbounds import rng
+from chshbounds import _kernels, rng
 from chshbounds.ga import Multivector, commutator
 from chshbounds.geometry import (
     canonical_configuration,
@@ -223,6 +224,74 @@ def test_operator_norm_of_nearly_hermitian_matrices(backend):
     skewed = ComplexMatrix(2, (0j, 1 + 0j, 1 + 1e-13 + 0j, 0j))
     assert not skewed.is_hermitian()
     assert abs(operator_norm(skewed) - np.linalg.norm(_np(skewed), 2)) < 1e-15
+
+
+SCALE_EXPONENTS = (-300, -200, -150, -100, -20, 0, 3, 10, 20, 100, 150, 200, 300)
+
+
+def _random_matrix(s: rng.CounterStream, scale: float, hermitian: bool) -> np.ndarray:
+    raw = np.array(
+        [complex(s.uniform(-1, 1), s.uniform(-1, 1)) for _ in range(16)]
+    ).reshape(4, 4)
+    return scale * ((raw + raw.conj().T) / 2 if hermitian else raw)
+
+
+@pytest.mark.parametrize("exponent", SCALE_EXPONENTS)
+def test_eigvals_are_scale_free(backend, exponent):
+    # The eigensolver prescales by a power of two and stops on a rule
+    # relative to the Frobenius norm, so it matches numpy from 1e-300 to
+    # 1e300 instead of only near norm 1.
+    s = rng.CounterStream(70 + exponent)
+    for _ in range(40):
+        h = _random_matrix(s, 10.0**exponent, hermitian=True)
+        got = _kernels.eigvals_hermitian(tuple(complex(x) for x in h.reshape(-1)), 4)
+        expected = np.linalg.eigvalsh(h)
+        radius = np.max(np.abs(expected))
+        assert np.max(np.abs(np.array(got) - expected)) <= 1e-14 * radius
+
+
+@pytest.mark.parametrize("exponent", SCALE_EXPONENTS)
+def test_operator_norm_is_scale_free(backend, exponent):
+    # The M-dagger M branch scales M before forming the Gram matrix, whose
+    # entries would otherwise overflow or underflow at 1e+-300.
+    s = rng.CounterStream(90 + exponent)
+    for hermitian in (True, False):
+        for _ in range(20):
+            raw = _random_matrix(s, 10.0**exponent, hermitian)
+            m = ComplexMatrix(4, tuple(complex(x) for x in raw.reshape(-1)))
+            assert m.is_hermitian() == hermitian
+            expected = np.linalg.norm(raw, 2)
+            assert abs(operator_norm(m) - expected) <= 1e-14 * expected
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "entries, position, hermitian",
+    [
+        # A float NaN is its own conjugate and a real infinity equals its
+        # conjugate, so these take the Hermitian branch.
+        ((1.0, 0j, 0j, NAN), "(1, 1)", True),
+        ((INF, 0j, 0j, 1.0), "(0, 0)", True),
+        ((1.0, 0j, 0j, complex(-INF, 0.0)), "(1, 1)", True),
+        # The rest take the M-dagger M branch.
+        ((1.0, NAN, 0j, 0j), "(0, 1)", False),
+        ((complex(NAN, 0.0), 0j, 0j, 1.0), "(0, 0)", False),
+        ((1.0, 2.0, complex(0.0, NAN), 0j), "(1, 0)", False),
+        ((1.0, 2.0, complex(INF, 1.0), 0j), "(1, 0)", False),
+        ((1.0, complex(0.0, -INF), 0j, NAN), "(0, 1)", False),
+    ],
+)
+def test_operator_norm_rejects_non_finite_entries(monkeypatch, entries, position, hermitian):
+    def no_eigensolve(*args):
+        raise AssertionError("the eigensolver ran on a non-finite matrix")
+
+    monkeypatch.setattr(_kernels, "eigvals_hermitian", no_eigensolve)
+    m = ComplexMatrix(2, entries)
+    assert m.is_hermitian() == hermitian
+    with pytest.raises(ValueError, match=re.escape(f"matrix entry {position} is not finite")):
+        operator_norm(m)
 
 
 @settings(max_examples=60)
