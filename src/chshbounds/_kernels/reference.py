@@ -12,6 +12,13 @@ reach a result must happen in the same order on both sides; everything else
 (how a state is searched for, how a loop is organised) may differ.  Keep the
 two files in sync.
 
+Loop organisation in this file, chosen for interpreter speed: ``kron2``
+returns its 16 products directly; ``matmul`` has straight-line bodies for
+n = 2 and n = 4, each entry written as the generic loop's left-to-right sum;
+``eigvals_hermitian`` walks index tables built once per n (the off-diagonal
+entries, and per pivot its three entries and its column and row pairs).
+Each performs the same operations in the same order as the plain loops.
+
 Conventions shared by both backends:
 
 * multivectors are sequences of 8 floats in the blade order of
@@ -25,7 +32,9 @@ Conventions shared by both backends:
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
+from functools import lru_cache
 
 from ..tables import PRODUCT_SIGNS, PRODUCT_TARGETS
 
@@ -84,19 +93,60 @@ def gp8(u, v):
 
 
 def kron2(a, b):
-    """Kronecker product of two flat 2x2 matrices as a flat 4x4 matrix."""
-    out = [0j] * 16
-    for i in range(2):
-        for j in range(2):
-            aij = a[2 * i + j]
-            for k in range(2):
-                for m in range(2):
-                    out[(2 * i + k) * 4 + (2 * j + m)] = aij * b[2 * k + m]
-    return out
+    """Kronecker product of two flat 2x2 matrices as a flat 4x4 matrix.
+
+    All eight entries are read before any product is formed, as in the C
+    kernel, so a short input is an IndexError whatever the other holds.
+    """
+    a0, a1, a2, a3 = a[0], a[1], a[2], a[3]
+    b0, b1, b2, b3 = b[0], b[1], b[2], b[3]
+    return [
+        a0 * b0, a0 * b1, a1 * b0, a1 * b1,
+        a0 * b2, a0 * b3, a1 * b2, a1 * b3,
+        a2 * b0, a2 * b1, a3 * b0, a3 * b1,
+        a2 * b2, a2 * b3, a3 * b2, a3 * b3,
+    ]
 
 
 def matmul(a, b, n: int):
-    """Product of two flat n x n complex matrices."""
+    """Product of two flat n x n complex matrices.
+
+    Entry (i, j) is 0j + a[i,0]*b[0,j] + a[i,1]*b[1,j] + ..., summed left to
+    right; n = 2 and n = 4 spell that sum out.
+    """
+    # A non-integer n raises TypeError here rather than match 2 or 4.
+    n = operator.index(n)
+    if n == 4 and len(a) == 16 and len(b) == 16:
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
+        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = b
+        return [
+            0j + a0 * b0 + a1 * b4 + a2 * b8 + a3 * b12,
+            0j + a0 * b1 + a1 * b5 + a2 * b9 + a3 * b13,
+            0j + a0 * b2 + a1 * b6 + a2 * b10 + a3 * b14,
+            0j + a0 * b3 + a1 * b7 + a2 * b11 + a3 * b15,
+            0j + a4 * b0 + a5 * b4 + a6 * b8 + a7 * b12,
+            0j + a4 * b1 + a5 * b5 + a6 * b9 + a7 * b13,
+            0j + a4 * b2 + a5 * b6 + a6 * b10 + a7 * b14,
+            0j + a4 * b3 + a5 * b7 + a6 * b11 + a7 * b15,
+            0j + a8 * b0 + a9 * b4 + a10 * b8 + a11 * b12,
+            0j + a8 * b1 + a9 * b5 + a10 * b9 + a11 * b13,
+            0j + a8 * b2 + a9 * b6 + a10 * b10 + a11 * b14,
+            0j + a8 * b3 + a9 * b7 + a10 * b11 + a11 * b15,
+            0j + a12 * b0 + a13 * b4 + a14 * b8 + a15 * b12,
+            0j + a12 * b1 + a13 * b5 + a14 * b9 + a15 * b13,
+            0j + a12 * b2 + a13 * b6 + a14 * b10 + a15 * b14,
+            0j + a12 * b3 + a13 * b7 + a14 * b11 + a15 * b15,
+        ]
+    if n == 2 and len(a) == 4 and len(b) == 4:
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        return [
+            0j + a0 * b0 + a1 * b2,
+            0j + a0 * b1 + a1 * b3,
+            0j + a2 * b0 + a3 * b2,
+            0j + a2 * b1 + a3 * b3,
+        ]
+    # Other sizes and lengths: the first n*n entries of each, or IndexError.
     out = [0j] * (n * n)
     for i in range(n):
         for j in range(n):
@@ -130,6 +180,32 @@ def singlet_expectation(a, b) -> complex:
     return _SINGLET_01_CONJ * row1 + _SINGLET_10_CONJ * row2
 
 
+@lru_cache(maxsize=8, typed=True)
+def _jacobi_tables(n: int):
+    """Flat indices of the cyclic Jacobi sweep over an n x n matrix.
+
+    Returns the off-diagonal entries in row-major order, the diagonal, and
+    per pivot (p, q), in sweep order: the indices of a_pq, a_pp and a_qq,
+    then the (k, p), (k, q) pairs of the column update and the (p, k),
+    (q, k) pairs of the row update, for k = 0 .. n-1.  ``typed`` keeps a
+    float n from reusing the tables of the equal int; it raises TypeError.
+    """
+    off_diagonal = tuple(p * n + q for p in range(n) for q in range(n) if p != q)
+    diagonal = tuple(i * n + i for i in range(n))
+    pivots = tuple(
+        (
+            p * n + q,
+            p * n + p,
+            q * n + q,
+            tuple((k * n + p, k * n + q) for k in range(n)),
+            tuple((p * n + k, q * n + k) for k in range(n)),
+        )
+        for p in range(n - 1)
+        for q in range(p + 1, n)
+    )
+    return off_diagonal, diagonal, pivots
+
+
 def eigvals_hermitian(entries, n: int):
     """Eigenvalues of a flat n x n complex Hermitian matrix, ascending.
 
@@ -143,6 +219,7 @@ def eigvals_hermitian(entries, n: int):
     times the Frobenius norm of the matrix; exceeding 100 sweeps raises
     RuntimeError.
     """
+    sqrt, atan2, cos, sin, ldexp = math.sqrt, math.atan2, math.cos, math.sin, math.ldexp
     a = [complex(value) for value in entries]
     biggest = 0.0
     for z in a:
@@ -154,45 +231,47 @@ def eigvals_hermitian(entries, n: int):
     # frexp(0.0) gives exponent 0; a non-finite matrix is left unscaled.
     exponent = math.frexp(biggest)[1] if biggest < math.inf else 0
     if exponent:
-        a = [complex(math.ldexp(z.real, -exponent), math.ldexp(z.imag, -exponent)) for z in a]
+        a = [complex(ldexp(z.real, -exponent), ldexp(z.imag, -exponent)) for z in a]
     norm2 = 0.0
     for z in a:
         norm2 += z.real * z.real + z.imag * z.imag
-    tol = _JACOBI_RTOL * math.sqrt(norm2)
+    tol = _JACOBI_RTOL * sqrt(norm2)
+    off_diagonal, diagonal, pivots = _jacobi_tables(n)
     for sweep in range(_JACOBI_MAX_SWEEPS + 1):
         off = 0.0
-        for p in range(n):
-            for q in range(n):
-                if p != q:
-                    z = a[p * n + q]
-                    off += z.real * z.real + z.imag * z.imag
-        if off == 0.0 or math.sqrt(off) < tol:
-            return sorted(math.ldexp(a[i * n + i].real, exponent) for i in range(n))
+        for i in off_diagonal:
+            z = a[i]
+            off += z.real * z.real + z.imag * z.imag
+        if off == 0.0 or sqrt(off) < tol:
+            return sorted(ldexp(a[i].real, exponent) for i in diagonal)
         if sweep == _JACOBI_MAX_SWEEPS:
             raise RuntimeError(
                 "jacobi eigensolver failed to converge within %d sweeps" % _JACOBI_MAX_SWEEPS
             )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p * n + q]
-                g = math.sqrt(apq.real * apq.real + apq.imag * apq.imag)
-                if g == 0.0:
-                    continue
-                theta = 0.5 * math.atan2(2.0 * g, a[p * n + p].real - a[q * n + q].real)
-                c = math.cos(theta)
-                s = math.sin(theta)
-                phase = complex(apq.real / g, apq.imag / g)
-                phase_conj = phase.conjugate()
-                for k in range(n):
-                    akp = a[k * n + p]
-                    akq = a[k * n + q]
-                    a[k * n + p] = c * akp + s * (phase_conj * akq)
-                    a[k * n + q] = -s * akp + c * (phase_conj * akq)
-                for k in range(n):
-                    apk = a[p * n + k]
-                    aqk = a[q * n + k]
-                    a[p * n + k] = c * apk + s * (phase * aqk)
-                    a[q * n + k] = -s * apk + c * (phase * aqk)
+        for pq, pp, qq, column_pairs, row_pairs in pivots:
+            apq = a[pq]
+            g = sqrt(apq.real * apq.real + apq.imag * apq.imag)
+            if g == 0.0:
+                continue
+            theta = 0.5 * atan2(2.0 * g, a[pp].real - a[qq].real)
+            # The float factors c, s and -s, promoted to complex as the
+            # native backend does.
+            sin_theta = sin(theta)
+            c = complex(cos(theta), 0.0)
+            s = complex(sin_theta, 0.0)
+            neg_s = complex(-sin_theta, 0.0)
+            phase = complex(apq.real / g, apq.imag / g)
+            phase_conj = phase.conjugate()
+            for kp, kq in column_pairs:
+                akp = a[kp]
+                rot = phase_conj * a[kq]
+                a[kp] = c * akp + s * rot
+                a[kq] = neg_s * akp + c * rot
+            for pk, qk in row_pairs:
+                apk = a[pk]
+                rot = phase * a[qk]
+                a[pk] = c * apk + s * rot
+                a[qk] = neg_s * apk + c * rot
     raise AssertionError("unreachable")
 
 

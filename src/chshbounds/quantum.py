@@ -228,9 +228,8 @@ def _spin_matrices(
     return tuple(ComplexMatrix(2, _spin_entries(v)) for v in cfg.vectors())
 
 
-def chsh_operator(cfg: Configuration) -> ComplexMatrix:
-    """The CHSH operator A(x)B + A(x)B' + A'(x)B - A'(x)B' on the joint space."""
-    sa, sap, sb, sbp = _spin_matrices(cfg)
+def _chsh_operator(sa, sap, sb, sbp) -> ComplexMatrix:
+    """A(x)B + A(x)B' + A'(x)B - A'(x)B' from the four 2x2 spin matrices."""
     return (
         tensor_product(sa, sb)
         + tensor_product(sa, sbp)
@@ -239,26 +238,43 @@ def chsh_operator(cfg: Configuration) -> ComplexMatrix:
     )
 
 
+def chsh_operator(cfg: Configuration) -> ComplexMatrix:
+    """The CHSH operator A(x)B + A(x)B' + A'(x)B - A'(x)B' on the joint space."""
+    return _chsh_operator(*_spin_matrices(cfg))
+
+
 def chsh_squared_identity_deviation(cfg: Configuration) -> float:
     """Max elementwise deviation of B^2 from 4*I - C, C = [A, A'] (x) [B, B'].
 
-    Both sides are assembled independently as 4x4 matrices.  The commutator
-    factors act on different tensor slots, which is what lets C be formed as
-    a single Kronecker product; :func:`cross_commutator_residual` checks that
-    premise numerically.
+    Both sides are assembled independently as 4x4 matrices, from one set of
+    spin matrices.  The commutator factors act on different tensor slots,
+    which is what lets C be formed as a single Kronecker product;
+    :func:`cross_commutator_residual` checks that premise numerically.
     """
-    residual = cross_commutator_residual(cfg)
+    spins = _spin_matrices(cfg)
+    residual = _cross_commutator_residual(*spins)
     if residual > 1e-12:
         raise RuntimeError(
             f"cross-factor commutators do not vanish (max entry {residual:.3e}); "
             "the tensor assembly is broken"
         )
-    op = chsh_operator(cfg)
+    op = _chsh_operator(*spins)
     squared = op @ op
-    sa, sap, sb, sbp = _spin_matrices(cfg)
+    sa, sap, sb, sbp = spins
     c_joint = tensor_product(commutator_matrix(sa, sap), commutator_matrix(sb, sbp))
     rhs = ComplexMatrix.identity(4) * 4.0 - c_joint
     return squared.max_abs_difference(rhs)
+
+
+def _cross_commutator_residual(sa, sap, sb, sbp) -> float:
+    """Largest entry of [X (x) I, I (x) Y] over X in {A, A'} and Y in {B, B'}."""
+    a_ops = [tensor_product(s, IDENTITY_2) for s in (sa, sap)]
+    b_ops = [tensor_product(IDENTITY_2, s) for s in (sb, sbp)]
+    residual = 0.0
+    for x in a_ops:
+        for y in b_ops:
+            residual = max(residual, commutator_matrix(x, y).max_abs_entry())
+    return residual
 
 
 def cross_commutator_residual(cfg: Configuration) -> float:
@@ -267,14 +283,7 @@ def cross_commutator_residual(cfg: Configuration) -> float:
     Exactly zero in exact arithmetic for every pair drawn from
     {A, A'} x {B, B'}; returns the numerical maximum over the four pairs.
     """
-    sa, sap, sb, sbp = _spin_matrices(cfg)
-    a_ops = [tensor_product(s, IDENTITY_2) for s in (sa, sap)]
-    b_ops = [tensor_product(IDENTITY_2, s) for s in (sb, sbp)]
-    residual = 0.0
-    for x in a_ops:
-        for y in b_ops:
-            residual = max(residual, commutator_matrix(x, y).max_abs_entry())
-    return residual
+    return _cross_commutator_residual(*_spin_matrices(cfg))
 
 
 def operator_norm(m: ComplexMatrix) -> float:

@@ -83,6 +83,19 @@ def test_rng_bitwise_identical(native):
         assert native.rng_u01(seed, index).hex() == reference.rng_u01(seed, index).hex()
 
 
+def test_rng_u01_is_the_top_53_bits_of_rng_u64(backend):
+    r = random.Random(3)
+    cases = []
+    for _ in range(PARITY_INPUTS):
+        seed = r.getrandbits(64)
+        seed = r.choice((seed, seed + 2**64, 2**70 + seed, -seed, -1))
+        index = r.getrandbits(r.choice((8, 32, 64)))
+        cases.append((seed, r.choice((index, -index, -1))))
+    for seed, index in cases:
+        expected = (_kernels.rng_u64(seed, index) >> 11) * 2.0**-53
+        assert _kernels.rng_u01(seed, index).hex() == expected.hex()
+
+
 def test_gp8_bitwise_identical(native):
     r = random.Random(2)
     for i in range(PARITY_INPUTS):
@@ -119,6 +132,59 @@ def test_matmul_matches_reference_and_numpy(native):
             expected = np.array(a).reshape(n, n) @ np.array(b).reshape(n, n)
             got = np.array(reference.matmul(a, b, n)).reshape(n, n)
             assert np.max(np.abs(got - expected)) < 1e-14
+
+
+def _rand_special_complex(r, nonfinite):
+    """Each part is +-0.0 or a uniform draw, or with probability ``nonfinite``
+    an infinity or a NaN."""
+
+    def part():
+        if r.random() < nonfinite:
+            return r.choice((math.inf, -math.inf, math.nan))
+        return r.choice((0.0, -0.0, r.uniform(-1, 1), r.uniform(-1, 1)))
+
+    return complex(part(), part())
+
+
+def _matrix_bits(entries):
+    return [_complex_bits(z) for z in entries]
+
+
+def _kron2_spec(a, b):
+    """Entry (r, c) of the Kronecker product is a[r // 2, c // 2] * b[r % 2, c % 2]."""
+    return [a[2 * (r // 2) + c // 2] * b[2 * (r % 2) + c % 2] for r in range(4) for c in range(4)]
+
+
+def _matmul_spec(a, b, n):
+    """Entry (i, j) is 0j + a[i,0]*b[0,j] + ... + a[i,n-1]*b[n-1,j], added left to right."""
+    out = []
+    for i in range(n):
+        for j in range(n):
+            acc = 0j
+            for k in range(n):
+                acc = acc + a[i * n + k] * b[k * n + j]
+            out.append(acc)
+    return out
+
+
+def test_kron2_matches_its_specification(backend):
+    r = random.Random(18)
+    for i in range(PARITY_INPUTS):
+        nonfinite = (0.0, 0.02, 0.1)[i % 3]
+        a = [_rand_special_complex(r, nonfinite) for _ in range(4)]
+        b = [_rand_special_complex(r, nonfinite) for _ in range(4)]
+        assert _matrix_bits(_kernels.kron2(a, b)) == _matrix_bits(_kron2_spec(a, b))
+
+
+@pytest.mark.parametrize("n", (2, 4))
+def test_matmul_matches_its_specification(backend, n):
+    """The straight-line n = 2 and n = 4 bodies, sign of zero included."""
+    r = random.Random(19 + n)
+    for i in range(PARITY_INPUTS):
+        nonfinite = (0.0, 0.01, 0.05)[i % 3]
+        a = [_rand_special_complex(r, nonfinite) for _ in range(n * n)]
+        b = [_rand_special_complex(r, nonfinite) for _ in range(n * n)]
+        assert _matrix_bits(_kernels.matmul(a, b, n)) == _matrix_bits(_matmul_spec(a, b, n))
 
 
 def test_matrix_expectation_matches_numpy():
@@ -328,6 +394,14 @@ def test_bad_arguments_raise_on_both_backends(native, name, args):
             getattr(backend, name)(*args)
         errors.append(info.type)
     assert errors[0] is errors[1]
+
+
+def test_kron2_short_factor_raises_index_error_on_both_backends(native):
+    """Both backends read every entry before forming a product, so a short
+    first factor is an IndexError even when the second holds non-numbers."""
+    for backend in (reference, native):
+        with pytest.raises(IndexError):
+            backend.kron2([0j] * 3, [None] * 4)
 
 
 _FAKE_NATIVE = """

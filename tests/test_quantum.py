@@ -264,6 +264,60 @@ def test_operator_norm_is_scale_free(backend, exponent):
             assert abs(operator_norm(m) - expected) <= 1e-14 * expected
 
 
+# Eigenvalues of B, C = [A,A'] (x) [B,B'] and B-dagger B for the first eight
+# configurations of stream 501, as float.hex, from the table-free Jacobi loop
+# that the table-driven one replaced.  Any change of operation order in the
+# eigensolver, matmul or kron2 moves them.
+PINNED_EIGVALS = [
+    # random_configuration(501, 0): B, C, B-dagger B
+    "-0x1.68a9867130f48p+1 -0x1.f8a3dcf294356p-3 0x1.f8a3dcf29435ap-3 0x1.68a9867130f47p+1",
+    "-0x1.f83a74c2437a0p+1 -0x1.f83a74c24379dp+1 0x1.f83a74c24379bp+1 0x1.f83a74c24379dp+1",
+    "0x1.f162cf6f21992p-5 0x1.f162cf6f219d0p-5 0x1.fc1d3a6121bcdp+2 0x1.fc1d3a6121bcfp+2",
+    # random_configuration(501, 1): B, C, B-dagger B
+    "-0x1.2fd8f78fe830cp+1 -0x1.89b1958cd9ac1p+0 0x1.89b1958cd9ab7p+0 0x1.2fd8f78fe830dp+1",
+    "-0x1.a28d47a5678c5p+0 -0x1.a28d47a5678c3p+0 0x1.a28d47a5678c3p+0 0x1.a28d47a5678c3p+0",
+    "0x1.2eb95c2d4c39fp+1 0x1.2eb95c2d4c3a1p+1 0x1.68a351e959e2ep+2 0x1.68a351e959e31p+2",
+    # random_configuration(501, 2): B, C, B-dagger B
+    "-0x1.0ece9f95fca7bp+1 -0x1.e0907370f0704p+0 0x1.e0907370f06ffp+0 0x1.0ece9f95fca78p+1",
+    "-0x1.e787f6599cfc2p-2 -0x1.e787f6599cfc0p-2 0x1.e787f6599cfc3p-2 0x1.e787f6599cfc4p-2",
+    "0x1.c30f0134cc605p+1 0x1.c30f0134cc609p+1 0x1.1e787f6599cfap+2 0x1.1e787f6599cfdp+2",
+    # random_configuration(501, 3): B, C, B-dagger B
+    "-0x1.32ed9d8c464e9p+1 -0x1.80041e646f665p+0 0x1.80041e646f663p+0 0x1.32ed9d8c464e9p+1",
+    "-0x1.bff3a4c1bb0dfp+0 -0x1.bff3a4c1bb0dbp+0 0x1.bff3a4c1bb0d9p+0 0x1.bff3a4c1bb0ddp+0",
+    "0x1.20062d9f22791p+1 0x1.20062d9f22791p+1 0x1.6ffce9306ec35p+2 0x1.6ffce9306ec37p+2",
+    # random_configuration(501, 4): B, C, B-dagger B
+    "-0x1.5f71e2d215e18p+1 -0x1.5bc2376ead1d1p-1 0x1.5bc2376ead1c8p-1 0x1.5f71e2d215e1cp+1",
+    "-0x1.c4f2fd4c3cdecp+1 -0x1.c4f2fd4c3cdecp+1 0x1.c4f2fd4c3cdecp+1 0x1.c4f2fd4c3cdedp+1",
+    "0x1.d868159e1909ep-2 0x1.d868159e190a2p-2 0x1.e2797ea61e6f5p+2 0x1.e2797ea61e6f7p+2",
+    # random_configuration(501, 5): B, C, B-dagger B
+    "-0x1.3fd31adbe5142p+1 -0x1.5351744b8218fp+0 0x1.5351744b8218ep+0 0x1.3fd31adbe5141p+1",
+    "-0x1.1f1f960a9c6a6p+1 -0x1.1f1f960a9c6a4p+1 0x1.1f1f960a9c6a7p+1 0x1.1f1f960a9c6a7p+1",
+    "0x1.c1c0d3eac72b0p+0 0x1.c1c0d3eac72b4p+0 0x1.8f8fcb054e352p+2 0x1.8f8fcb054e355p+2",
+    # random_configuration(501, 6): B, C, B-dagger B
+    "-0x1.5c6e9c8d2342ep+1 -0x1.8949107133823p-1 0x1.8949107133823p-1 0x1.5c6e9c8d23426p+1",
+    "-0x1.b479d2d541c77p+1 -0x1.b479d2d541c73p+1 0x1.b479d2d541c74p+1 0x1.b479d2d541c75p+1",
+    "0x1.2e18b4aaf8e24p-1 0x1.2e18b4aaf8e29p-1 0x1.da3ce96aa0e3cp+2 0x1.da3ce96aa0e3cp+2",
+    # random_configuration(501, 7): B, C, B-dagger B
+    "-0x1.4f02b5e756574p+1 -0x1.12845ee5477d2p+0 0x1.12845ee5477d2p+0 0x1.4f02b5e756572p+1",
+    "-0x1.6cd0303599ac9p+1 -0x1.6cd0303599ac7p+1 0x1.6cd0303599ac5p+1 0x1.6cd0303599ac6p+1",
+    "0x1.265f9f94cca73p+0 0x1.265f9f94cca75p+0 0x1.b668181accd63p+2 0x1.b668181accd64p+2",
+]
+
+
+def test_eigvals_bits_are_pinned(backend):
+    got = []
+    for i in range(8):
+        cfg = random_configuration(501, i)
+        b_operator = chsh_operator(cfg)
+        c_operator = tensor_product(
+            commutator_matrix(spin_operator(cfg.a), spin_operator(cfg.a_prime)),
+            commutator_matrix(spin_operator(cfg.b), spin_operator(cfg.b_prime)),
+        )
+        for m in (b_operator, c_operator, b_operator.dagger() @ b_operator):
+            got.append(" ".join(x.hex() for x in _kernels.eigvals_hermitian(m.entries, 4)))
+    assert got == PINNED_EIGVALS
+
+
 NAN, INF = math.nan, math.inf
 
 
