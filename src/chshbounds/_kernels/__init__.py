@@ -17,7 +17,6 @@ import importlib
 import os
 
 KERNEL_NAMES = (
-    "gp8",
     "kron2",
     "matmul",
     "singlet_expectation",

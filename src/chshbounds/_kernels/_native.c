@@ -22,10 +22,6 @@
 #define MIX_MULT_2 0x94D049BB133111EBULL
 #define INV_2_53 (1.0 / 9007199254740992.0)
 
-/* Geometric-product tables, read from chshbounds.tables at import. */
-static double product_signs[64];
-static int product_targets[64];
-
 typedef struct { double re, im; } cplx;
 
 static inline cplx c_add(cplx a, cplx b) { return (cplx){a.re + b.re, a.im + b.im}; }
@@ -151,19 +147,6 @@ static PyObject *rng_u01(PyObject *self, PyObject *const *args, Py_ssize_t nargs
     return PyFloat_FromDouble(u01(seed, index));
 }
 
-static PyObject *gp8(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    double u[8], v[8], out[8] = {0.0};
-    if (check_nargs("gp8", nargs, 2) < 0 || load_items(args[0], 8, "u", u, NULL) < 0
-        || load_items(args[1], 8, "v", v, NULL) < 0)
-        return NULL;
-    int k = 0;
-    for (int i = 0; i < 8; i++)
-        for (int j = 0; j < 8; j++, k++)
-            out[product_targets[k]] += product_signs[k] * u[i] * v[j];
-    return number_list(out, 8, 1, 0);
-}
-
 static PyObject *kron2(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     cplx a[4], b[4], out[16];
@@ -227,7 +210,8 @@ static PyObject *singlet_expectation(PyObject *self, PyObject *const *args, Py_s
 
 /* Scales the `size` entries of a by the power of two 2**-e that brings the
  * largest real or imaginary part into [0.5, 1), and returns e.  A NaN fails
- * the `>` tests and is skipped; a zero or non-finite matrix is left unscaled. */
+ * the `>` tests and is skipped; a zero or non-finite matrix is left unscaled,
+ * and jacobi rejects the latter. */
 static int prescale(cplx *a, Py_ssize_t size)
 {
     double biggest = 0.0;
@@ -245,13 +229,19 @@ static int prescale(cplx *a, Py_ssize_t size)
     return e;
 }
 
-/* Cyclic Jacobi sweeps over a (n x n, row-major); returns 0 on convergence,
- * -1 after JACOBI_MAX_SWEEPS sweeps. */
+/* Cyclic Jacobi sweeps over the prescaled a (n x n, row-major); returns 0 on
+ * convergence.  Returns -1 with ValueError when an entry is NaN or infinite,
+ * which after the prescale is exactly when the Frobenius sum is, and with
+ * RuntimeError after JACOBI_MAX_SWEEPS sweeps. */
 static int jacobi(cplx *a, Py_ssize_t n)
 {
     double norm2 = 0.0;
     for (Py_ssize_t i = 0; i < n * n; i++)
         norm2 += a[i].re * a[i].re + a[i].im * a[i].im;
+    if (!isfinite(norm2)) {
+        PyErr_SetString(PyExc_ValueError, "matrix has a NaN or infinite entry");
+        return -1;
+    }
     double tol = JACOBI_RTOL * sqrt(norm2);
     for (int sweep = 0;; sweep++) {
         double off = 0.0;
@@ -261,8 +251,12 @@ static int jacobi(cplx *a, Py_ssize_t n)
                     off += a[p * n + q].re * a[p * n + q].re + a[p * n + q].im * a[p * n + q].im;
         if (off == 0.0 || sqrt(off) < tol)
             return 0;
-        if (sweep == JACOBI_MAX_SWEEPS)
+        if (sweep == JACOBI_MAX_SWEEPS) {
+            PyErr_Format(PyExc_RuntimeError,
+                         "jacobi eigensolver failed to converge within %d sweeps",
+                         JACOBI_MAX_SWEEPS);
             return -1;
+        }
         for (Py_ssize_t p = 0; p < n - 1; p++)
             for (Py_ssize_t q = p + 1; q < n; q++) {
                 cplx apq = a[p * n + q];
@@ -301,11 +295,12 @@ static PyObject *eigvals_hermitian(PyObject *self, PyObject *const *args, Py_ssi
         PyMem_Free(a);
         return NULL;
     }
-    PyObject *result = NULL;
     int e = prescale(a, size);
-    if (jacobi(a, n) < 0)
-        PyErr_Format(PyExc_RuntimeError,
-                     "jacobi eigensolver failed to converge within %d sweeps", JACOBI_MAX_SWEEPS);
+    if (jacobi(a, n) < 0) {
+        PyMem_Free(a);
+        return NULL;
+    }
+    PyObject *result = NULL;
     /* The diagonal scaled back; the reference's math.ldexp raises on overflow. */
     for (Py_ssize_t i = 0; i < n && !PyErr_Occurred(); i++) {
         double x = a[i * (n + 1)].re;
@@ -362,39 +357,11 @@ static PyObject *lhv_mc_sums(PyObject *self, PyObject *const *args, Py_ssize_t n
     return result;
 }
 
-static int load_table(PyObject *tables, const char *name, double *out)
-{
-    PyObject *table = PyObject_GetAttrString(tables, name);
-    int rc = table == NULL ? -1 : load_items(table, 64, name, out, NULL);
-    Py_XDECREF(table);
-    return rc;
-}
-
-static int load_tables(void)
-{
-    double targets[64];
-    PyObject *tables = PyImport_ImportModule("chshbounds.tables");
-    int rc = (tables == NULL || load_table(tables, "PRODUCT_SIGNS", product_signs) < 0
-              || load_table(tables, "PRODUCT_TARGETS", targets) < 0) ? -1 : 0;
-    Py_XDECREF(tables);
-    /* The range check keeps gp8's writes inside its 8 outputs. */
-    for (int k = 0; rc == 0 && k < 64; k++) {
-        if (targets[k] >= 0.0 && targets[k] <= 7.0 && targets[k] == (int)targets[k])
-            product_targets[k] = (int)targets[k];
-        else
-            rc = -1;
-    }
-    if (rc < 0 && !PyErr_Occurred())
-        PyErr_SetString(PyExc_ValueError, "PRODUCT_TARGETS must hold blade indices 0..7");
-    return rc;
-}
-
 #define KERNEL(name, doc) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, doc}
 
 static PyMethodDef kernel_methods[] = {
     KERNEL(rng_u64, "Return draw ``index`` of the stream ``seed`` as a 64-bit integer."),
     KERNEL(rng_u01, "Return draw ``index`` of the stream ``seed``, uniform on [0, 1)."),
-    KERNEL(gp8, "Geometric product of two 8-coefficient multivectors."),
     KERNEL(kron2, "Kronecker product of two flat 2x2 matrices as a flat 4x4 matrix."),
     KERNEL(matmul, "Product of two flat n x n complex matrices."),
     KERNEL(singlet_expectation, "<psi-| (sigma.a) (x) (sigma.b) |psi-> for directions a and b."),
@@ -415,8 +382,6 @@ static struct PyModuleDef native_module = {
 
 PyMODINIT_FUNC PyInit__native(void)
 {
-    if (load_tables() < 0)
-        return NULL;
     PyObject *module = PyModule_Create(&native_module);
     if (module != NULL && PyModule_AddStringConstant(module, "BACKEND_NAME", "native") < 0)
         Py_CLEAR(module);

@@ -1,16 +1,15 @@
 """Pure-Python compute kernels.
 
-Reference implementations of every hot numerical loop in the package: the
-geometric product, small complex-matrix algebra, the cyclic Jacobi
-eigensolver, the counter-based random stream, and the Monte Carlo
-accumulator.  The optional C extension ``chshbounds._kernels._native``
-(``_native.c``) implements the same functions with the same signatures.
-The contract between the two is identical results: on the same machine both
-backends return the same bits (complex entries may differ only in the sign
-of a zero) and raise the same error types.  Floating-point operations that
-reach a result must happen in the same order on both sides; everything else
-(how a state is searched for, how a loop is organised) may differ.  Keep the
-two files in sync.
+Reference implementations of every hot numerical loop in the package: small
+complex-matrix algebra, the cyclic Jacobi eigensolver, the counter-based
+random stream, and the Monte Carlo accumulator.  The optional C extension
+``chshbounds._kernels._native`` (``_native.c``) implements the same
+functions with the same signatures.  The contract between the two is
+identical results: on the same machine both backends return the same bits
+(complex entries may differ only in the sign of a zero) and raise the same
+error types.  Floating-point operations that reach a result must happen in
+the same order on both sides; everything else (how a state is searched for,
+how a loop is organised) may differ.  Keep the two files in sync.
 
 Loop organisation in this file, chosen for interpreter speed: ``kron2``
 returns its 16 products directly; ``matmul`` has straight-line bodies for
@@ -21,8 +20,6 @@ Each performs the same operations in the same order as the plain loops.
 
 Conventions shared by both backends:
 
-* multivectors are sequences of 8 floats in the blade order of
-  ``chshbounds.tables``;
 * matrices are flat row-major sequences of complex numbers;
 * complex magnitudes are computed as sqrt(re*re + im*im) and complex/real
   division is done componentwise, because library ``abs``/``/`` semantics
@@ -35,8 +32,6 @@ import math
 import operator
 from bisect import bisect_right
 from functools import lru_cache
-
-from ..tables import PRODUCT_SIGNS, PRODUCT_TARGETS
 
 BACKEND_NAME = "python"
 
@@ -78,28 +73,15 @@ def rng_u01(seed: int, index: int) -> float:
     return (rng_u64(seed, index) >> 11) * _INV_2_53
 
 
-def gp8(u, v):
-    """Geometric product of two 8-coefficient multivectors."""
-    out = [0.0] * 8
-    signs = PRODUCT_SIGNS
-    targets = PRODUCT_TARGETS
-    k = 0
-    for i in range(8):
-        ui = u[i]
-        for j in range(8):
-            out[targets[k]] += signs[k] * ui * v[j]
-            k += 1
-    return out
-
-
 def kron2(a, b):
     """Kronecker product of two flat 2x2 matrices as a flat 4x4 matrix.
 
-    All eight entries are read before any product is formed, as in the C
-    kernel, so a short input is an IndexError whatever the other holds.
+    As in the C kernel, the entries are read in order, those of ``a`` first,
+    and each is checked to be a number (unary ``+``) before any product, so
+    the first missing or non-number entry decides IndexError or TypeError.
     """
-    a0, a1, a2, a3 = a[0], a[1], a[2], a[3]
-    b0, b1, b2, b3 = b[0], b[1], b[2], b[3]
+    a0, a1, a2, a3 = +a[0], +a[1], +a[2], +a[3]
+    b0, b1, b2, b3 = +b[0], +b[1], +b[2], +b[3]
     return [
         a0 * b0, a0 * b1, a1 * b0, a1 * b1,
         a0 * b2, a0 * b3, a1 * b2, a1 * b3,
@@ -217,10 +199,13 @@ def eigvals_hermitian(entries, n: int):
     rotation with tan(2*theta) = 2|a_pq| / (a_pp - a_qq).  Convergence is
     declared when the off-diagonal Frobenius mass is zero or below 2.5e-15
     times the Frobenius norm of the matrix; exceeding 100 sweeps raises
-    RuntimeError.
+    RuntimeError.  A NaN or infinite entry raises ValueError.
     """
     sqrt, atan2, cos, sin, ldexp = math.sqrt, math.atan2, math.cos, math.sin, math.ldexp
-    a = [complex(value) for value in entries]
+    off_diagonal, diagonal, pivots = _jacobi_tables(n)
+    # The first n*n entries in order, as the native backend reads them, so a
+    # short matrix is an IndexError before any check of the values.
+    a = [complex(entries[i]) for i in range(n * n)]
     biggest = 0.0
     for z in a:
         # Written as `>` tests, as in the native backend, so a NaN is skipped.
@@ -228,15 +213,17 @@ def eigvals_hermitian(entries, n: int):
             biggest = abs(z.real)
         if abs(z.imag) > biggest:
             biggest = abs(z.imag)
-    # frexp(0.0) gives exponent 0; a non-finite matrix is left unscaled.
+    # frexp(0.0) gives exponent 0; a non-finite matrix is left unscaled, and
+    # its Frobenius sum below is then non-finite, as no other matrix's is.
     exponent = math.frexp(biggest)[1] if biggest < math.inf else 0
     if exponent:
         a = [complex(ldexp(z.real, -exponent), ldexp(z.imag, -exponent)) for z in a]
     norm2 = 0.0
     for z in a:
         norm2 += z.real * z.real + z.imag * z.imag
+    if not math.isfinite(norm2):
+        raise ValueError("matrix has a NaN or infinite entry")
     tol = _JACOBI_RTOL * sqrt(norm2)
-    off_diagonal, diagonal, pivots = _jacobi_tables(n)
     for sweep in range(_JACOBI_MAX_SWEEPS + 1):
         off = 0.0
         for i in off_diagonal:

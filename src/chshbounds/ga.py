@@ -4,9 +4,10 @@ Multivectors carry 8 real coefficients over the basis
 
     1, e1, e2, e3, e12, e13, e23, e123
 
-(scalar | vector | bivector | pseudoscalar).  The geometric product is driven
-by the precomputed sign-and-index table in ``chshbounds.tables``, which
-encodes e_i e_j + e_j e_i = 2 delta_ij with exact integer signs.
+(scalar | vector | bivector | pseudoscalar).  ``geometric_product`` is driven
+by the precomputed sign-and-index tables in ``chshbounds.tables``, which
+encode e_i e_j + e_j e_i = 2 delta_ij with exact integer signs.  It is plain
+Python, not a kernel: no CLI command multiplies multivectors.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import _kernels
-from .tables import BLADE_GRADES, BLADE_NAMES
+from .tables import BLADE_GRADES, BLADE_NAMES, PRODUCT_SIGNS, PRODUCT_TARGETS
 
 __all__ = [
     "Multivector",
@@ -125,7 +125,15 @@ def geometric_product(u: Multivector, v: Multivector) -> Multivector:
     Bilinear and associative; for grade-1 inputs the grade-0 part of the
     result is the dot product and the grade-2 part is the wedge product.
     """
-    return Multivector(tuple(_kernels.gp8(u.coefficients, v.coefficients)))
+    out = [0.0] * 8
+    signs = PRODUCT_SIGNS
+    targets = PRODUCT_TARGETS
+    k = 0
+    for ui in u.coefficients:
+        for vj in v.coefficients:
+            out[targets[k]] += signs[k] * ui * vj
+            k += 1
+    return Multivector(tuple(out))
 
 
 def commutator(u: Multivector, v: Multivector) -> Multivector:

@@ -7,7 +7,7 @@ a factor) and stored in the canonical coefficient order
 
 The product of two blades is computed once, by sorting the concatenated
 generator lists and contracting repeated generators with e_i e_i = +1, and the
-resulting sign/target tables drive every geometric product in the package.
+resulting sign/target tables drive ``chshbounds.ga.geometric_product``.
 """
 
 from __future__ import annotations

@@ -96,19 +96,6 @@ def test_rng_u01_is_the_top_53_bits_of_rng_u64(backend):
         assert _kernels.rng_u01(seed, index).hex() == expected.hex()
 
 
-def test_gp8_bitwise_identical(native):
-    r = random.Random(2)
-    for i in range(PARITY_INPUTS):
-        # Every other pair holds pure vectors, whose products have exact zeros.
-        if i % 2:
-            u = [r.uniform(-2.0, 2.0) for _ in range(8)]
-            v = [r.uniform(-2.0, 2.0) for _ in range(8)]
-        else:
-            u = [0.0, *_rand_direction(r), 0.0, 0.0, 0.0, 0.0]
-            v = [0.0, *_rand_direction(r), 0.0, 0.0, 0.0, 0.0]
-        assert _bits(native.gp8(u, v)) == _bits(reference.gp8(u, v))
-
-
 def test_kron2_matches_reference_and_numpy(native):
     r = random.Random(10)
     for i in range(PARITY_INPUTS):
@@ -272,10 +259,38 @@ def test_eigvals_diagonal_and_degenerate(native):
 
 
 def test_eigvals_reports_non_convergence(native):
-    nan = [complex(float("nan"), 0.0)] * 4
+    # Finite but not Hermitian, so the rotations never clear the off-diagonal mass.
+    skew = [0j, 1 + 0j, 0j, 0j]
     for backend in (reference, native):
         with pytest.raises(RuntimeError, match="within 100 sweeps"):
-            backend.eigvals_hermitian(nan, 2)
+            backend.eigvals_hermitian(skew, 2)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [complex(_INF, 0.0), 0j, 0j, 0j],
+        [0j, complex(_NAN, 0.0), complex(_NAN, 0.0), 0j],
+        [0j, complex(0.0, _INF), complex(0.0, -_INF), 0j],
+        [complex(_NAN, 0.0)] * 4,
+    ],
+)
+def test_eigvals_rejects_non_finite_entries(native, entries):
+    for backend in (reference, native):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            backend.eigvals_hermitian(entries, 2)
+
+
+def test_eigvals_reads_the_first_n_squared_entries(native):
+    for backend in (reference, native):
+        with pytest.raises(IndexError):
+            backend.eigvals_hermitian([complex(_NAN, 0.0), 0j, 0j], 2)
+        # Entries past n*n are ignored, even a non-finite one.
+        got = backend.eigvals_hermitian([2 + 0j, 1j, -1j, 0j, complex(_INF, 0.0)], 2)
+        assert _bits(got) == _bits(backend.eigvals_hermitian([2 + 0j, 1j, -1j, 0j], 2))
 
 
 def _cum_weights(weights):
@@ -366,8 +381,15 @@ _C4, _C3, _V3 = [0j] * 4, [0j] * 3, [0.0, 0.0, 1.0]
 BAD_CALLS = {
     "rng_u64": [(1,), (None, 0)],
     "rng_u01": [(1, 2, 3), (0, 1.5)],
-    "gp8": [([0.0] * 8,), ([0.0] * 7, [0.0] * 8), ([0.0] * 8, [None] * 8), (5.0, [0.0] * 8)],
-    "kron2": [(_C4,), (_C4, _C3), ([None] * 4, _C4)],
+    "kron2": [
+        ([None] * 3, _C4),
+        (_C4, [None] * 3),
+        (5.0, _C4),
+        (_C4, _C4, _C4),
+        (_C4,),
+        (_C4, _C3),
+        ([None] * 4, _C4),
+    ],
     "matmul": [(_C4, _C4), ([0j] * 16, [0j] * 15, 4), (_C4, _C4, 2.0), (_C4, [0j, "x", 0j, 0j], 2)],
     "singlet_expectation": [(_V3,), (_V3, _V3[:2]), ([None] * 3, _V3)],
     "eigvals_hermitian": [(_C4,), (_C4, 2, 1e-14), (_C3, 2), ([object()] * 4, 2)],
@@ -455,9 +477,15 @@ def test_load_backend_rejects_unknown():
 
 
 def test_selected_backend_exports():
-    assert len(_kernels.KERNEL_NAMES) == 8
+    assert len(_kernels.KERNEL_NAMES) == 7
+    assert "gp8" not in _kernels.KERNEL_NAMES
     assert "spin_matrix" not in _kernels.KERNEL_NAMES
     assert "expectation" not in _kernels.KERNEL_NAMES
     for name in _kernels.KERNEL_NAMES:
         assert callable(getattr(_kernels, name))
         assert callable(getattr(reference, name))
+
+
+def test_native_exports_exactly_the_kernels(native):
+    public = {name for name in vars(native) if not name.startswith("_")}
+    assert public == {"BACKEND_NAME", *_kernels.KERNEL_NAMES}
