@@ -40,6 +40,8 @@ _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_MULT_1 = 0xBF58476D1CE4E5B9
 _MIX_MULT_2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
+_INT64_MIN = -(1 << 63)
+_INT64_LIMIT = 1 << 63
 
 # Jacobi stopping rule: off-diagonal Frobenius mass below _JACOBI_RTOL times
 # the Frobenius norm of the matrix, at most _JACOBI_MAX_SWEEPS sweeps.  Every
@@ -275,8 +277,12 @@ def lhv_mc_sums(cum_weights, products, seed: int, start: int, stop: int):
     callers partition the index range.
 
     The loop inlines ``rng_u01`` on a running counter and reads each state's
-    products and squares from a table built once per call.
+    products and squares from a table built once per call.  Draw indices are
+    64-bit signed integers, as in the native kernel: a ``start`` or ``stop``
+    outside [-2**63, 2**63) raises ``OverflowError`` before any draw.
     """
+    if not (_INT64_MIN <= start < _INT64_LIMIT and _INT64_MIN <= stop < _INT64_LIMIT):
+        raise OverflowError(f"start {start} or stop {stop} is outside [-2**63, 2**63)")
     if not cum_weights:
         raise IndexError("cum_weights is empty")
     last = len(cum_weights) - 1

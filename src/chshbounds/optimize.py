@@ -5,7 +5,10 @@ strategies (mixtures are convex, so they cannot beat the deterministic
 maximum).  The quantum and vector-valued tracks run a derivative-free
 coordinate search over spherical angles (plus the two b-side magnitude
 coefficients for the vector track) from seeded random restarts; both recover
-the 2*sqrt(2) ceiling and the canonical attainment geometry.
+the 2*sqrt(2) ceiling and the canonical attainment geometry.  A probe
+recomputes only the chart vector it moves and that vector's two pair terms,
+by the same float operations and summed in the same order as a full
+recompute, so every value and the evaluation count are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .lhv import (
     chsh_classical_value,
     classical_correlations,
 )
-from .quantum import TSIRELSON_BOUND, _chsh_value_from_vectors
+from .quantum import TSIRELSON_BOUND, _chsh_value_from_vectors, _correlation_from_vectors
 from .vector_values import ResponseCoefficients, _chsh_vector_from_dots
 
 __all__ = [
@@ -58,12 +61,14 @@ _MAX_SWEEPS_PER_LEVEL = 1000
 
 def _chart_vectors(t: Sequence[float]) -> tuple[Vec3, Vec3, Vec3, Vec3]:
     """Directions a, a', b, b' from the first 8 chart angles; no validation."""
-    return (
-        spherical_vector(t[0], t[1]),
-        spherical_vector(t[2], t[3]),
-        spherical_vector(t[4], t[5]),
-        spherical_vector(t[6], t[7]),
-    )
+    return tuple(spherical_vector(t[2 * j], t[2 * j + 1]) for j in range(4))
+
+
+# Term k pairs chart vectors _PAIRS[k]; chart vector j feeds terms _TERMS_OF_VECTOR[j].
+_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
+_TERMS_OF_VECTOR = ((0, 1), (2, 3), (0, 2), (1, 3))
+_PairTerm = Callable[[Vec3, Vec3], float]
+_Combine = Callable[[list[float], list[float]], float]
 
 
 @dataclass(frozen=True)
@@ -110,20 +115,26 @@ class _SearchState:
 
 
 def _coordinate_ascent(
-    objective: Callable[[Sequence[float]], float],
-    start: Sequence[float],
-    state: _SearchState,
-    bounds: Sequence[tuple[float, float] | None],
+    pair_term: _PairTerm, combine: _Combine, start: Sequence[float], state: _SearchState
 ) -> None:
     """Coordinate search with shrinking steps.
 
-    From ``start``, each coordinate is probed at +/-step; improvements are
-    accepted greedily, and the step shrinks by ``STEP_SHRINK`` once a full
-    pass stalls, terminating below ``MIN_STEP``.  Every evaluation is
-    recorded in ``state``, which tracks the cross-restart best.
+    From ``start``, each coordinate is probed at +/-step, a coefficient
+    clamped to [-1, 1]; improvements are accepted greedily, and the step
+    shrinks by ``STEP_SHRINK`` once a full pass stalls, terminating below
+    ``MIN_STEP``.  A point's value is ``combine(terms, point)``, term k being
+    ``pair_term`` of chart vectors ``_PAIRS[k]``.  The current point's
+    vectors and terms are cached: a probe of angle i recomputes vector i // 2
+    and its two terms, a probe of a coefficient reuses all four, and an
+    accepted probe replaces the cache.  Each term is the same float operations
+    on the same inputs as in a full recompute and ``combine`` sums the terms
+    in a fixed order, so every value and the evaluation count match a full
+    recompute bit for bit.  Every evaluation is recorded in ``state``.
     """
     x = list(start)
-    current = objective(x)
+    vectors = list(_chart_vectors(x))
+    terms = [pair_term(vectors[p], vectors[q]) for p, q in _PAIRS]
+    current = combine(terms, x)
     state.record(x, current)
     step = INITIAL_STEP
     while step >= MIN_STEP:
@@ -131,21 +142,27 @@ def _coordinate_ascent(
             improved = False
             for i in range(len(x)):
                 for delta in (step, -step):
-                    candidate = x[i] + delta
-                    limit = bounds[i]
-                    if limit is not None:
-                        lo, hi = limit
-                        candidate = min(hi, max(lo, candidate))
-                        if candidate == x[i]:
+                    old = x[i]
+                    candidate = old + delta
+                    if i >= 8:
+                        candidate = min(1.0, max(-1.0, candidate))
+                        if candidate == old:
                             continue
-                    trial = list(x)
-                    trial[i] = candidate
-                    value = objective(trial)
-                    state.record(trial, value)
+                    x[i] = candidate
+                    trial_vectors, trial_terms = list(vectors), list(terms)
+                    if i < 8:
+                        j = i // 2
+                        trial_vectors[j] = spherical_vector(x[2 * j], x[2 * j + 1])
+                        for k in _TERMS_OF_VECTOR[j]:
+                            p, q = _PAIRS[k]
+                            trial_terms[k] = pair_term(trial_vectors[p], trial_vectors[q])
+                    value = combine(trial_terms, x)
+                    state.record(x, value)
                     if value > current:
-                        x = trial
-                        current = value
+                        vectors, terms, current = trial_vectors, trial_terms, value
                         improved = True
+                    else:
+                        x[i] = old
             if not improved:
                 break
         step *= STEP_SHRINK
@@ -157,21 +174,18 @@ def _require_restarts(restarts: int) -> None:
 
 
 def _multistart(
-    objective: Callable[[Sequence[float]], float],
-    restarts: int,
-    seed: int,
-    coefficients: int,
+    pair_term: _PairTerm, combine: _Combine, restarts: int, seed: int, coefficients: int
 ) -> _SearchState:
     """Coordinate search from ``restarts`` seeded random starts.
 
     A point is the 8-angle chart of :func:`_chart_vectors` followed by
     ``coefficients`` parameters bounded to [-1, 1].  Restart ``index`` draws
     its start from the stream ``derive_seed(seed, index)``: uniform-on-sphere
-    angles for a, a', b, b', then the coefficients uniform on [-1, 1).
+    angles for a, a', b, b', then the coefficients uniform on [-1, 1).  Each
+    restart runs :func:`_coordinate_ascent`, which evaluates probes incrementally.
     """
     _require_restarts(restarts)
     state = _SearchState()
-    bounds = [None] * 8 + [(-1.0, 1.0)] * coefficients
     for index in range(restarts):
         stream = rng.CounterStream(rng.derive_seed(seed, index))
         start = []
@@ -179,7 +193,7 @@ def _multistart(
             start.append(math.acos(2.0 * stream.u01() - 1.0))
             start.append(rng.TWO_PI * stream.u01())
         start += [stream.uniform(-1.0, 1.0) for _ in range(coefficients)]
-        _coordinate_ascent(objective, start, state, bounds)
+        _coordinate_ascent(pair_term, combine, start, state)
     return state
 
 
@@ -232,11 +246,9 @@ def maximize_quantum(restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> Optimiz
     Coordinate search over the 8-angle chart from ``restarts`` seeded random
     starts; recovers 2*sqrt(2) well within 1e-6.
     """
-
-    def objective(params: Sequence[float]) -> float:
-        return _chsh_value_from_vectors(*_chart_vectors(params))
-
-    state = _multistart(objective, restarts, seed, 0)
+    state = _multistart(
+        _correlation_from_vectors, lambda t, _: abs(t[0] + t[1] + t[2] - t[3]), restarts, seed, 0
+    )
     return OptimizationResult(
         track="quantum",
         best_value=state.best_value,
@@ -258,21 +270,9 @@ def maximize_ga(restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> Optimization
     fixed).  Recovers 2*sqrt(2) with |alpha_b| = |alpha_b'| = 1 and
     b perpendicular to b'.
     """
-
-    def objective(params: Sequence[float]) -> float:
-        a, a_prime, b, b_prime = _chart_vectors(params)
-        return _chsh_vector_from_dots(
-            dot(a, b),
-            dot(a, b_prime),
-            dot(a_prime, b),
-            dot(a_prime, b_prime),
-            1.0,
-            1.0,
-            params[8],
-            params[9],
-        )
-
-    state = _multistart(objective, restarts, seed, 2)
+    state = _multistart(
+        dot, lambda t, x: _chsh_vector_from_dots(*t, 1.0, 1.0, x[8], x[9]), restarts, seed, 2
+    )
     best = state.best_point
     return OptimizationResult(
         track="ga",

@@ -376,6 +376,21 @@ def test_lhv_mc_sums_matches_its_specification():
         assert _bits(got) == _bits(_linear_search_sums(cum_weights, products, seed, start, stop))
 
 
+def test_lhv_mc_sums_rejects_indices_beyond_int64(native):
+    """Draw indices are 64-bit signed on both backends: a start or stop
+    outside [-2**63, 2**63) raises OverflowError before any draw, where the
+    python loop would otherwise run for up to 2**70 draws."""
+    args = ([0.5, 1.0], [1.0, -1.0, 0.5, 0.0] * 2, 7)
+    out_of_range = [(2**63 - 1, 2**63), (2**63, 2**63 + 5), (-(2**63) - 1, -(2**63)), (0, 2**70)]
+    for backend in (reference, native):
+        for start, stop in out_of_range:
+            with pytest.raises(OverflowError):
+                backend.lhv_mc_sums(*args, start, stop)
+    for start, stop in [(2**63 - 3, 2**63 - 1), (-(2**63), -(2**63) + 2)]:
+        got = native.lhv_mc_sums(*args, start, stop)
+        assert _bits(got) == _bits(reference.lhv_mc_sums(*args, start, stop))
+
+
 # Wrong arity, a too-short sequence and a non-number, per kernel.
 _C4, _C3, _V3 = [0j] * 4, [0j] * 3, [0.0, 0.0, 1.0]
 BAD_CALLS = {

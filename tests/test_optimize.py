@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from chshbounds import _kernels
-from chshbounds.geometry import Configuration, canonical_configuration, random_configuration
+from chshbounds import _kernels, optimize
+from chshbounds.geometry import Configuration, canonical_configuration, dot, random_configuration
 from chshbounds.lhv import CLASSICAL_BOUND, LhvModel, chsh_classical_value, classical_correlations
 from chshbounds.optimize import (
     canonicalized,
@@ -12,8 +12,8 @@ from chshbounds.optimize import (
     maximize_quantum,
     sweep_coplanar_family,
 )
-from chshbounds.quantum import TSIRELSON_BOUND, chsh_quantum_value
-from chshbounds.vector_values import chsh_vector_value
+from chshbounds.quantum import TSIRELSON_BOUND, _chsh_value_from_vectors, chsh_quantum_value
+from chshbounds.vector_values import _chsh_vector_from_dots, chsh_vector_value
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -34,11 +34,62 @@ def _count_kernel_calls(monkeypatch, names):
 
 def test_singlet_objective_uses_fused_kernel_only(monkeypatch):
     counts = _count_kernel_calls(monkeypatch, ("kron2", "singlet_expectation"))
-    result = maximize_quantum(restarts=2, seed=0)
-    assert counts == {"kron2": 0, "singlet_expectation": 4 * result.iterations}
+    restarts = 2
+    result = maximize_quantum(restarts=restarts, seed=0)
+    # Each restart's start point computes all four correlations; every later
+    # probe moves one vector and recomputes only its two correlations.
+    expected = 4 * restarts + 2 * (result.iterations - restarts)
+    assert counts == {"kron2": 0, "singlet_expectation": expected}
     counts.update(kron2=0, singlet_expectation=0)
     sweep_coplanar_family(11)
     assert counts == {"kron2": 0, "singlet_expectation": 4 * 11}
+
+
+def _full_quantum_value(point):
+    return _chsh_value_from_vectors(*optimize._chart_vectors(point))
+
+
+def _full_ga_value(point):
+    a, a_prime, b, b_prime = optimize._chart_vectors(point)
+    return _chsh_vector_from_dots(
+        dot(a, b), dot(a, b_prime), dot(a_prime, b), dot(a_prime, b_prime), 1.0, 1.0, *point[8:]
+    )
+
+
+@pytest.mark.parametrize(
+    "maximize, full_value", [(maximize_quantum, _full_quantum_value), (maximize_ga, _full_ga_value)]
+)
+@pytest.mark.parametrize("seed", [0, 5, 17])
+def test_incremental_values_equal_a_full_recompute(monkeypatch, maximize, full_value, seed):
+    """Every value the search records, bit for bit, is the objective
+    recomputed from scratch at the recorded point, so no cached vector or
+    pair term is stale."""
+    record = optimize._SearchState.record
+    recorded = []
+
+    def checked(self, point, value):
+        assert value.hex() == full_value(point).hex(), (len(recorded), tuple(point))
+        recorded.append(value)
+        record(self, point, value)
+
+    monkeypatch.setattr(optimize._SearchState, "record", checked)
+    result = maximize(restarts=2, seed=seed)
+    assert len(recorded) == result.iterations
+    assert max(recorded) == result.best_value
+
+
+@pytest.mark.parametrize(
+    "maximize, best_hex, iterations, improvements",
+    [
+        (maximize_quantum, "0x1.6a09e667f3bcep+1", 34400, 81),
+        (maximize_ga, "0x1.6a09e667f3bcdp+1", 37745, 80),
+    ],
+)
+def test_default_search_is_pinned(maximize, best_hex, iterations, improvements):
+    result = maximize(32, 0)
+    assert result.best_value.hex() == best_hex
+    assert result.iterations == iterations
+    assert len(result.history) == improvements
 
 
 def test_configuration_built_only_for_the_reported_maximizer(monkeypatch):
