@@ -17,7 +17,6 @@ import importlib
 import os
 
 KERNEL_NAMES = (
-    "kron2",
     "matmul",
     "singlet_expectation",
     "eigvals_hermitian",

@@ -147,20 +147,6 @@ static PyObject *rng_u01(PyObject *self, PyObject *const *args, Py_ssize_t nargs
     return PyFloat_FromDouble(u01(seed, index));
 }
 
-static PyObject *kron2(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    cplx a[4], b[4], out[16];
-    if (check_nargs("kron2", nargs, 2) < 0 || load_items(args[0], 4, "a", NULL, a) < 0
-        || load_items(args[1], 4, "b", NULL, b) < 0)
-        return NULL;
-    for (int i = 0; i < 2; i++)
-        for (int j = 0; j < 2; j++)
-            for (int k = 0; k < 2; k++)
-                for (int m = 0; m < 2; m++)
-                    out[(2 * i + k) * 4 + (2 * j + m)] = c_mul(a[2 * i + j], b[2 * k + m]);
-    return number_list(&out[0].re, 16, 2, 1);
-}
-
 static PyObject *matmul(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Py_ssize_t n, size;
@@ -188,7 +174,8 @@ static PyObject *matmul(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 
 /* <psi-| (sigma.a) (x) (sigma.b) |psi->: the four Kronecker entries at rows
  * and columns |01>, |10>, contracted with the singlet's two non-zero
- * amplitudes, in the order of kron2 followed by the full quadratic form. */
+ * amplitudes, in the order of quantum.tensor_product followed by the full
+ * quadratic form. */
 static PyObject *singlet_expectation(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     double a[3], b[3];
@@ -362,7 +349,6 @@ static PyObject *lhv_mc_sums(PyObject *self, PyObject *const *args, Py_ssize_t n
 static PyMethodDef kernel_methods[] = {
     KERNEL(rng_u64, "Return draw ``index`` of the stream ``seed`` as a 64-bit integer."),
     KERNEL(rng_u01, "Return draw ``index`` of the stream ``seed``, uniform on [0, 1)."),
-    KERNEL(kron2, "Kronecker product of two flat 2x2 matrices as a flat 4x4 matrix."),
     KERNEL(matmul, "Product of two flat n x n complex matrices."),
     KERNEL(singlet_expectation, "<psi-| (sigma.a) (x) (sigma.b) |psi-> for directions a and b."),
     KERNEL(eigvals_hermitian, "Eigenvalues of a flat n x n complex Hermitian matrix, ascending."),

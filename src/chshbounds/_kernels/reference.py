@@ -11,11 +11,11 @@ error types.  Floating-point operations that reach a result must happen in
 the same order on both sides; everything else (how a state is searched for,
 how a loop is organised) may differ.  Keep the two files in sync.
 
-Loop organisation in this file, chosen for interpreter speed: ``kron2``
-returns its 16 products directly; ``matmul`` has straight-line bodies for
-n = 2 and n = 4, each entry written as the generic loop's left-to-right sum;
-``eigvals_hermitian`` walks index tables built once per n (the off-diagonal
-entries, and per pivot its three entries and its column and row pairs).
+Loop organisation in this file, chosen for interpreter speed: ``matmul``
+has straight-line bodies for n = 2 and n = 4, each entry written as the
+generic loop's left-to-right sum; ``eigvals_hermitian`` walks index tables
+built once per n (the off-diagonal entries, and per pivot its three entries
+and its column and row pairs).
 Each performs the same operations in the same order as the plain loops.
 
 Conventions shared by both backends:
@@ -75,23 +75,6 @@ def rng_u01(seed: int, index: int) -> float:
     return (rng_u64(seed, index) >> 11) * _INV_2_53
 
 
-def kron2(a, b):
-    """Kronecker product of two flat 2x2 matrices as a flat 4x4 matrix.
-
-    As in the C kernel, the entries are read in order, those of ``a`` first,
-    and each is checked to be a number (unary ``+``) before any product, so
-    the first missing or non-number entry decides IndexError or TypeError.
-    """
-    a0, a1, a2, a3 = +a[0], +a[1], +a[2], +a[3]
-    b0, b1, b2, b3 = +b[0], +b[1], +b[2], +b[3]
-    return [
-        a0 * b0, a0 * b1, a1 * b0, a1 * b1,
-        a0 * b2, a0 * b3, a1 * b2, a1 * b3,
-        a2 * b0, a2 * b1, a3 * b0, a3 * b1,
-        a2 * b2, a2 * b3, a3 * b2, a3 * b3,
-    ]
-
-
 def matmul(a, b, n: int):
     """Product of two flat n x n complex matrices.
 
@@ -147,9 +130,9 @@ def singlet_expectation(a, b) -> complex:
     The singlet (|01> - |10>)/sqrt(2) has zero amplitudes on |00> and |11>,
     so only the four Kronecker entries at rows and columns |01>, |10> reach
     the quadratic form.  Those entries and the contraction use the complex
-    products of ``kron2`` followed by the full quadratic form, in the same
-    order; only additions of exact-zero terms are dropped, which can change
-    nothing but the sign of a zero result.
+    products of ``quantum.tensor_product`` followed by the full quadratic
+    form, in the same order; only additions of exact-zero terms are dropped,
+    which can change nothing but the sign of a zero result.
     """
     ax, ay, az = a[0], a[1], a[2]
     bx, by, bz = b[0], b[1], b[2]
@@ -206,8 +189,14 @@ def eigvals_hermitian(entries, n: int):
     sqrt, atan2, cos, sin, ldexp = math.sqrt, math.atan2, math.cos, math.sin, math.ldexp
     off_diagonal, diagonal, pivots = _jacobi_tables(n)
     # The first n*n entries in order, as the native backend reads them, so a
-    # short matrix is an IndexError before any check of the values.
-    a = [complex(entries[i]) for i in range(n * n)]
+    # short matrix is an IndexError before any check of the values.  A str,
+    # which complex() would parse, is a TypeError there.
+    a = []
+    for i in range(n * n):
+        z = entries[i]
+        if isinstance(z, str):
+            raise TypeError(f"matrix entry {i} must be a number, not str")
+        a.append(complex(z))
     biggest = 0.0
     for z in a:
         # Written as `>` tests, as in the native backend, so a NaN is skipped.
@@ -280,18 +269,24 @@ def lhv_mc_sums(cum_weights, products, seed: int, start: int, stop: int):
     products and squares from a table built once per call.  Draw indices are
     64-bit signed integers, as in the native kernel: a ``start`` or ``stop``
     outside [-2**63, 2**63) raises ``OverflowError`` before any draw.
+    Weights and products are read as floats once per call, as the native
+    kernel reads them: a complex or str is a ``TypeError``, an int beyond
+    the range of a float an ``OverflowError``.
     """
     if not (_INT64_MIN <= start < _INT64_LIMIT and _INT64_MIN <= stop < _INT64_LIMIT):
         raise OverflowError(f"start {start} or stop {stop} is outside [-2**63, 2**63)")
     if not cum_weights:
         raise IndexError("cum_weights is empty")
+    # ldexp(x, 0) is x as a float, -0.0 included; unlike float() it parses no str.
+    ldexp = math.ldexp
+    cum_weights = [ldexp(w, 0) for w in cum_weights]
     last = len(cum_weights) - 1
     table = []
     for base in range(0, 4 * len(cum_weights), 4):
-        p1 = products[base]
-        p2 = products[base + 1]
-        p3 = products[base + 2]
-        p4 = products[base + 3]
+        p1 = ldexp(products[base], 0)
+        p2 = ldexp(products[base + 1], 0)
+        p3 = ldexp(products[base + 2], 0)
+        p4 = ldexp(products[base + 3], 0)
         table.append((p1, p2, p3, p4, p1 * p1, p2 * p2, p3 * p3, p4 * p4))
     s1 = s2 = s3 = s4 = 0.0
     q1 = q2 = q3 = q4 = 0.0

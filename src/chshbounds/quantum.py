@@ -75,9 +75,6 @@ class ComplexMatrix:
     def identity(cls, dim: int) -> "ComplexMatrix":
         return cls(dim, tuple(1 + 0j if i == j else 0j for i in range(dim) for j in range(dim)))
 
-    def entry(self, i: int, j: int) -> complex:
-        return self.entries[i * self.dim + j]
-
     def dagger(self) -> "ComplexMatrix":
         n = self.dim
         return ComplexMatrix(
@@ -163,13 +160,24 @@ def spin_operator(direction: Sequence[float]) -> ComplexMatrix:
 
 
 def tensor_product(left: ComplexMatrix, right: ComplexMatrix) -> ComplexMatrix:
-    """Kronecker product of two 2x2 matrices (left factor acts on side A)."""
+    """Kronecker product of two 2x2 matrices (left factor acts on side A).
+
+    Entry (r, c) is left[r // 2, c // 2] * right[r % 2, c % 2].  Plain
+    Python, not a kernel: no CLI command forms more than 17 such products.
+    """
     if left.dim != 2 or right.dim != 2:
         raise ValueError(
             f"tensor_product expects two 2x2 matrices, got {left.dim}x{left.dim} "
             f"and {right.dim}x{right.dim}"
         )
-    return ComplexMatrix(4, tuple(_kernels.kron2(left.entries, right.entries)))
+    a0, a1, a2, a3 = left.entries
+    b0, b1, b2, b3 = right.entries
+    return ComplexMatrix(4, (
+        a0 * b0, a0 * b1, a1 * b0, a1 * b1,
+        a0 * b2, a0 * b3, a1 * b2, a1 * b3,
+        a2 * b0, a2 * b1, a3 * b0, a3 * b1,
+        a2 * b2, a2 * b3, a3 * b2, a3 * b3,
+    ))
 
 
 def commutator_matrix(x: ComplexMatrix, y: ComplexMatrix) -> ComplexMatrix:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chshbounds import tables
+from chshbounds import ga
 from chshbounds.ga import E1, E2, E3, Multivector, commutator, geometric_product
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -83,14 +83,14 @@ def test_table_against_hand_cases():
 
 
 def test_blade_product_function():
-    sign, mask = tables.blade_product(0b001, 0b010)  # e1 * e2
+    sign, mask = ga.blade_product(0b001, 0b010)  # e1 * e2
     assert (sign, mask) == (1, 0b011)
-    sign, mask = tables.blade_product(0b010, 0b001)  # e2 * e1
+    sign, mask = ga.blade_product(0b010, 0b001)  # e2 * e1
     assert (sign, mask) == (-1, 0b011)
-    sign, mask = tables.blade_product(0b011, 0b011)  # e12 * e12
+    sign, mask = ga.blade_product(0b011, 0b011)  # e12 * e12
     assert (sign, mask) == (-1, 0b000)
-    assert len(tables.PRODUCT_SIGNS) == 64
-    assert len(tables.PRODUCT_TARGETS) == 64
+    assert len(ga.PRODUCT_SIGNS) == 64
+    assert len(ga.PRODUCT_TARGETS) == 64
 
 
 @given(multivectors, multivectors, multivectors)

@@ -96,18 +96,6 @@ def test_rng_u01_is_the_top_53_bits_of_rng_u64(backend):
         assert _kernels.rng_u01(seed, index).hex() == expected.hex()
 
 
-def test_kron2_matches_reference_and_numpy(native):
-    r = random.Random(10)
-    for i in range(PARITY_INPUTS):
-        a = _rand_matrix(r, 2)
-        b = _rand_matrix(r, 2)
-        assert native.kron2(a, b) == reference.kron2(a, b)
-        if i < 50:
-            expected = np.kron(np.array(a).reshape(2, 2), np.array(b).reshape(2, 2))
-            got = np.array(reference.kron2(a, b)).reshape(4, 4)
-            assert np.max(np.abs(got - expected)) < 1e-14
-
-
 def test_matmul_matches_reference_and_numpy(native):
     r = random.Random(11)
     for i in range(PARITY_INPUTS):
@@ -137,7 +125,7 @@ def _matrix_bits(entries):
     return [_complex_bits(z) for z in entries]
 
 
-def _kron2_spec(a, b):
+def _kron_spec(a, b):
     """Entry (r, c) of the Kronecker product is a[r // 2, c // 2] * b[r % 2, c % 2]."""
     return [a[2 * (r // 2) + c // 2] * b[2 * (r % 2) + c % 2] for r in range(4) for c in range(4)]
 
@@ -154,13 +142,14 @@ def _matmul_spec(a, b, n):
     return out
 
 
-def test_kron2_matches_its_specification(backend):
+def test_tensor_product_matches_its_specification():
     r = random.Random(18)
     for i in range(PARITY_INPUTS):
         nonfinite = (0.0, 0.02, 0.1)[i % 3]
         a = [_rand_special_complex(r, nonfinite) for _ in range(4)]
         b = [_rand_special_complex(r, nonfinite) for _ in range(4)]
-        assert _matrix_bits(_kernels.kron2(a, b)) == _matrix_bits(_kron2_spec(a, b))
+        got = quantum.tensor_product(quantum.ComplexMatrix(2, a), quantum.ComplexMatrix(2, b))
+        assert _matrix_bits(got.entries) == _matrix_bits(_kron_spec(a, b))
 
 
 @pytest.mark.parametrize("n", (2, 4))
@@ -191,8 +180,8 @@ def _complex_bits(z):
 
 def _singlet_oracle(a, b):
     """The unfused pipeline: the full Kronecker product, then the quadratic form."""
-    joint = reference.kron2(quantum._spin_entries(a), quantum._spin_entries(b))
-    return quantum.ComplexMatrix(4, tuple(joint)).expectation(quantum.singlet_state())
+    joint = quantum.tensor_product(quantum.spin_operator(a), quantum.spin_operator(b))
+    return joint.expectation(quantum.singlet_state())
 
 
 def _exact_zero_directions():
@@ -219,8 +208,6 @@ def test_singlet_pipeline_identical(native):
         got = reference.singlet_expectation(a, b)
         assert _complex_bits(native.singlet_expectation(a, b)) == _complex_bits(got)
         assert got == _singlet_oracle(a, b)
-        sa, sb = quantum._spin_entries(a), quantum._spin_entries(b)
-        assert native.kron2(sa, sb) == reference.kron2(sa, sb)
 
 
 def test_eigvals_match_numpy_oracle():
@@ -391,36 +378,36 @@ def test_lhv_mc_sums_rejects_indices_beyond_int64(native):
         assert _bits(got) == _bits(reference.lhv_mc_sums(*args, start, stop))
 
 
-# Wrong arity, a too-short sequence and a non-number, per kernel.
+# Wrong arity, a too-short sequence and a non-number, per kernel.  Each row
+# is keyed by the number in its test id, so that removing a row renames no
+# other test.
 _C4, _C3, _V3 = [0j] * 4, [0j] * 3, [0.0, 0.0, 1.0]
 BAD_CALLS = {
-    "rng_u64": [(1,), (None, 0)],
-    "rng_u01": [(1, 2, 3), (0, 1.5)],
-    "kron2": [
-        ([None] * 3, _C4),
-        (_C4, [None] * 3),
-        (5.0, _C4),
-        (_C4, _C4, _C4),
-        (_C4,),
-        (_C4, _C3),
-        ([None] * 4, _C4),
-    ],
-    "matmul": [(_C4, _C4), ([0j] * 16, [0j] * 15, 4), (_C4, _C4, 2.0), (_C4, [0j, "x", 0j, 0j], 2)],
-    "singlet_expectation": [(_V3,), (_V3, _V3[:2]), ([None] * 3, _V3)],
-    "eigvals_hermitian": [(_C4,), (_C4, 2, 1e-14), (_C3, 2), ([object()] * 4, 2)],
-    "lhv_mc_sums": [
-        ([1.0], [1.0] * 4, 0, 0),
-        ([0.5, 1.0], [1.0] * 4, 0, 0, 100),
-        ([1.0], [1.0, 1.0, None, 1.0], 0, 0, 10),
-        ([None], [1.0] * 4, 0, 0, 10),
-        ([1.0], [1.0] * 4, 0.5, 0, 10),
-        ([], [], 0, 0, 0),
-    ],
+    "rng_u64": {0: (1,), 1: (None, 0)},
+    "rng_u01": {2: (1, 2, 3), 3: (0, 1.5)},
+    "matmul": {
+        11: (_C4, _C4),
+        12: ([0j] * 16, [0j] * 15, 4),
+        13: (_C4, _C4, 2.0),
+        14: (_C4, [0j, "x", 0j, 0j], 2),
+    },
+    "singlet_expectation": {15: (_V3,), 16: (_V3, _V3[:2]), 17: ([None] * 3, _V3)},
+    "eigvals_hermitian": {18: (_C4,), 19: (_C4, 2, 1e-14), 20: (_C3, 2), 21: ([object()] * 4, 2)},
+    "lhv_mc_sums": {
+        22: ([1.0], [1.0] * 4, 0, 0),
+        23: ([0.5, 1.0], [1.0] * 4, 0, 0, 100),
+        24: ([1.0], [1.0, 1.0, None, 1.0], 0, 0, 10),
+        25: ([None], [1.0] * 4, 0, 0, 10),
+        26: ([1.0], [1.0] * 4, 0.5, 0, 10),
+        27: ([], [], 0, 0, 0),
+    },
 }
 
 
 @pytest.mark.parametrize(
-    "name, args", [(name, args) for name, calls in BAD_CALLS.items() for args in calls]
+    "name, args",
+    [(name, args) for name, calls in BAD_CALLS.items() for args in calls.values()],
+    ids=[f"{name}-args{k}" for name, calls in BAD_CALLS.items() for k in calls],
 )
 def test_bad_arguments_raise_on_both_backends(native, name, args):
     """Wrong arity, short sequences and non-numbers raise the same error type
@@ -433,12 +420,19 @@ def test_bad_arguments_raise_on_both_backends(native, name, args):
     assert errors[0] is errors[1]
 
 
-def test_kron2_short_factor_raises_index_error_on_both_backends(native):
-    """Both backends read every entry before forming a product, so a short
-    first factor is an IndexError even when the second holds non-numbers."""
+@pytest.mark.parametrize(
+    "name, args, error",
+    [
+        ("lhv_mc_sums", ([1.0], [1j, 1.0, 1.0, 1.0], 0, 0, 5), TypeError),  # a complex
+        ("lhv_mc_sums", ([10**400], [1.0] * 4, 0, 0, 3), OverflowError),  # beyond a float
+        ("eigvals_hermitian", (["1", "0", "0", "1"], 2), TypeError),  # complex() parses a str
+    ],
+)
+def test_entries_are_read_as_numbers_on_both_backends(native, name, args, error):
+    """Both backends convert entries as the C API does: neither accepts what the other rejects."""
     for backend in (reference, native):
-        with pytest.raises(IndexError):
-            backend.kron2([0j] * 3, [None] * 4)
+        with pytest.raises(error):
+            getattr(backend, name)(*args)
 
 
 _FAKE_NATIVE = """
@@ -492,10 +486,8 @@ def test_load_backend_rejects_unknown():
 
 
 def test_selected_backend_exports():
-    assert len(_kernels.KERNEL_NAMES) == 7
-    assert "gp8" not in _kernels.KERNEL_NAMES
-    assert "spin_matrix" not in _kernels.KERNEL_NAMES
-    assert "expectation" not in _kernels.KERNEL_NAMES
+    assert len(_kernels.KERNEL_NAMES) == 6
+    assert not {"gp8", "kron2", "spin_matrix", "expectation"} & set(_kernels.KERNEL_NAMES)
     for name in _kernels.KERNEL_NAMES:
         assert callable(getattr(_kernels, name))
         assert callable(getattr(reference, name))

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from chshbounds import _kernels, optimize
+from chshbounds import _kernels, optimize, quantum
 from chshbounds.geometry import Configuration, canonical_configuration, dot, random_configuration
 from chshbounds.lhv import CLASSICAL_BOUND, LhvModel, chsh_classical_value, classical_correlations
 from chshbounds.optimize import (
@@ -18,31 +18,34 @@ from chshbounds.vector_values import _chsh_vector_from_dots, chsh_vector_value
 SQRT8 = 2.0 * math.sqrt(2.0)
 
 
-def _count_kernel_calls(monkeypatch, names):
-    """Rebind facade kernels to counting wrappers; returns the live counts."""
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        kernel = getattr(_kernels, name)
+def _count_calls(monkeypatch, *targets):
+    """Rebind each (module, name), looked up there at call time, to a counting
+    wrapper; returns the live counts by name."""
+    counts = {name: 0 for _, name in targets}
+    for module, name in targets:
+        function = getattr(module, name)
 
-        def counted(*args, name=name, kernel=kernel):
+        def counted(*args, name=name, function=function):
             counts[name] += 1
-            return kernel(*args)
+            return function(*args)
 
-        monkeypatch.setattr(_kernels, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return counts
 
 
 def test_singlet_objective_uses_fused_kernel_only(monkeypatch):
-    counts = _count_kernel_calls(monkeypatch, ("kron2", "singlet_expectation"))
+    counts = _count_calls(
+        monkeypatch, (quantum, "tensor_product"), (_kernels, "singlet_expectation")
+    )
     restarts = 2
     result = maximize_quantum(restarts=restarts, seed=0)
     # Each restart's start point computes all four correlations; every later
     # probe moves one vector and recomputes only its two correlations.
     expected = 4 * restarts + 2 * (result.iterations - restarts)
-    assert counts == {"kron2": 0, "singlet_expectation": expected}
-    counts.update(kron2=0, singlet_expectation=0)
+    assert counts == {"tensor_product": 0, "singlet_expectation": expected}
+    counts.update(tensor_product=0, singlet_expectation=0)
     sweep_coplanar_family(11)
-    assert counts == {"kron2": 0, "singlet_expectation": 4 * 11}
+    assert counts == {"tensor_product": 0, "singlet_expectation": 4 * 11}
 
 
 def _full_quantum_value(point):

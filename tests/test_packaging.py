@@ -9,6 +9,7 @@ from chshbounds import __version__
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"
+ACCEPTANCE = "PYTHONPATH=src python -m pytest tests/test_acceptance.py -q -rP"
 
 
 def _toml_table(name: str) -> str:
@@ -37,6 +38,9 @@ def test_ci_runs_tier1_on_both_backends():
         assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12"]
         commands = "\n".join(step.get("run", "") for step in job["steps"])
         assert TIER1 in commands
+        # The acceptance criteria run apart, with -rP to print their elapsed times.
+        assert "--ignore=tests/test_acceptance.py" in commands
+        assert ACCEPTANCE in commands.splitlines()
         builds.append("python setup.py build_ext --inplace" in commands)
     assert sorted(builds) == [False, True]
 

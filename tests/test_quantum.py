@@ -267,7 +267,7 @@ def test_operator_norm_is_scale_free(backend, exponent):
 # Eigenvalues of B, C = [A,A'] (x) [B,B'] and B-dagger B for the first eight
 # configurations of stream 501, as float.hex, from the table-free Jacobi loop
 # that the table-driven one replaced.  Any change of operation order in the
-# eigensolver, matmul or kron2 moves them.
+# eigensolver, matmul or tensor_product moves them.
 PINNED_EIGVALS = [
     # random_configuration(501, 0): B, C, B-dagger B
     "-0x1.68a9867130f48p+1 -0x1.f8a3dcf294356p-3 0x1.f8a3dcf29435ap-3 0x1.68a9867130f47p+1",
@@ -361,6 +361,6 @@ def test_complex_matrix_validation():
     with pytest.raises(ValueError):
         ComplexMatrix.from_rows([[1, 2, 3], [4]])  # ragged, yet 4 entries in total
     m = ComplexMatrix.from_rows([[1 + 0j, 2j], [0j, 1 + 0j]])
-    assert m.entry(0, 1) == 2j
-    assert m.dagger().entry(1, 0) == -2j
+    assert m.entries[1] == 2j
+    assert m.dagger().entries[2] == -2j
     assert not m.is_hermitian()
