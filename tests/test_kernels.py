@@ -142,7 +142,9 @@ def _matmul_spec(a, b, n):
     return out
 
 
-def test_tensor_product_matches_its_specification():
+def test_kron2_matches_its_specification(backend):
+    """quantum.tensor_product forms the Kronecker product in plain Python; its
+    bits must not depend on which kernel backend is selected."""
     r = random.Random(18)
     for i in range(PARITY_INPUTS):
         nonfinite = (0.0, 0.02, 0.1)[i % 3]
