@@ -17,7 +17,6 @@ import importlib
 import os
 
 KERNEL_NAMES = (
-    "matmul",
     "singlet_expectation",
     "eigvals_hermitian",
     "rng_u64",

@@ -1,11 +1,13 @@
-/* Native compute kernels: the functions of chshbounds._kernels.reference, with
- * the same signatures and the same floating-point operations in the same
- * order, so that each returns the same bits.  Complex arithmetic is
- * CPython 3.11's, spelled out: a product is (ar*br - ai*bi, ar*bi + ai*br), and
- * a float operand of a complex product is first promoted to (x, 0.0).  So both
- * backends give bit-identical values on one machine (complex entries may
- * differ only in the sign of a zero).  setup.py disables FMA contraction and
- * sin/cos fusion, which would change last bits.  Change the reference too. */
+/* Native compute kernels: the five functions of chshbounds._kernels.reference,
+ * with the same signatures and the same floating-point operations in the same
+ * order, so that each returns the same bits.  Complex arithmetic is CPython
+ * 3.11's, spelled out: a product is (ar*br - ai*bi, ar*bi + ai*br), and a float
+ * operand of a complex product is first promoted to (x, 0.0).  So both backends
+ * give bit-identical values on one machine (complex entries may differ only in
+ * the sign of a zero).  setup.py disables FMA contraction and sin/cos fusion,
+ * which would change last bits.  Change the reference too.  Matrix and
+ * Kronecker products are plain Python in chshbounds.quantum: no CLI command
+ * forms enough of them for a copy here to pay for itself. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -103,7 +105,7 @@ static int load_size(PyObject *obj, Py_ssize_t *n, Py_ssize_t *size)
     *n = PyNumber_AsSsize_t(obj, PyExc_OverflowError);
     if (*n == -1 && PyErr_Occurred())
         return -1;
-    /* Bounded so that the 3 * n * n entries matmul allocates cannot overflow. */
+    /* Bounded so that the byte count of n * n complex entries cannot overflow. */
     if (*n < 0 || (*n > 0 && (PY_SSIZE_T_MAX / 64) / *n < *n)) {
         PyErr_Format(PyExc_ValueError, "matrix size %zd is out of range", *n);
         return -1;
@@ -112,15 +114,12 @@ static int load_size(PyObject *obj, Py_ssize_t *n, Py_ssize_t *size)
     return 0;
 }
 
-/* A list of `count` floats, or of complex numbers (re, im) when `complex_items`,
- * whose first doubles lie `stride` doubles apart in `values`. */
-static PyObject *number_list(const double *values, Py_ssize_t count, Py_ssize_t stride,
-                             int complex_items)
+/* A list of `count` floats that lie `stride` doubles apart in `values`. */
+static PyObject *float_list(const double *values, Py_ssize_t count, Py_ssize_t stride)
 {
     PyObject *out = PyList_New(count);
     for (Py_ssize_t i = 0; out != NULL && i < count; i++) {
-        const double *v = values + i * stride;
-        PyObject *x = complex_items ? PyComplex_FromDoubles(v[0], v[1]) : PyFloat_FromDouble(v[0]);
+        PyObject *x = PyFloat_FromDouble(values[i * stride]);
         if (x == NULL)
             Py_CLEAR(out);
         else
@@ -145,31 +144,6 @@ static PyObject *rng_u01(PyObject *self, PyObject *const *args, Py_ssize_t nargs
         || load_u64(args[1], &index) < 0)
         return NULL;
     return PyFloat_FromDouble(u01(seed, index));
-}
-
-static PyObject *matmul(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    Py_ssize_t n, size;
-    if (check_nargs("matmul", nargs, 3) < 0 || load_size(args[2], &n, &size) < 0)
-        return NULL;
-    cplx *a = PyMem_New(cplx, 3 * size);
-    if (a == NULL)
-        return PyErr_NoMemory();
-    cplx *b = a + size, *out = b + size;
-    PyObject *result = NULL;
-    if (load_items(args[0], size, "a", NULL, a) == 0
-        && load_items(args[1], size, "b", NULL, b) == 0) {
-        for (Py_ssize_t i = 0; i < n; i++)
-            for (Py_ssize_t j = 0; j < n; j++) {
-                cplx acc = {0.0, 0.0};
-                for (Py_ssize_t k = 0; k < n; k++)
-                    acc = c_add(acc, c_mul(a[i * n + k], b[k * n + j]));
-                out[i * n + j] = acc;
-            }
-        result = number_list(&out[0].re, size, 2, 1);
-    }
-    PyMem_Free(a);
-    return result;
 }
 
 /* <psi-| (sigma.a) (x) (sigma.b) |psi->: the four Kronecker entries at rows
@@ -296,7 +270,7 @@ static PyObject *eigvals_hermitian(PyObject *self, PyObject *const *args, Py_ssi
             PyErr_SetString(PyExc_OverflowError, "math range error");
     }
     if (!PyErr_Occurred())
-        result = number_list(&a[0].re, n, 2 * (n + 1), 0); /* real parts of the diagonal */
+        result = float_list(&a[0].re, n, 2 * (n + 1)); /* real parts of the diagonal */
     /* Python's own sort, so that ties (0.0 and -0.0) keep the reference order. */
     if (result != NULL && PyList_Sort(result) < 0)
         Py_CLEAR(result);
@@ -349,7 +323,6 @@ static PyObject *lhv_mc_sums(PyObject *self, PyObject *const *args, Py_ssize_t n
 static PyMethodDef kernel_methods[] = {
     KERNEL(rng_u64, "Return draw ``index`` of the stream ``seed`` as a 64-bit integer."),
     KERNEL(rng_u01, "Return draw ``index`` of the stream ``seed``, uniform on [0, 1)."),
-    KERNEL(matmul, "Product of two flat n x n complex matrices."),
     KERNEL(singlet_expectation, "<psi-| (sigma.a) (x) (sigma.b) |psi-> for directions a and b."),
     KERNEL(eigvals_hermitian, "Eigenvalues of a flat n x n complex Hermitian matrix, ascending."),
     KERNEL(lhv_mc_sums,

@@ -1,8 +1,10 @@
 """Pure-Python compute kernels.
 
-Reference implementations of every hot numerical loop in the package: small
-complex-matrix algebra, the cyclic Jacobi eigensolver, the counter-based
-random stream, and the Monte Carlo accumulator.  The optional C extension
+Reference implementations of the package's five kernels: the fused singlet
+expectation, the cyclic Jacobi eigensolver, the counter-based random stream
+(two kernels), and the Monte Carlo accumulator.  Matrix and Kronecker
+products are plain Python in ``quantum``; no CLI command forms enough of
+them for a C copy to pay for itself.  The optional C extension
 ``chshbounds._kernels._native`` (``_native.c``) implements the same
 functions with the same signatures.  The contract between the two is
 identical results: on the same machine both backends return the same bits
@@ -11,12 +13,12 @@ error types.  Floating-point operations that reach a result must happen in
 the same order on both sides; everything else (how a state is searched for,
 how a loop is organised) may differ.  Keep the two files in sync.
 
-Loop organisation in this file, chosen for interpreter speed: ``matmul``
-has straight-line bodies for n = 2 and n = 4, each entry written as the
-generic loop's left-to-right sum; ``eigvals_hermitian`` walks index tables
-built once per n (the off-diagonal entries, and per pivot its three entries
-and its column and row pairs).
-Each performs the same operations in the same order as the plain loops.
+Loop organisation in this file, chosen for interpreter speed:
+``eigvals_hermitian`` walks index tables built once per n (the off-diagonal
+entries, and per pivot its three entries and its column and row pairs), and
+``lhv_mc_sums`` inlines the random stream and finds each state by
+bisection.  Each performs the same operations in the same order as the
+plain loops.
 
 Conventions shared by both backends:
 
@@ -29,7 +31,6 @@ Conventions shared by both backends:
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_right
 from functools import lru_cache
 
@@ -73,55 +74,6 @@ def rng_u64(seed: int, index: int) -> int:
 def rng_u01(seed: int, index: int) -> float:
     """Return draw ``index`` of the stream ``seed``, uniform on [0, 1)."""
     return (rng_u64(seed, index) >> 11) * _INV_2_53
-
-
-def matmul(a, b, n: int):
-    """Product of two flat n x n complex matrices.
-
-    Entry (i, j) is 0j + a[i,0]*b[0,j] + a[i,1]*b[1,j] + ..., summed left to
-    right; n = 2 and n = 4 spell that sum out.
-    """
-    # A non-integer n raises TypeError here rather than match 2 or 4.
-    n = operator.index(n)
-    if n == 4 and len(a) == 16 and len(b) == 16:
-        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
-        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = b
-        return [
-            0j + a0 * b0 + a1 * b4 + a2 * b8 + a3 * b12,
-            0j + a0 * b1 + a1 * b5 + a2 * b9 + a3 * b13,
-            0j + a0 * b2 + a1 * b6 + a2 * b10 + a3 * b14,
-            0j + a0 * b3 + a1 * b7 + a2 * b11 + a3 * b15,
-            0j + a4 * b0 + a5 * b4 + a6 * b8 + a7 * b12,
-            0j + a4 * b1 + a5 * b5 + a6 * b9 + a7 * b13,
-            0j + a4 * b2 + a5 * b6 + a6 * b10 + a7 * b14,
-            0j + a4 * b3 + a5 * b7 + a6 * b11 + a7 * b15,
-            0j + a8 * b0 + a9 * b4 + a10 * b8 + a11 * b12,
-            0j + a8 * b1 + a9 * b5 + a10 * b9 + a11 * b13,
-            0j + a8 * b2 + a9 * b6 + a10 * b10 + a11 * b14,
-            0j + a8 * b3 + a9 * b7 + a10 * b11 + a11 * b15,
-            0j + a12 * b0 + a13 * b4 + a14 * b8 + a15 * b12,
-            0j + a12 * b1 + a13 * b5 + a14 * b9 + a15 * b13,
-            0j + a12 * b2 + a13 * b6 + a14 * b10 + a15 * b14,
-            0j + a12 * b3 + a13 * b7 + a14 * b11 + a15 * b15,
-        ]
-    if n == 2 and len(a) == 4 and len(b) == 4:
-        a0, a1, a2, a3 = a
-        b0, b1, b2, b3 = b
-        return [
-            0j + a0 * b0 + a1 * b2,
-            0j + a0 * b1 + a1 * b3,
-            0j + a2 * b0 + a3 * b2,
-            0j + a2 * b1 + a3 * b3,
-        ]
-    # Other sizes and lengths: the first n*n entries of each, or IndexError.
-    out = [0j] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            acc = 0j
-            for k in range(n):
-                acc = acc + a[i * n + k] * b[k * n + j]
-            out[i * n + j] = acc
-    return out
 
 
 def singlet_expectation(a, b) -> complex:

@@ -131,11 +131,15 @@ class Multivector:
         return self.max_abs_difference(other) <= 1e-12
 
     def __add__(self, other: "Multivector") -> "Multivector":
+        if not isinstance(other, Multivector):
+            return NotImplemented
         return Multivector(
             tuple(x + y for x, y in zip(self.coefficients, other.coefficients))
         )
 
     def __sub__(self, other: "Multivector") -> "Multivector":
+        if not isinstance(other, Multivector):
+            return NotImplemented
         return Multivector(
             tuple(x - y for x, y in zip(self.coefficients, other.coefficients))
         )

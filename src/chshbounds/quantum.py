@@ -49,12 +49,20 @@ IMAG_RESIDUE_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class ComplexMatrix:
-    """Dense square complex matrix, entries flat row-major."""
+    """Dense square complex matrix, entries flat row-major.
+
+    ``entries`` is stored as a tuple whatever sequence is passed, so that
+    equality, hashing and :meth:`is_hermitian` compare like with like.  The
+    matrix product ``@`` is plain Python, not a kernel: no CLI command forms
+    more than 21 products, all 2x2 or 4x4.
+    """
 
     dim: int
     entries: tuple[complex, ...]
 
     def __post_init__(self):
+        if type(self.entries) is not tuple:
+            object.__setattr__(self, "entries", tuple(self.entries))
         if self.dim < 1:
             raise ValueError("matrix dimension must be positive")
         if len(self.entries) != self.dim * self.dim:
@@ -97,10 +105,14 @@ class ComplexMatrix:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def __add__(self, other: "ComplexMatrix") -> "ComplexMatrix":
+        if not isinstance(other, ComplexMatrix):
+            return NotImplemented
         self._require_same_dim(other)
         return ComplexMatrix(self.dim, tuple(x + y for x, y in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "ComplexMatrix") -> "ComplexMatrix":
+        if not isinstance(other, ComplexMatrix):
+            return NotImplemented
         self._require_same_dim(other)
         return ComplexMatrix(self.dim, tuple(x - y for x, y in zip(self.entries, other.entries)))
 
@@ -112,10 +124,54 @@ class ComplexMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "ComplexMatrix") -> "ComplexMatrix":
+        """Matrix product.
+
+        Entry (i, j) is 0j + a[i,0]*b[0,j] + a[i,1]*b[1,j] + ..., summed left
+        to right; n = 2 and n = 4 spell that sum out.
+        """
+        if not isinstance(other, ComplexMatrix):
+            return NotImplemented
         self._require_same_dim(other)
-        return ComplexMatrix(
-            self.dim, tuple(_kernels.matmul(self.entries, other.entries, self.dim))
-        )
+        n = self.dim
+        if n == 4:
+            a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = self.entries
+            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = other.entries
+            return ComplexMatrix(4, (
+                0j + a0 * b0 + a1 * b4 + a2 * b8 + a3 * b12,
+                0j + a0 * b1 + a1 * b5 + a2 * b9 + a3 * b13,
+                0j + a0 * b2 + a1 * b6 + a2 * b10 + a3 * b14,
+                0j + a0 * b3 + a1 * b7 + a2 * b11 + a3 * b15,
+                0j + a4 * b0 + a5 * b4 + a6 * b8 + a7 * b12,
+                0j + a4 * b1 + a5 * b5 + a6 * b9 + a7 * b13,
+                0j + a4 * b2 + a5 * b6 + a6 * b10 + a7 * b14,
+                0j + a4 * b3 + a5 * b7 + a6 * b11 + a7 * b15,
+                0j + a8 * b0 + a9 * b4 + a10 * b8 + a11 * b12,
+                0j + a8 * b1 + a9 * b5 + a10 * b9 + a11 * b13,
+                0j + a8 * b2 + a9 * b6 + a10 * b10 + a11 * b14,
+                0j + a8 * b3 + a9 * b7 + a10 * b11 + a11 * b15,
+                0j + a12 * b0 + a13 * b4 + a14 * b8 + a15 * b12,
+                0j + a12 * b1 + a13 * b5 + a14 * b9 + a15 * b13,
+                0j + a12 * b2 + a13 * b6 + a14 * b10 + a15 * b14,
+                0j + a12 * b3 + a13 * b7 + a14 * b11 + a15 * b15,
+            ))
+        if n == 2:
+            a0, a1, a2, a3 = self.entries
+            b0, b1, b2, b3 = other.entries
+            return ComplexMatrix(2, (
+                0j + a0 * b0 + a1 * b2,
+                0j + a0 * b1 + a1 * b3,
+                0j + a2 * b0 + a3 * b2,
+                0j + a2 * b1 + a3 * b3,
+            ))
+        a, b = self.entries, other.entries
+        out = []
+        for i in range(n):
+            for j in range(n):
+                acc = 0j
+                for k in range(n):
+                    acc = acc + a[i * n + k] * b[k * n + j]
+                out.append(acc)
+        return ComplexMatrix(n, tuple(out))
 
     def expectation(self, state: Sequence[complex]) -> complex:
         """Quadratic form <state| M |state>, summed row by row in index order."""

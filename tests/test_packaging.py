@@ -1,5 +1,6 @@
 """Packaging metadata and the CI workflow, read as text."""
 
+import json
 import re
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from chshbounds import __version__
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"
 ACCEPTANCE = "PYTHONPATH=src python -m pytest tests/test_acceptance.py -q -rP"
+TRACED_BENCHMARK = 'python3 perfbench/run.py --workload "$workload" --seed 0 --seconds 1 --trace 1'
 
 
 def _toml_table(name: str) -> str:
@@ -33,6 +35,8 @@ def test_ci_runs_tier1_on_both_backends():
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
     jobs = workflow["jobs"]
     assert len(jobs) == 2
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [workload["name"] for workload in benchmark["workloads"]]
     builds = []
     for job in jobs.values():
         assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12"]
@@ -41,6 +45,11 @@ def test_ci_runs_tier1_on_both_backends():
         # The acceptance criteria run apart, with -rP to print their elapsed times.
         assert "--ignore=tests/test_acceptance.py" in commands
         assert ACCEPTANCE in commands.splitlines()
+        # Each job runs the traced benchmark on every workload and requires
+        # "correct": true, so its output checks run on both backends.
+        assert f"for workload in {' '.join(workloads)}; do" in commands
+        assert TRACED_BENCHMARK in commands
+        assert '["correct"] is not True' in commands
         builds.append("python setup.py build_ext --inplace" in commands)
     assert sorted(builds) == [False, True]
 

@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chshbounds import _kernels, rng
-from chshbounds.ga import Multivector, commutator
+from chshbounds.ga import E1, Multivector, commutator
 from chshbounds.geometry import (
     canonical_configuration,
     cross,
@@ -267,7 +268,7 @@ def test_operator_norm_is_scale_free(backend, exponent):
 # Eigenvalues of B, C = [A,A'] (x) [B,B'] and B-dagger B for the first eight
 # configurations of stream 501, as float.hex, from the table-free Jacobi loop
 # that the table-driven one replaced.  Any change of operation order in the
-# eigensolver, matmul or tensor_product moves them.
+# eigensolver, the matrix product or tensor_product moves them.
 PINNED_EIGVALS = [
     # random_configuration(501, 0): B, C, B-dagger B
     "-0x1.68a9867130f48p+1 -0x1.f8a3dcf294356p-3 0x1.f8a3dcf29435ap-3 0x1.68a9867130f47p+1",
@@ -364,3 +365,35 @@ def test_complex_matrix_validation():
     assert m.entries[1] == 2j
     assert m.dagger().entries[2] == -2j
     assert not m.is_hermitian()
+
+
+def test_complex_matrix_built_from_a_list_equals_the_tuple_form():
+    """Entries are kept as a tuple whatever sequence is passed, so a matrix
+    built from a list is Hermitian, equal and hash-equal to its tuple form,
+    and its norm takes the same branch."""
+    for cfg in (random_configuration(31, i) for i in range(50)):
+        op = chsh_operator(cfg)
+        listed = ComplexMatrix(4, list(op.entries))
+        assert listed.is_hermitian()
+        assert listed == op and hash(listed) == hash(op)
+        assert operator_norm(listed).hex() == operator_norm(op).hex()
+
+
+@pytest.mark.parametrize(
+    "op, left, right",
+    [
+        (operator.matmul, IDENTITY_2, 3),
+        (operator.add, IDENTITY_2, 1),
+        (operator.sub, IDENTITY_2, 1.0),
+        (operator.add, IDENTITY_2, E1),
+        (operator.add, E1, 1),
+        (operator.sub, E1, 1.0),
+        (operator.sub, E1, IDENTITY_2),
+    ],
+    ids=["matrix@int", "matrix+int", "matrix-float", "matrix+multivector", "multivector+int",
+         "multivector-float", "multivector-matrix"],
+)
+def test_binary_operators_reject_other_operands_with_type_error(op, left, right):
+    """The operand type is checked before it is used, so Python raises TypeError."""
+    with pytest.raises(TypeError):
+        op(left, right)
