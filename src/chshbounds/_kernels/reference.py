@@ -15,10 +15,13 @@ how a loop is organised) may differ.  Keep the two files in sync.
 
 Loop organisation in this file, chosen for interpreter speed:
 ``eigvals_hermitian`` walks index tables built once per n (the off-diagonal
-entries, and per pivot its three entries and its column and row pairs), and
-``lhv_mc_sums`` inlines the random stream and finds each state by
-bisection.  Each performs the same operations in the same order as the
-plain loops.
+entries, and per pivot its three entries and its column and row pairs).
+``lhv_mc_sums`` mixes up to 1024 SplitMix64 draws at once, each in its own
+128-bit lane of one Python int, so that every integer operation of the
+finalizer runs over the whole chunk in C.  It then picks each draw's state
+by bisection over integer thresholds, which give the same comparisons as the
+float variates, and adds the states' table rows in index order.  Each
+performs the same float operations in the same order as the plain loops.
 
 Conventions shared by both backends:
 
@@ -31,8 +34,10 @@ Conventions shared by both backends:
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from bisect import bisect_right
-from functools import lru_cache
+from functools import lru_cache, partial
 
 BACKEND_NAME = "python"
 
@@ -43,6 +48,9 @@ _MIX_MULT_2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
 _INT64_MIN = -(1 << 63)
 _INT64_LIMIT = 1 << 63
+
+# lhv_mc_sums mixes its draws _MC_LANES at a time, one per 128-bit lane.
+_MC_LANES = 1024
 
 # Jacobi stopping rule: off-diagonal Frobenius mass below _JACOBI_RTOL times
 # the Frobenius norm of the matrix, at most _JACOBI_MAX_SWEEPS sweeps.  Every
@@ -205,6 +213,49 @@ def eigvals_hermitian(entries, n: int):
     raise AssertionError("unreachable")
 
 
+@lru_cache(maxsize=8)
+def _lane_constants(lanes: int):
+    """Constants over ``lanes`` packed 128-bit lanes: 1 in every lane,
+    2**64 - 1 in every lane, and (i + 1) * golden gamma in lane i."""
+    one = int.from_bytes((b"\x01" + bytes(15)) * lanes, "little")
+    mask = int.from_bytes((b"\xff" * 8 + bytes(8)) * lanes, "little")
+    steps = b"".join(((i + 1) * _GOLDEN_GAMMA).to_bytes(16, "little") for i in range(lanes))
+    return one, mask, int.from_bytes(steps, "little")
+
+
+def _packed_draws(seed: int, start: int, lanes: int):
+    """Draws ``start`` .. ``start + lanes - 1`` of the stream ``seed``, as
+    ``rng_u64`` returns them, in an ``array('Q')``.
+
+    Draw i sits in lane i of one int.  Every lane holds less than 2**64
+    before each step, so a shift's spill into the lane below is masked off,
+    and a product with a 64-bit multiplier stays inside its 128-bit lane.
+    The last shift's spill lands in the high words, which are dropped.
+    """
+    one, mask, steps = _lane_constants(lanes)
+    z = (((seed + start * _GOLDEN_GAMMA) & _MASK64) * one + steps) & mask
+    z = ((z ^ ((z >> 30) & mask)) * _MIX_MULT_1) & mask
+    z = ((z ^ ((z >> 27) & mask)) * _MIX_MULT_2) & mask
+    z ^= z >> 31
+    words = array("Q", z.to_bytes(16 * lanes, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words[::2]
+
+
+def _draw_threshold(c: float) -> int:
+    """The integer t with ``x < t`` exactly when ``(x >> 11) * 2**-53 < c``,
+    for every 64-bit draw x.
+
+    For 0 < c <= 1, c * 2**53 is exact and (x >> 11) is an integer, so the
+    float test holds exactly below ceil(c * 2**53) << 11.  A c above 1 (+inf
+    too) admits every draw, and c <= 0 (-inf too) or NaN admits none.
+    """
+    if c > 0.0:
+        return math.ceil(min(c, 1.0) * 2.0**53) << 11
+    return 0 if c <= 0.0 else -1
+
+
 def lhv_mc_sums(cum_weights, products, seed: int, start: int, stop: int):
     """Accumulate Monte Carlo sums for a finite hidden-state mixture.
 
@@ -217,13 +268,17 @@ def lhv_mc_sums(cum_weights, products, seed: int, start: int, stop: int):
     squares, accumulated in index order so the result is independent of how
     callers partition the index range.
 
-    The loop inlines ``rng_u01`` on a running counter and reads each state's
-    products and squares from a table built once per call.  Draw indices are
-    64-bit signed integers, as in the native kernel: a ``start`` or ``stop``
-    outside [-2**63, 2**63) raises ``OverflowError`` before any draw.
-    Weights and products are read as floats once per call, as the native
-    kernel reads them: a complex or str is a ``TypeError``, an int beyond
-    the range of a float an ``OverflowError``.
+    The draws are made up to 1024 at a time by ``_packed_draws``, in 128-bit
+    lanes of one int.  Each picks its state by bisection over the integer
+    thresholds of ``_draw_threshold``, which agree with every comparison of
+    ``rng_u01`` against a weight, so the search takes the same path.  The
+    loop then adds each state's products and squares, read from a table
+    built once per call, into eight running sums in index order.
+    Draw indices are 64-bit signed integers, as in the native kernel: a
+    ``start`` or ``stop`` outside [-2**63, 2**63) raises ``OverflowError``
+    before any draw.  Weights and products are read as floats once per
+    call, as the native kernel reads them: a complex or str is a
+    ``TypeError``, an int beyond the range of a float an ``OverflowError``.
     """
     if not (_INT64_MIN <= start < _INT64_LIMIT and _INT64_MIN <= stop < _INT64_LIMIT):
         raise OverflowError(f"start {start} or stop {stop} is outside [-2**63, 2**63)")
@@ -231,34 +286,30 @@ def lhv_mc_sums(cum_weights, products, seed: int, start: int, stop: int):
         raise IndexError("cum_weights is empty")
     # ldexp(x, 0) is x as a float, -0.0 included; unlike float() it parses no str.
     ldexp = math.ldexp
-    cum_weights = [ldexp(w, 0) for w in cum_weights]
-    last = len(cum_weights) - 1
+    thresholds = [_draw_threshold(ldexp(w, 0)) for w in cum_weights]
     table = []
-    for base in range(0, 4 * len(cum_weights), 4):
+    for base in range(0, 4 * len(thresholds), 4):
         p1 = ldexp(products[base], 0)
         p2 = ldexp(products[base + 1], 0)
         p3 = ldexp(products[base + 2], 0)
         p4 = ldexp(products[base + 3], 0)
         table.append((p1, p2, p3, p4, p1 * p1, p2 * p2, p3 * p3, p4 * p4))
+    # Bisection past the last threshold selects the last state.
+    table.append(table[-1])
+    pick = partial(bisect_right, thresholds)
+    # Reduced here, so a seed that is not an int fails even on an empty range.
+    seed &= _MASK64
     s1 = s2 = s3 = s4 = 0.0
     q1 = q2 = q3 = q4 = 0.0
-    # At draw i, counter & _MASK64 is (seed + (i + 1) * _GOLDEN_GAMMA) & _MASK64.
-    counter = (seed + (start + 1) * _GOLDEN_GAMMA) & _MASK64
-    for _ in range(start, stop):
-        z = counter & _MASK64
-        counter += _GOLDEN_GAMMA
-        z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _MASK64
-        k = bisect_right(cum_weights, ((z ^ (z >> 31)) >> 11) * _INV_2_53)
-        if k > last:
-            k = last
-        p1, p2, p3, p4, r1, r2, r3, r4 = table[k]
-        s1 += p1
-        s2 += p2
-        s3 += p3
-        s4 += p4
-        q1 += r1
-        q2 += r2
-        q3 += r3
-        q4 += r4
+    for chunk in range(start, stop, _MC_LANES):
+        draws = _packed_draws(seed, chunk, min(_MC_LANES, stop - chunk))
+        for p1, p2, p3, p4, r1, r2, r3, r4 in map(table.__getitem__, map(pick, draws)):
+            s1 += p1
+            s2 += p2
+            s3 += p3
+            s4 += p4
+            q1 += r1
+            q2 += r2
+            q3 += r3
+            q4 += r4
     return (s1, s2, s3, s4, q1, q2, q3, q4)

@@ -358,11 +358,19 @@ def operator_norm(m: ComplexMatrix) -> float:
     by the power of two 2**-e that brings its largest real or imaginary part
     into [0.5, 1), so that the Gram matrix cannot overflow or underflow; the
     norm is scaled back by 2**e.  Both scalings are exact.
-    Raises ValueError naming the first non-finite entry, and RuntimeError if
-    the eigensolver fails to converge.
+    Raises TypeError naming the first entry that is not a number, ValueError
+    naming the first non-finite entry, and RuntimeError if the eigensolver
+    fails to converge.
     """
     for index, z in enumerate(m.entries):
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        try:
+            finite = math.isfinite(z.real) and math.isfinite(z.imag)
+        except AttributeError:
+            raise TypeError(
+                f"matrix entry ({index // m.dim}, {index % m.dim}) must be a number,"
+                f" not {type(z).__name__}"
+            ) from None
+        if not finite:
             raise ValueError(
                 f"matrix entry ({index // m.dim}, {index % m.dim}) is not finite: {z!r}"
             )

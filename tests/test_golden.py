@@ -23,6 +23,8 @@ CASES = {
     ],
     "verify_config_angles.json": ["verify", "--config", "angles.yaml"],
     "verify_config_angles_model.json": ["verify", "--config", "angles_model.yaml"],
+    # Non-integer responses over two full Monte Carlo blocks and a partial one.
+    "verify_config_mc_mixture.json": ["verify", "--config", "mc_mixture.yaml"],
     "optimize_classical.json": ["optimize", "--track", "classical", "--restarts", "8"],
     "optimize_quantum.json": ["optimize", "--track", "quantum", "--restarts", "8"],
     "optimize_ga.json": ["optimize", "--track", "ga", "--restarts", "8"],

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chshbounds import _kernels, quantum
 from chshbounds._kernels import reference
@@ -333,6 +335,10 @@ def _lhv_mc_case(r, i):
         seed = r.choice((seed + 2**64, -seed, -1, 2**70 + seed))
         start = r.choice((start, -start, -r.randint(1, 40)))
         stop = start + r.randint(0, 80)
+    elif kind == 6:
+        # A later draw lands exactly on a cumulative weight.
+        stop = start + r.randint(2, 40)
+        cum_weights = sorted(cum_weights + [reference.rng_u01(seed, r.randrange(start + 1, stop))])
     return cum_weights, seed, start, stop
 
 
@@ -342,6 +348,17 @@ def test_lhv_mc_sums_bitwise_identical(native):
     # Ranges longer than one Monte Carlo block of 4096 draws.
     for cum_weights, seed, start, _ in cases[:8]:
         cases.append((cum_weights, seed, start, start + 2 * 4096 + r.randint(1, 100)))
+    # Ranges of exactly one chunk of packed draws, one draw less and one more,
+    # and three blocks and a part of a fourth.
+    lanes = reference._MC_LANES
+    for length in (lanes - 1, lanes, lanes + 1, 3 * 4096 + 17):
+        for cum_weights, seed, start, _ in cases[8:12]:
+            cases.append((cum_weights, seed, start, start + length))
+    # Draws deep inside a chunk land exactly on cumulative weights.
+    for cum_weights, seed, start, _ in cases[12:20]:
+        stop = start + 2 * lanes + 5
+        hits = [reference.rng_u01(seed, r.randrange(start + 1, stop)) for _ in range(3)]
+        cases.append((sorted(cum_weights + hits), seed, start, stop))
     for cum_weights, seed, start, stop in cases:
         products = [
             r.choice((1.0, -1.0, 0.0, r.uniform(-1, 1))) for _ in range(4 * len(cum_weights))
@@ -386,6 +403,54 @@ def test_lhv_mc_sums_rejects_indices_beyond_int64(native):
     for start, stop in [(2**63 - 3, 2**63 - 1), (-(2**63), -(2**63) + 2)]:
         got = native.lhv_mc_sums(*args, start, stop)
         assert _bits(got) == _bits(reference.lhv_mc_sums(*args, start, stop))
+
+
+@pytest.mark.parametrize(
+    "lanes", [1, reference._MC_LANES - 1, reference._MC_LANES, reference._MC_LANES + 1]
+)
+def test_packed_draws_are_splitmix64(lanes):
+    """Every lane of a packed chunk holds the draw that rng_u64 makes alone,
+    for seeds outside [0, 2**64) and starts across the int64 range."""
+    starts = (0, 123_457, -1, -lanes // 2 - 3, 2**63 - lanes, -(2**63), -(2**63) + 5)
+    seeds = (0, 7, 2**64 - 1, -1, -(2**64) - 12345, 2**70, 2**70 + 99, 3 * 2**80 + 1)
+    for seed in seeds:
+        for start in starts:
+            expected = [reference.rng_u64(seed, i) for i in range(start, start + lanes)]
+            assert list(reference._packed_draws(seed, start, lanes)) == expected
+
+
+_WEIGHT_EDGES = (
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072009e-308,  # the largest subnormal
+    1.0 - 2.0**-53,
+    1.0,
+    1.0 + 2.0**-52,
+    math.inf,
+    -math.inf,
+    _NAN,
+)
+
+
+@settings(derandomize=True, max_examples=500)
+@given(
+    st.one_of(
+        st.sampled_from(_WEIGHT_EDGES),
+        st.builds(reference.rng_u01, st.integers(0, 2**64 - 1), st.integers(-(2**63), 2**63 - 1)),
+        st.floats(),
+        st.floats(0.0, 1.0),
+    )
+)
+def test_draw_threshold_agrees_with_the_float_comparison(c):
+    """x < threshold(c) exactly when rng_u01's variate (x >> 11) * 2**-53 is
+    below c, for the 64-bit draws at and next to the threshold and at the
+    ends of the range."""
+    t = reference._draw_threshold(c)
+    for x in (t - 1, t, t + 1, 0, 2**64 - 1):
+        if 0 <= x < 2**64:
+            assert ((x >> 11) * 2.0**-53 < c) == (x < t)
 
 
 # Wrong arity, a too-short sequence and a non-number, per kernel.  Each row

@@ -208,6 +208,34 @@ def test_monte_carlo_bits_are_pinned(backend):
     ]
 
 
+def test_monte_carlo_bits_are_pinned_for_non_integer_responses(backend):
+    # With +/-1 products every partial sum is an exact integer, so any
+    # summation order gives the same bits; these products are not, so a
+    # reordered sum moves them.  Three full blocks and a partial one; the hex
+    # strings were produced by the one-draw-at-a-time bisection kernel.
+    model = LhvModel.from_pairs(
+        [
+            (0.1, (0.3, -0.71, 0.9, -0.45)),
+            (0.2, (-0.6, 0.85, -0.15, 1.0)),
+            (0.3, (0.25, 0.5, -0.95, 0.35)),
+            (0.4, (-1.0, -0.2, 0.65, -0.8)),
+        ]
+    )
+    est = monte_carlo_correlations(model, 3 * 4096 + 17, seed=20202)
+    assert [c.hex() for c in est.correlations.as_tuple()] == [
+        "-0x1.2728d9da18eb0p-2",
+        "0x1.bb765a902373cp-3",
+        "-0x1.1f5cbe41e8727p-2",
+        "0x1.47a11037246dcp-2",
+    ]
+    assert [e.hex() for e in est.std_errors] == [
+        "0x1.8fd0d41b70c39p-9",
+        "0x1.3ea8c61dfaf4ap-8",
+        "0x1.cbf4d241a9905p-10",
+        "0x1.3ff284e23b086p-9",
+    ]
+
+
 def test_monte_carlo_single_sample_has_zero_errors():
     model = random_model(9, 4)
     est = monte_carlo_correlations(model, 1, seed=0)

@@ -349,6 +349,20 @@ def test_operator_norm_rejects_non_finite_entries(monkeypatch, entries, position
         operator_norm(m)
 
 
+@pytest.mark.parametrize(
+    "entries, position, kind",
+    [
+        (("1", "0", "0", "1"), "(0, 0)", "str"),
+        ((1.0, 0j, None, 1.0), "(1, 0)", "NoneType"),
+        ((1.0, 0j, 0j, object()), "(1, 1)", "object"),
+    ],
+)
+def test_operator_norm_rejects_entries_that_are_not_numbers(entries, position, kind):
+    message = f"matrix entry {position} must be a number, not {kind}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        operator_norm(ComplexMatrix(2, entries))
+
+
 @settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_quantum_value_never_exceeds_tsirelson(index):
