@@ -4,7 +4,7 @@ Report output is deterministic down to the byte: floats are written with 17
 significant digits (enough to round-trip an IEEE double exactly), negative
 zero is normalized away, keys are sorted, and every writer appends a single
 trailing newline.  Running the same seeded command twice must produce
-identical files.
+identical files.  Key order is resolved once per key set per writer call.
 """
 
 from __future__ import annotations
@@ -114,15 +114,18 @@ def _quote(text: str) -> str:
     return '"' + text.translate(_STRING_ESCAPES) + '"'
 
 
-def _write_json(value: object, indent: int, pieces: list[str]) -> None:
+def _write_json(value: object, indent: int, pieces: list[str], keys: dict) -> None:
     if isinstance(value, dict):
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-        entries = [(_quote(key) + ": ", value[key]) for key in sorted(value)]
-        _write_entries("{}", entries, indent, pieces)
+        key_tuple = tuple(value)
+        order = keys.get(key_tuple)
+        if order is None:
+            for key in key_tuple:
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            order = keys[key_tuple] = [(_quote(key) + ": ", key) for key in sorted(key_tuple)]
+        _write_entries("{}", [(prefix, value[key]) for prefix, key in order], indent, pieces, keys)
     elif isinstance(value, (list, tuple)):
-        _write_entries("[]", [("", item) for item in value], indent, pieces)
+        _write_entries("[]", [("", item) for item in value], indent, pieces, keys)
     elif isinstance(value, str):
         pieces.append(_quote(value))
     elif value is None:
@@ -131,7 +134,9 @@ def _write_json(value: object, indent: int, pieces: list[str]) -> None:
         pieces.append(_scalar(value))
 
 
-def _write_entries(brackets: str, entries: list, indent: int, pieces: list[str]) -> None:
+def _write_entries(
+    brackets: str, entries: list, indent: int, pieces: list[str], keys: dict
+) -> None:
     """(prefix, value) entries one per line, a level deeper; an empty container stays inline."""
     if not entries:
         pieces.append(brackets)
@@ -139,8 +144,11 @@ def _write_entries(brackets: str, entries: list, indent: int, pieces: list[str])
     inner = "\n" + "  " * (indent + 1)
     separator = brackets[0]
     for prefix, item in entries:
-        pieces.append(separator + inner + prefix)
-        _write_json(item, indent + 1, pieces)
+        if type(item) is float:
+            pieces.append(separator + inner + prefix + format_float(item))
+        else:
+            pieces.append(separator + inner + prefix)
+            _write_json(item, indent + 1, pieces, keys)
         separator = ","
     pieces.append("\n" + "  " * indent + brackets[1])
 
@@ -149,10 +157,11 @@ def canonical_json(value: object) -> str:
     """Deterministic JSON text: sorted keys, 2-space indent, trailing newline.
 
     Containers are ``dict`` (string keys only), ``list`` and ``tuple``; other
-    mapping or sequence types are rejected like any unknown value.
+    mapping or sequence types are rejected like any unknown value.  Key order
+    is resolved once per key set (keys in insertion order) per call.
     """
     pieces: list[str] = []
-    _write_json(value, 0, pieces)
+    _write_json(value, 0, pieces, {})
     pieces.append("\n")
     return "".join(pieces)
 
@@ -162,6 +171,8 @@ def reports_to_json(reports: Sequence[BoundReport]) -> str:
 
 
 def _csv_cell(value: object) -> str:
+    if type(value) is float:
+        return format_float(value)
     return value if isinstance(value, str) else _scalar(value)
 
 
@@ -182,10 +193,7 @@ def sweep_rows(points: Sequence[tuple[float, float]], classical: float, tsirelso
 
 
 def sweep_to_json(points: Sequence[tuple[float, float]], classical: float, tsirelson: float) -> str:
-    rows = [
-        dict(zip(SWEEP_COLUMNS, row))
-        for row in sweep_rows(points, classical, tsirelson)
-    ]
+    rows = [dict(zip(SWEEP_COLUMNS, row)) for row in sweep_rows(points, classical, tsirelson)]
     return canonical_json({"sweep": rows})
 
 

@@ -190,3 +190,13 @@ def test_multivector_operators():
     assert (u - u).norm() == 0.0
     assert (-u + u).norm() == 0.0
     assert "e12" in str(geometric_product(u, v))
+
+
+def test_multivector_str_is_pinned():
+    # Zero coefficients (-0.0 included) are left out; all-zero prints "0".
+    assert str(Multivector((0.0,) * 8)) == "0"
+    assert str(Multivector((-0.0,) * 8)) == "0"
+    assert str(E1 * E1) == "+1"
+    assert str(geometric_product(E1, E2)) == "+1*e12"
+    mixed = Multivector((1.0, 0.0, -2.5, 0.0, 0.5, 0.0, 0.0, 1e-7))
+    assert str(mixed) == "+1 -2.5*e2 +0.5*e12 +1e-07*e123"

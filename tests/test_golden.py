@@ -7,6 +7,7 @@ report bytes regenerates the affected file with the same arguments, e.g.::
     PYTHONPATH=src python -m chshbounds.cli sweep --steps 101 --out tests/golden/sweep_101.json
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,19 @@ def test_cli_output_matches_golden(name, backend, tmp_path):
     out = tmp_path / name
     assert cli.main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# sha256 of `sweep --steps 10001`, the size the benchmark's reports workload
+# writes: the byte contract pinned at scale, where the golden files are small.
+SWEEP_10001_SHA256 = {
+    "json": "7372920d50e4b753b052f45bfc5c1d6f0509cf6f64e26915afef83a1b75f0faf",
+    "csv": "05b07c031581e8ae263dcfba0abeb9328136711703be846128859fe89d5bc955",
+}
+
+
+@pytest.mark.parametrize("out_format", sorted(SWEEP_10001_SHA256))
+@pytest.mark.parametrize("backend", ["python", "native"], indirect=True)
+def test_sweep_10001_digest(out_format, backend, tmp_path):
+    out = tmp_path / f"sweep.{out_format}"
+    assert cli.main(["sweep", "--steps", "10001", "--format", out_format, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_10001_SHA256[out_format]

@@ -2,6 +2,9 @@
 
 import json
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import yaml
@@ -39,7 +42,7 @@ def test_ci_runs_tier1_on_both_backends():
     workloads = [workload["name"] for workload in benchmark["workloads"]]
     builds = []
     for job in jobs.values():
-        assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12"]
+        assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12", "3.13"]
         commands = "\n".join(step.get("run", "") for step in job["steps"])
         assert TIER1 in commands
         # The acceptance criteria run apart, with -rP to print their elapsed times.
@@ -58,3 +61,24 @@ def test_ci_rejects_tracked_build_artefacts():
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
     commands = [step.get("run", "") for job in workflow["jobs"].values() for step in job["steps"]]
     assert any("git ls-files" in command and "exit 1" in command for command in commands)
+
+
+def test_a_failing_hypothesis_test_does_not_abort_the_session(tmp_path):
+    # Under filterwarnings = ["error"], a warning raised while the hypothesis
+    # plugin reports a failure becomes an INTERNALERROR that ends the session.
+    (tmp_path / "test_probe.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(derandomize=True)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 5
+
+        def test_passes():
+            pass
+    """))
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+               "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_probe.py"]
+    run = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout.splitlines()[-1]

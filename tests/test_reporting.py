@@ -95,6 +95,36 @@ def test_canonical_json_rejects_unserializable():
         canonical_json({"x": {1: "non-string key"}})
     with pytest.raises(TypeError):
         canonical_json({"x": object()})
+    # The same faults in a later dict or row, after earlier ones of the same
+    # shape were written.
+    with pytest.raises(TypeError, match="keys must be strings"):
+        canonical_json([{"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 2.0}, {"a": 1.0, 2: 2.0}])
+    with pytest.raises(ValueError, match="non-finite"):
+        canonical_json({"rows": [{"x": 0.5, "y": 1.5}, {"x": 0.5, "y": math.nan}]})
+
+
+class _Float(float):
+    pass
+
+
+def test_canonical_json_shared_key_sets_are_pinned():
+    # Same key set in two insertion orders; a key set whose values are floats
+    # in one dict and a bool, an int and a float subclass in the others.
+    payload = [
+        {"b": 2.5, "a": -0.0},
+        {"a": 1e-300, "b": 3.0},
+        {"b": True, "a": 7},
+        {"a": _Float(0.1), "b": False},
+    ]
+    expected = (
+        "[\n"
+        '  {\n    "a": 0,\n    "b": 2.5\n  },\n'
+        '  {\n    "a": 1e-300,\n    "b": 3\n  },\n'
+        '  {\n    "a": 7,\n    "b": true\n  },\n'
+        '  {\n    "a": 0.10000000000000001,\n    "b": false\n  }\n'
+        "]\n"
+    )
+    assert canonical_json(payload) == expected
 
 
 def _report(value, bound=2.0, details=None):
@@ -118,6 +148,18 @@ def test_bound_report_margin_and_attainment():
     away = _report(1.5)
     assert not away.attained
     assert ATTAINMENT_TOLERANCE == 1e-6 and MARGIN_TOLERANCE == -1e-9
+
+
+def test_bound_report_tolerance_edges_are_exact():
+    # margin == ATTAINMENT_TOLERANCE attains; one ulp more does not.
+    assert BoundReport("t", value=0.0, bound=1e-6, inputs={}, seed=0).attained
+    beyond = BoundReport("t", value=0.0, bound=math.nextafter(1e-6, 1.0), inputs={}, seed=0)
+    assert not beyond.attained
+    # margin == MARGIN_TOLERANCE is not a violation; the next float below is.
+    edge = BoundReport("t", value=1e-9, bound=0.0, inputs={}, seed=0)
+    assert edge.margin == MARGIN_TOLERANCE and not edge.violated
+    below = BoundReport("t", value=math.nextafter(1e-9, 1.0), bound=0.0, inputs={}, seed=0)
+    assert below.margin == math.nextafter(MARGIN_TOLERANCE, -1.0) and below.violated
 
 
 def test_bound_report_violation_threshold():

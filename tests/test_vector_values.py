@@ -108,6 +108,7 @@ def test_case_inequalities_all_three_sign_cases():
             assert case_inequality_holds(b, bp, alpha, -beta)  # alpha*beta < 0
         else:
             assert case_inequality_holds(b, bp, 0.0, beta)  # alpha*beta = 0
+            assert case_inequality_holds(b, bp, -alpha, 0.0)  # alpha*beta = 0, alpha != 0
 
 
 def test_case_inequality_near_degenerate_pair():
