@@ -40,7 +40,6 @@ from .lhv import (
 )
 from .optimize import (
     OptimizationResult,
-    canonicalized,
     maximize_classical,
     maximize_ga,
     maximize_quantum,
@@ -133,6 +132,5 @@ __all__ = [
     "maximize_quantum",
     "maximize_ga",
     "sweep_coplanar_family",
-    "canonicalized",
     "BoundReport",
 ]

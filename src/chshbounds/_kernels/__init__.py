@@ -19,7 +19,6 @@ import os
 KERNEL_NAMES = (
     "singlet_expectation",
     "eigvals_hermitian",
-    "rng_u64",
     "rng_u01",
     "lhv_mc_sums",
 )

@@ -1,4 +1,4 @@
-/* Native compute kernels: the five functions of chshbounds._kernels.reference,
+/* Native compute kernels: the four kernels of chshbounds._kernels.reference,
  * with the same signatures and the same floating-point operations in the same
  * order, so that each returns the same bits.  Complex arithmetic is CPython
  * 3.11's, spelled out: a product is (ar*br - ai*bi, ar*bi + ai*br), and a float
@@ -126,15 +126,6 @@ static PyObject *float_list(const double *values, Py_ssize_t count, Py_ssize_t s
             PyList_SET_ITEM(out, i, x);
     }
     return out;
-}
-
-static PyObject *rng_u64(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    uint64_t seed, index;
-    if (check_nargs("rng_u64", nargs, 2) < 0 || load_u64(args[0], &seed) < 0
-        || load_u64(args[1], &index) < 0)
-        return NULL;
-    return PyLong_FromUnsignedLongLong(raw64(seed, index));
 }
 
 static PyObject *rng_u01(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -321,7 +312,6 @@ static PyObject *lhv_mc_sums(PyObject *self, PyObject *const *args, Py_ssize_t n
 #define KERNEL(name, doc) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, doc}
 
 static PyMethodDef kernel_methods[] = {
-    KERNEL(rng_u64, "Return draw ``index`` of the stream ``seed`` as a 64-bit integer."),
     KERNEL(rng_u01, "Return draw ``index`` of the stream ``seed``, uniform on [0, 1)."),
     KERNEL(singlet_expectation, "<psi-| (sigma.a) (x) (sigma.b) |psi-> for directions a and b."),
     KERNEL(eigvals_hermitian, "Eigenvalues of a flat n x n complex Hermitian matrix, ascending."),

@@ -1,17 +1,20 @@
 """Pure-Python compute kernels.
 
-Reference implementations of the package's five kernels: the fused singlet
-expectation, the cyclic Jacobi eigensolver, the counter-based random stream
-(two kernels), and the Monte Carlo accumulator.  Matrix and Kronecker
-products are plain Python in ``quantum``; no CLI command forms enough of
-them for a C copy to pay for itself.  The optional C extension
-``chshbounds._kernels._native`` (``_native.c``) implements the same
-functions with the same signatures.  The contract between the two is
-identical results: on the same machine both backends return the same bits
-(complex entries may differ only in the sign of a zero) and raise the same
-error types.  Floating-point operations that reach a result must happen in
-the same order on both sides; everything else (how a state is searched for,
-how a loop is organised) may differ.  Keep the two files in sync.
+Reference implementations of the package's four kernels: the fused singlet
+expectation, the cyclic Jacobi eigensolver, the uniform counter-based random
+stream, and the Monte Carlo accumulator.  The 64-bit draw ``rng_u64`` here
+is not a kernel: ``rng`` calls it directly on both backends, once per
+derived seed or ``CounterStream.u64``, too rarely for a C copy to pay for
+itself.  Matrix and Kronecker products are plain Python in ``quantum``; no
+CLI command forms enough of them for a C copy to pay for itself either.  The
+optional C extension ``chshbounds._kernels._native`` (``_native.c``)
+implements the four kernels with the same signatures.  The contract
+between the two is identical results: on the same machine both backends
+return the same bits (complex entries may differ only in the sign of a zero)
+and raise the same error types.  Floating-point operations that reach a
+result must happen in the same order on both sides; everything else (how a
+state is searched for, how a loop is organised) may differ.  Keep the two
+files in sync.
 
 Loop organisation in this file, chosen for interpreter speed:
 ``eigvals_hermitian`` walks index tables built once per n (the off-diagonal

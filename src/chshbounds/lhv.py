@@ -26,7 +26,6 @@ __all__ = [
     "all_deterministic_strategies",
     "classical_correlations",
     "chsh_classical_value",
-    "signed_chsh_combination",
     "per_state_chsh_value",
     "scalar_pair_bound_holds",
     "MonteCarloEstimate",
@@ -140,12 +139,6 @@ def chsh_classical_value(correlations: CorrelationSet) -> float:
         + correlations.c_aprime_b
         - correlations.c_aprime_bprime
     )
-
-
-def signed_chsh_combination(responses: Sequence[float]) -> float:
-    """Per-state signed combination E_a E_b + E_a E_b' + E_a' E_b - E_a' E_b'."""
-    ra, rap, rb, rbp = responses
-    return ra * rb + ra * rbp + rap * rb - rap * rbp
 
 
 def per_state_chsh_value(responses: Sequence[float]) -> float:

@@ -13,23 +13,12 @@ recompute, so every value and the evaluation count are bit-identical to it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import rng
-from .geometry import (
-    Configuration,
-    Vec3,
-    cross,
-    dot,
-    normalized,
-    planar_vector,
-    scale,
-    spherical_vector,
-    sub,
-)
+from .geometry import Configuration, Vec3, dot, planar_vector, spherical_vector
 from .lhv import (
     CLASSICAL_BOUND,
     LhvModel,
@@ -46,7 +35,6 @@ __all__ = [
     "maximize_quantum",
     "maximize_ga",
     "sweep_coplanar_family",
-    "canonicalized",
 ]
 
 INITIAL_STEP = 0.3
@@ -304,51 +292,3 @@ def sweep_coplanar_family(steps: int) -> list[tuple[float, float]]:
         rows.append((theta, value))
     return rows
 
-
-def _sign_normalized_vectors(cfg: Configuration) -> tuple[Vec3, Vec3, Vec3, Vec3]:
-    """Flip vector signs to maximize the signed correlation combination."""
-    c1 = -dot(cfg.a, cfg.b)
-    c2 = -dot(cfg.a, cfg.b_prime)
-    c3 = -dot(cfg.a_prime, cfg.b)
-    c4 = -dot(cfg.a_prime, cfg.b_prime)
-    best_signs = (1.0, 1.0, 1.0, 1.0)
-    best_signed = -math.inf
-    for signs in itertools.product((1.0, -1.0), repeat=4):
-        sa, sap, sb, sbp = signs
-        signed = sa * sb * c1 + sa * sbp * c2 + sap * sb * c3 - sap * sbp * c4
-        if signed > best_signed:
-            best_signed = signed
-            best_signs = signs
-    sa, sap, sb, sbp = best_signs
-    return (scale(cfg.a, sa), scale(cfg.a_prime, sap), scale(cfg.b, sb), scale(cfg.b_prime, sbp))
-
-
-def canonicalized(cfg: Configuration) -> Configuration:
-    """Reduce a configuration to a standard frame for comparing maximizers.
-
-    Sign-flips each vector so the four correlations carry the canonical
-    (+, +, +, -) pattern, then rotates the frame so a lies along e1 and a'
-    lies in the e1-e2 plane with positive e2 component.  Rotations preserve
-    the objective exactly; the flip step picks the largest CHSH-type sign
-    pattern, which cannot lower it and leaves the value unchanged at a
-    maximizer.  The angles of a canonicalized maximizer can therefore be
-    compared directly against :func:`canonical_configuration`.
-    """
-    a, a_prime, b, b_prime = _sign_normalized_vectors(cfg)
-    u1 = a
-    residual = sub(a_prime, scale(u1, dot(a_prime, u1)))
-    if math.sqrt(dot(residual, residual)) < 1e-8:
-        # a' is (anti)parallel to a; any orthogonal axis completes the frame.
-        fallback = (1.0, 0.0, 0.0) if abs(u1[0]) <= min(abs(u1[1]), abs(u1[2])) else (
-            (0.0, 1.0, 0.0) if abs(u1[1]) <= abs(u1[2]) else (0.0, 0.0, 1.0)
-        )
-        residual = sub(fallback, scale(u1, dot(fallback, u1)))
-    u2 = normalized(residual)
-    u3 = cross(u1, u2)
-
-    def into_frame(v: Vec3) -> Vec3:
-        return (dot(v, u1), dot(v, u2), dot(v, u3))
-
-    return Configuration.from_vectors(
-        into_frame(a), into_frame(a_prime), into_frame(b), into_frame(b_prime)
-    )

@@ -12,7 +12,9 @@ independently of every other.  Consequences relied on throughout the package:
   by jumping a shared generator.
 
 The kernels reduce seed and index modulo 2**64, so any integer seed is
-accepted and ``s`` and ``s + k * 2**64`` name the same stream.
+accepted and ``s`` and ``s + k * 2**64`` name the same stream.  Uniform
+draws go through the selected kernel backend; the few 64-bit draws (derived
+seeds and ``CounterStream.u64``) use the reference finalizer on both.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 
 from . import _kernels
+from ._kernels.reference import rng_u64
 
 MASK64 = (1 << 64) - 1
 TWO_PI = 2.0 * math.pi
@@ -31,8 +34,6 @@ _STREAM_SALT = 0x5CA1AB1E0DDBA11
 __all__ = [
     "MASK64",
     "normalize_seed",
-    "raw_draw",
-    "uniform_draw",
     "derive_seed",
     "unit_vector_draw",
     "CounterStream",
@@ -44,23 +45,13 @@ def normalize_seed(seed: int) -> int:
     return seed & MASK64
 
 
-def raw_draw(seed: int, index: int) -> int:
-    """Draw ``index`` of stream ``seed`` as an unsigned 64-bit integer."""
-    return _kernels.rng_u64(seed, index)
-
-
-def uniform_draw(seed: int, index: int) -> float:
-    """Draw ``index`` of stream ``seed``, uniform on [0, 1) with 53-bit resolution."""
-    return _kernels.rng_u01(seed, index)
-
-
 def derive_seed(seed: int, stream: int) -> int:
     """Seed of the ``stream``-th sub-stream of ``seed``.
 
     Pure and collision-salted: sub-stream seeds are themselves counter draws
     from a salted stream, so they are independent of the parent's data draws.
     """
-    return _kernels.rng_u64(seed ^ _STREAM_SALT, stream)
+    return rng_u64(seed ^ _STREAM_SALT, stream)
 
 
 def unit_vector_draw(seed: int, index: int) -> tuple[float, float, float]:
@@ -94,7 +85,7 @@ class CounterStream:
         self.index = 0
 
     def u64(self) -> int:
-        value = _kernels.rng_u64(self.seed, self.index)
+        value = rng_u64(self.seed, self.index)
         self.index += 1
         return value
 

@@ -192,6 +192,12 @@ def test_multivector_operators():
     assert "e12" in str(geometric_product(u, v))
 
 
+def test_approx_equal_tolerance_is_inclusive():
+    zero = Multivector((0.0,) * 8)
+    assert Multivector((1e-12,) + (0.0,) * 7).approx_equal(zero)
+    assert not Multivector((math.nextafter(1e-12, 1.0),) + (0.0,) * 7).approx_equal(zero)
+
+
 def test_multivector_str_is_pinned():
     # Zero coefficients (-0.0 included) are left out; all-zero prints "0".
     assert str(Multivector((0.0,) * 8)) == "0"

@@ -16,7 +16,6 @@ from chshbounds.lhv import (
     per_state_chsh_value,
     random_model,
     scalar_pair_bound_holds,
-    signed_chsh_combination,
 )
 
 response = st.floats(min_value=-1, max_value=1, allow_nan=False)
@@ -44,13 +43,6 @@ def test_sixteen_deterministic_strategies():
     # the 16 strategies induce 8 distinct correlation quadruples (global
     # sign flip of both sides preserves all four products)
     assert len(set(correlation_sets)) == 8
-
-
-def test_signed_combinations_of_strategies_are_plus_minus_two():
-    combos = {
-        signed_chsh_combination(s) for s in all_deterministic_strategies()
-    }
-    assert combos == {-2.0, 2.0}
 
 
 def test_deterministic_correlation_example():

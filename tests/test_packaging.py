@@ -9,7 +9,7 @@ from pathlib import Path
 
 import yaml
 
-from chshbounds import __version__
+from chshbounds import __version__, _kernels
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"
@@ -32,6 +32,15 @@ def test_version_has_one_source():
     dynamic = _toml_table("tool.setuptools.dynamic")
     assert 'version = { attr = "chshbounds._version.__version__" }' in dynamic
     assert re.fullmatch(r"\d+\.\d+\.\d+", __version__)
+
+
+def test_readme_names_the_kernels():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"The (\w+) hot kernels \(([^:]*):", readme)
+    assert match is not None, "README.md has no hot-kernel sentence"
+    count_words = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight")
+    assert match.group(1).lower() == count_words[len(_kernels.KERNEL_NAMES)]
+    assert tuple(re.findall(r"`(\w+)`", match.group(2))) == _kernels.KERNEL_NAMES
 
 
 def test_ci_runs_tier1_on_both_backends():

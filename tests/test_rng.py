@@ -4,45 +4,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chshbounds import rng
-from chshbounds.lhv import LhvModel, monte_carlo_correlations
+from chshbounds import _kernels, rng
+from chshbounds._kernels.reference import rng_u64
+from chshbounds.geometry import random_configuration
+from chshbounds.lhv import HiddenState, LhvModel, monte_carlo_correlations, random_model
 
 # First outputs of the splitmix64 sequence seeded with 0, from the published
-# reference implementation.  raw_draw(0, i) must reproduce them because
+# reference implementation.  rng_u64(0, i) must reproduce them because
 # seed + (i+1)*GAMMA walks the same state sequence.
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 
 
 def test_matches_published_splitmix64_sequence():
-    assert tuple(rng.raw_draw(0, i) for i in range(3)) == SPLITMIX64_SEED0
+    assert tuple(rng_u64(0, i) for i in range(3)) == SPLITMIX64_SEED0
 
 
 def test_raw_draw_is_pure():
-    assert rng.raw_draw(42, 7) == rng.raw_draw(42, 7)
-    assert rng.raw_draw(42, 7) != rng.raw_draw(42, 8)
-    assert rng.raw_draw(42, 7) != rng.raw_draw(43, 7)
+    assert rng_u64(42, 7) == rng_u64(42, 7)
+    assert rng_u64(42, 7) != rng_u64(42, 8)
+    assert rng_u64(42, 7) != rng_u64(43, 7)
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=10**9))
 def test_raw_draw_range(seed, index):
-    assert 0 <= rng.raw_draw(seed, index) < 2**64
+    assert 0 <= rng_u64(seed, index) < 2**64
 
 
 @given(st.integers(), st.integers(min_value=0, max_value=10**6))
 def test_uniform_draw_in_unit_interval(seed, index):
-    u = rng.uniform_draw(seed, index)
+    u = _kernels.rng_u01(seed, index)
     assert 0.0 <= u < 1.0
 
 
 def test_uniform_draw_resolution():
     # 53-bit mantissa scaling: the smallest nonzero output is 2**-53.
-    us = [rng.uniform_draw(5, i) for i in range(1000)]
+    us = [_kernels.rng_u01(5, i) for i in range(1000)]
     assert all(u * 2**53 == int(u * 2**53) for u in us)
 
 
 def test_uniform_draw_roughly_uniform():
     n = 20000
-    us = [rng.uniform_draw(99, i) for i in range(n)]
+    us = [_kernels.rng_u01(99, i) for i in range(n)]
     mean = sum(us) / n
     # mean of U(0,1) is 0.5 with sd 1/sqrt(12n) ~ 0.002; allow 6 sigma
     assert abs(mean - 0.5) < 0.013
@@ -54,7 +56,7 @@ def test_derive_seed_separates_streams():
     seeds = {rng.derive_seed(0, k) for k in range(100)}
     assert len(seeds) == 100
     # derived stream does not collide with the parent's own draw sequence
-    assert rng.derive_seed(0, 0) != rng.raw_draw(0, 0)
+    assert rng.derive_seed(0, 0) != rng_u64(0, 0)
 
 
 @given(st.integers(), st.integers(min_value=0, max_value=10**4))
@@ -77,8 +79,8 @@ def test_counter_stream_walks_indices():
     s = rng.CounterStream(11)
     first = s.u64()
     second = s.u64()
-    assert first == rng.raw_draw(11, 0)
-    assert second == rng.raw_draw(11, 1)
+    assert first == rng_u64(11, 0)
+    assert second == rng_u64(11, 1)
     assert s.index == 2
 
 
@@ -121,8 +123,8 @@ def test_seeds_reduce_modulo_2_64_in_the_kernels(backend):
     def draws(seed):
         estimate = monte_carlo_correlations(model, 50, seed)
         return (
-            [rng.raw_draw(seed, i) for i in (0, 1, 17)],
-            [rng.uniform_draw(seed, i) for i in (0, 1, 17)],
+            [rng_u64(seed, i) for i in (0, 1, 17)],
+            [_kernels.rng_u01(seed, i) for i in (0, 1, 17)],
             [rng.derive_seed(seed, i) for i in (0, 1, 17)],
             [rng.unit_vector_draw(seed, i) for i in (0, 1, 17)],
             estimate.correlations,
@@ -133,3 +135,29 @@ def test_seeds_reduce_modulo_2_64_in_the_kernels(backend):
         expected = draws(rng.normalize_seed(seed))
         for k in (-1, 0, 1):
             assert draws(seed + k * 2**64) == expected
+
+
+def test_pinned_draws_on_the_reference_finalizer(backend):
+    """Known values of the 64-bit draws (derived seeds and
+    ``CounterStream.u64``) and of a configuration and a model built on them,
+    the same on both backends."""
+    assert [rng.derive_seed(7, k) for k in range(3)] == [
+        0xB5A576999E2334E8,
+        0xEFC5A7B0E9DBE048,
+        0xD1AB6D345E28367B,
+    ]
+    stream = rng.CounterStream(5)
+    assert [stream.u64(), stream.u64()] == [0x63033B0CA389C35A, 0xC097314D939736F8]
+    assert [[x.hex() for x in v] for v in random_configuration(7, 0).vectors()] == [
+        ["0x1.29d3cfb4572d9p-1", "0x1.07d187cd6bda2p-1", "-0x1.423f0b6e6c202p-1"],
+        ["-0x1.3efe890e15594p-3", "-0x1.448c150bfe3bdp-1", "0x1.83e21179e5f8ep-1"],
+        ["0x1.69cbcb2a38e30p-11", "0x1.0f1624c08e408p-1", "0x1.b2587097feda4p-1"],
+        ["-0x1.bff2842d26e45p-2", "-0x1.8a9686dc64a79p-1", "0x1.da77f5b97fe98p-2"],
+    ]
+    responses = (
+        -0.009499365751745925,
+        0.5788638459047399,
+        0.0032663353749193824,
+        -0.8311024604349782,
+    )
+    assert random_model(101, 0) == LhvModel((HiddenState(1.0, responses),))

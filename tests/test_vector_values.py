@@ -125,6 +125,16 @@ def test_case_inequality_near_degenerate_pair():
     assert case_inequality_holds(b, bp, alpha, beta)  # ...but the sums obey the cap
 
 
+def test_case_inequality_tolerance_is_inclusive():
+    # With beta = 0 the expression is 2*|alpha*b|; this b (unit to within
+    # 5e-13) makes it exactly 2 + 1e-12, on the edge of the allowance.
+    b_prime = (0.0, 1.0, 0.0)
+    on_edge = (2.0 + 1e-12) / 2
+    assert case_inequality_holds((on_edge, 0.0, 0.0), b_prime, 1.0, 0.0)
+    beyond = math.nextafter(2.0 + 1e-12, 3.0) / 2
+    assert not case_inequality_holds((beyond, 0.0, 0.0), b_prime, 1.0, 0.0)
+
+
 def test_zero_coefficient_collapse():
     b = random_unit_vector(86, 0)
     bp = random_unit_vector(86, 1)
