@@ -320,7 +320,7 @@ static PyMethodDef kernel_methods[] = {
            "Draw i in [start, stop) selects the first state j with\n"
            "rng_u01(seed, i) < cum_weights[j], or the last state when there is none.\n"
            "Precondition: cum_weights is nondecreasing; the linear search here and the\n"
-           "reference's bisection then select the same state."),
+           "reference's guide table and bisection then select the same state."),
     {NULL, NULL, 0, NULL},
 };
 

@@ -12,9 +12,10 @@ implements the four kernels with the same signatures.  The contract
 between the two is identical results: on the same machine both backends
 return the same bits (complex entries may differ only in the sign of a zero)
 and raise the same error types.  Floating-point operations that reach a
-result must happen in the same order on both sides; everything else (how a
-state is searched for, how a loop is organised) may differ.  Keep the two
-files in sync.
+result must happen in the same order on both sides, except where every
+partial sum is an exact integer, which any order reaches; everything else
+(how a state is searched for, how a loop is organised) may differ.  Keep
+the two files in sync.
 
 Loop organisation in this file, chosen for interpreter speed:
 ``eigvals_hermitian`` walks index tables built once per n (the off-diagonal
@@ -22,9 +23,13 @@ entries, and per pivot its three entries and its column and row pairs).
 ``lhv_mc_sums`` mixes up to 1024 SplitMix64 draws at once, each in its own
 128-bit lane of one Python int, so that every integer operation of the
 finalizer runs over the whole chunk in C.  It then picks each draw's state
-by bisection over integer thresholds, which give the same comparisons as the
-float variates, and adds the states' table rows in index order.  Each
-performs the same float operations in the same order as the plain loops.
+from a 256-entry guide table indexed by the draw's top byte, one
+``bytes.translate`` per chunk; only draws whose byte a weight threshold
+splits are bisected, over integer thresholds that give the same
+comparisons as the float variates.  It adds the states' table rows in index
+order, as the plain loop does.  The exception: when every product is -1, 1
+or a zero, every partial sum is an exact integer, and the sums are formed
+from the number of picks of each state, with the same bits.
 
 Conventions shared by both backends:
 
@@ -40,6 +45,7 @@ import math
 import sys
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from functools import lru_cache, partial
 
 BACKEND_NAME = "python"
@@ -54,6 +60,14 @@ _INT64_LIMIT = 1 << 63
 
 # lhv_mc_sums mixes its draws _MC_LANES at a time, one per 128-bit lane.
 _MC_LANES = 1024
+
+# Guide-table entry of a top byte whose draws a threshold splits; no state
+# index reaches it, since a table is built only for fewer states.  A draw on
+# such a byte costs a few plain bisections, so a table stops paying for
+# itself at about 100 split bytes with non-integer products (measured per
+# 4096-draw block); _MAX_SPLIT_BYTES, a quarter of them, keeps a margin.
+_SPLIT = 255
+_MAX_SPLIT_BYTES = 64
 
 # Jacobi stopping rule: off-diagonal Frobenius mass below _JACOBI_RTOL times
 # the Frobenius norm of the matrix, at most _JACOBI_MAX_SWEEPS sweeps.  Every
@@ -226,24 +240,23 @@ def _lane_constants(lanes: int):
     return one, mask, int.from_bytes(steps, "little")
 
 
-def _packed_draws(seed: int, start: int, lanes: int):
+def _packed_draws(seed: int, start: int, lanes: int) -> bytes:
     """Draws ``start`` .. ``start + lanes - 1`` of the stream ``seed``, as
-    ``rng_u64`` returns them, in an ``array('Q')``.
+    ``rng_u64`` returns them, in ``16 * lanes`` little-endian bytes: draw i
+    is bytes 16i .. 16i + 7, so its top byte is byte 16i + 7.
 
     Draw i sits in lane i of one int.  Every lane holds less than 2**64
     before each step, so a shift's spill into the lane below is masked off,
     and a product with a 64-bit multiplier stays inside its 128-bit lane.
-    The last shift's spill lands in the high words, which are dropped.
+    The last shift's spill lands in the high words (bytes 16i + 8 ..
+    16i + 15), which are not part of any draw.
     """
     one, mask, steps = _lane_constants(lanes)
     z = (((seed + start * _GOLDEN_GAMMA) & _MASK64) * one + steps) & mask
     z = ((z ^ ((z >> 30) & mask)) * _MIX_MULT_1) & mask
     z = ((z ^ ((z >> 27) & mask)) * _MIX_MULT_2) & mask
     z ^= z >> 31
-    words = array("Q", z.to_bytes(16 * lanes, "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words[::2]
+    return z.to_bytes(16 * lanes, "little")
 
 
 def _draw_threshold(c: float) -> int:
@@ -259,6 +272,80 @@ def _draw_threshold(c: float) -> int:
     return 0 if c <= 0.0 else -1
 
 
+@lru_cache(maxsize=8)
+def _guide_table(thresholds: tuple[int, ...]) -> bytes | None:
+    """The 256-byte guide table of ``thresholds``, or None where none pays.
+
+    Entry b is the state ``bisect_right(thresholds, x)`` for every 64-bit
+    draw x whose top byte is b, or ``_SPLIT`` where a threshold falls inside
+    that byte's range, so that those draws need their own search (the
+    guide-table method of Chen and Asau, 1974).  There is no table for
+    ``_SPLIT`` or more states, for thresholds out of order (bisection
+    presumes them sorted; on any other list every draw is searched as
+    before), or for more than ``_MAX_SPLIT_BYTES`` split bytes.
+    """
+    if len(thresholds) >= _SPLIT or list(thresholds) != sorted(thresholds):
+        return None
+    guide = bytearray()
+    for top in range(256):
+        low = bisect_right(thresholds, top << 56)
+        high = bisect_right(thresholds, ((top + 1) << 56) - 1)
+        guide.append(low if low == high else _SPLIT)
+    return bytes(guide) if guide.count(_SPLIT) <= _MAX_SPLIT_BYTES else None
+
+
+def _draw_words(draws: bytes) -> array:
+    """The 64-bit words of ``_packed_draws`` bytes: draw i is word 2i."""
+    words = array("Q", draws)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _state_picks(thresholds, guide, seed: int, start: int, stop: int):
+    """Yield, per chunk of up to ``_MC_LANES`` draws in index order, the
+    state ``bisect_right(thresholds, rng_u64(seed, i))`` of each draw i.
+
+    With a ``guide`` table the chunk is a bytearray: its top bytes go
+    through the table in one ``translate``, and only the draws on a split
+    byte are bisected.  Without one, every draw is bisected.
+    """
+    pick = partial(bisect_right, thresholds)
+    for chunk in range(start, stop, _MC_LANES):
+        draws = _packed_draws(seed, chunk, min(_MC_LANES, stop - chunk))
+        if guide is None:
+            yield map(pick, _draw_words(draws)[::2])
+            continue
+        picks = bytearray(draws[7::16]).translate(guide)
+        i = picks.find(_SPLIT)
+        if i >= 0:
+            words = _draw_words(draws)
+            while i >= 0:
+                picks[i] = pick(words[2 * i])
+                i = picks.find(_SPLIT, i + 1)
+        yield picks
+
+
+def _counted_sums(table, chunks):
+    """The eight sums of ``lhv_mc_sums`` from the number of picks of each
+    state, for a ``table`` of -1, 1 and zero products.
+
+    Every partial sum of the in-order loop is then an exact integer (there
+    are at most 2**53 terms), so any order of addition gives the same bits;
+    a sum that starts at +0.0 never ends at -0.0, and neither does
+    ``float`` of an int.  No float is summed here: builtin ``sum`` is
+    compensated on floats from Python 3.12.
+    """
+    counts = Counter()
+    for picks in chunks:
+        counts.update(picks)
+    sums = [0] * 8
+    for k, count in counts.items():
+        for c, value in enumerate(table[k]):
+            sums[c] += count * int(value)
+    return tuple(map(float, sums))
+
+
 def lhv_mc_sums(cum_weights, products, seed: int, start: int, stop: int):
     """Accumulate Monte Carlo sums for a finite hidden-state mixture.
 
@@ -272,11 +359,17 @@ def lhv_mc_sums(cum_weights, products, seed: int, start: int, stop: int):
     callers partition the index range.
 
     The draws are made up to 1024 at a time by ``_packed_draws``, in 128-bit
-    lanes of one int.  Each picks its state by bisection over the integer
-    thresholds of ``_draw_threshold``, which agree with every comparison of
-    ``rng_u01`` against a weight, so the search takes the same path.  The
-    loop then adds each state's products and squares, read from a table
-    built once per call, into eight running sums in index order.
+    lanes of one int.  Each draw's state is the one that bisection over the
+    integer thresholds of ``_draw_threshold`` picks; those agree with every
+    comparison of ``rng_u01`` against a weight.  A guide table indexed by
+    the draw's top byte gives that state for most draws without a search
+    (``_guide_table``, ``_state_picks``).  The loop then adds each state's
+    products and squares, read from a table built once per call, into
+    eight running sums in index order.  Where a guide table exists, every
+    product is -1, 1 or a zero and there are at most 2**53 draws, the sums
+    are formed from per-state counts instead (``_counted_sums``), with the
+    same bits; without a table, that is for many states, summing the counts
+    would cost more than the loop.
     Draw indices are 64-bit signed integers, as in the native kernel: a
     ``start`` or ``stop`` outside [-2**63, 2**63) raises ``OverflowError``
     before any draw.  Weights and products are read as floats once per
@@ -289,7 +382,7 @@ def lhv_mc_sums(cum_weights, products, seed: int, start: int, stop: int):
         raise IndexError("cum_weights is empty")
     # ldexp(x, 0) is x as a float, -0.0 included; unlike float() it parses no str.
     ldexp = math.ldexp
-    thresholds = [_draw_threshold(ldexp(w, 0)) for w in cum_weights]
+    thresholds = tuple([_draw_threshold(ldexp(w, 0)) for w in cum_weights])
     table = []
     for base in range(0, 4 * len(thresholds), 4):
         p1 = ldexp(products[base], 0)
@@ -299,14 +392,20 @@ def lhv_mc_sums(cum_weights, products, seed: int, start: int, stop: int):
         table.append((p1, p2, p3, p4, p1 * p1, p2 * p2, p3 * p3, p4 * p4))
     # Bisection past the last threshold selects the last state.
     table.append(table[-1])
-    pick = partial(bisect_right, thresholds)
     # Reduced here, so a seed that is not an int fails even on an empty range.
     seed &= _MASK64
+    guide = _guide_table(thresholds)
+    chunks = _state_picks(thresholds, guide, seed, start, stop)
+    if (
+        guide is not None
+        and stop - start <= 2**53
+        and all(p in (-1.0, 0.0, 1.0) for row in table for p in row[:4])
+    ):
+        return _counted_sums(table, chunks)
     s1 = s2 = s3 = s4 = 0.0
     q1 = q2 = q3 = q4 = 0.0
-    for chunk in range(start, stop, _MC_LANES):
-        draws = _packed_draws(seed, chunk, min(_MC_LANES, stop - chunk))
-        for p1, p2, p3, p4, r1, r2, r3, r4 in map(table.__getitem__, map(pick, draws)):
+    for picks in chunks:
+        for p1, p2, p3, p4, r1, r2, r3, r4 in map(table.__getitem__, picks):
             s1 += p1
             s2 += p2
             s3 += p3

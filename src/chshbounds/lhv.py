@@ -70,13 +70,23 @@ class HiddenState:
 
 @dataclass(frozen=True)
 class LhvModel:
-    """Finite weighted mixture of hidden states; weights sum to 1."""
+    """Finite weighted mixture of hidden states; weights sum to 1.
+
+    ``states`` is stored as a tuple whatever sequence is passed, so that a
+    model is hashable and equal to its tuple form.  Each entry must be a
+    :class:`HiddenState`, which has validated itself.
+    """
 
     states: tuple[HiddenState, ...]
 
     def __post_init__(self):
         if not self.states:
             raise ValueError("model needs at least one hidden state")
+        if type(self.states) is not tuple:
+            object.__setattr__(self, "states", tuple(self.states))
+        for state in self.states:
+            if not isinstance(state, HiddenState):
+                raise TypeError(f"model states must be HiddenState, not {type(state).__name__}")
         total = sum(s.weight for s in self.states)
         if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
             raise ValueError(f"state weights must sum to 1, got {total!r}")

@@ -63,6 +63,9 @@ class ComplexMatrix:
     def __post_init__(self):
         if type(self.entries) is not tuple:
             object.__setattr__(self, "entries", tuple(self.entries))
+        # bool is an int subclass, but True is no dimension.
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int):
+            raise TypeError(f"matrix dimension must be an int, not {type(self.dim).__name__}")
         if self.dim < 1:
             raise ValueError("matrix dimension must be positive")
         if len(self.entries) != self.dim * self.dim:

@@ -26,6 +26,9 @@ CASES = {
     "verify_config_angles_model.json": ["verify", "--config", "angles_model.yaml"],
     # Non-integer responses over two full Monte Carlo blocks and a partial one.
     "verify_config_mc_mixture.json": ["verify", "--config", "mc_mixture.yaml"],
+    # The 16 deterministic strategies with unequal weights: +/-1 products,
+    # whose sums are exact integers, over three full blocks and a partial one.
+    "verify_config_mc_strategies.json": ["verify", "--config", "mc_strategies.yaml"],
     "optimize_classical.json": ["optimize", "--track", "classical", "--restarts", "8"],
     "optimize_quantum.json": ["optimize", "--track", "quantum", "--restarts", "8"],
     "optimize_ga.json": ["optimize", "--track", "ga", "--restarts", "8"],

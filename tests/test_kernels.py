@@ -389,6 +389,71 @@ def test_lhv_mc_sums_matches_its_specification():
         assert _bits(got) == _bits(_linear_search_sums(cum_weights, products, seed, start, stop))
 
 
+def _route_weights(layout, n_states, r):
+    """Cumulative weights of ``n_states`` states for a pick-route case."""
+    if layout == "random":
+        return _cum_weights([r.random() + 0.01 for _ in range(n_states)])
+    if layout == "ties":
+        # Zero-weight states at the ends and in the middle tie cumulative weights.
+        weights = [r.random() + 0.01 for _ in range(n_states)]
+        for k in (0, 1, n_states // 2, n_states - 1):
+            weights[k] = 0.0
+        return _cum_weights(weights)
+    # "bytes": every threshold on a top-byte boundary, k/256 for k = 1 .. n.
+    return [(k + 1) / 256 for k in range(n_states)]
+
+
+# (states, weight layout, whether a guide table picks the states).  Without
+# one, every draw is bisected: 255 states or more, or too many split bytes.
+PICK_ROUTES = [
+    (1, "random", True),
+    (4, "bytes", True),
+    (16, "random", True),
+    (16, "ties", True),
+    (254, "bytes", True),
+    (254, "random", False),
+    (255, "bytes", False),
+    (1000, "random", False),
+]
+
+
+@pytest.mark.parametrize("n_states, layout, guided", PICK_ROUTES)
+def test_lhv_mc_sums_pick_routes_and_summation_rules(native, n_states, layout, guided):
+    """Both ways of picking states, and both ways of summing products: the
+    in-order loop, and per-state counts for -1, 1 and zero products (-0.0
+    included), which must give the same bits.  One product of 0.5 sends the
+    same table back to the loop.  Ranges of one chunk of packed draws, one
+    draw less and one more, and three blocks and a part of a fourth."""
+    r = random.Random(1000 * n_states + len(layout))
+    cum_weights = _route_weights(layout, n_states, r)
+    thresholds = tuple(reference._draw_threshold(c) for c in cum_weights)
+    assert (reference._guide_table(thresholds) is not None) is guided
+    exact = [r.choice((1.0, -1.0, 1.0, -1.0, 0.0, -0.0)) for _ in range(4 * n_states)]
+    half = list(exact)
+    # On the state with the largest weight, which the draws cannot miss.
+    weights = [b - a for a, b in zip([0.0] + cum_weights, cum_weights)]
+    half[4 * weights.index(max(weights)) + r.randrange(4)] = 0.5
+    lanes = reference._MC_LANES
+    for length in (lanes - 1, lanes, lanes + 1, 3 * 4096 + 17):
+        seed, start = r.getrandbits(64), r.randrange(10**6)
+        for products in (exact, half):
+            args = (cum_weights, products, seed, start, start + length)
+            got = _bits(reference.lhv_mc_sums(*args))
+            assert got == _bits(_linear_search_sums(*args))
+            assert got == _bits(native.lhv_mc_sums(*args))
+
+
+def test_guide_table_on_top_byte_boundaries():
+    """Cumulative weights 0.25, 0.5 and 0.75 fall exactly on top-byte
+    boundaries, so no byte is split and every entry is a state."""
+    thresholds = tuple(reference._draw_threshold(c) for c in (0.25, 0.5, 0.75, 1.0))
+    assert reference._guide_table(thresholds) == bytes([0] * 64 + [1] * 64 + [2] * 64 + [3] * 64)
+    # A threshold inside byte 64 splits that byte alone.
+    thresholds = tuple(reference._draw_threshold(c) for c in (0.25 + 2.0**-20, 1.0))
+    guide = reference._guide_table(thresholds)
+    assert guide == bytes([0] * 64 + [reference._SPLIT] + [1] * 191)
+
+
 def test_lhv_mc_sums_rejects_indices_beyond_int64(native):
     """Draw indices are 64-bit signed on both backends: a start or stop
     outside [-2**63, 2**63) raises OverflowError before any draw, where the
@@ -408,14 +473,18 @@ def test_lhv_mc_sums_rejects_indices_beyond_int64(native):
     "lanes", [1, reference._MC_LANES - 1, reference._MC_LANES, reference._MC_LANES + 1]
 )
 def test_packed_draws_are_splitmix64(lanes):
-    """Every lane of a packed chunk holds the draw that rng_u64 makes alone,
-    for seeds outside [0, 2**64) and starts across the int64 range."""
+    """Every lane of a packed chunk holds, in its low eight bytes, the draw
+    that rng_u64 makes alone, for seeds outside [0, 2**64) and starts across
+    the int64 range."""
     starts = (0, 123_457, -1, -lanes // 2 - 3, 2**63 - lanes, -(2**63), -(2**63) + 5)
     seeds = (0, 7, 2**64 - 1, -1, -(2**64) - 12345, 2**70, 2**70 + 99, 3 * 2**80 + 1)
     for seed in seeds:
         for start in starts:
             expected = [reference.rng_u64(seed, i) for i in range(start, start + lanes)]
-            assert list(reference._packed_draws(seed, start, lanes)) == expected
+            draws = reference._packed_draws(seed, start, lanes)
+            assert len(draws) == 16 * lanes
+            got = [int.from_bytes(draws[16 * i : 16 * i + 8], "little") for i in range(lanes)]
+            assert got == expected
 
 
 _WEIGHT_EDGES = (

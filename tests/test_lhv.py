@@ -125,6 +125,18 @@ def test_model_validation():
         CorrelationSet(1.5, 0, 0, 0)
 
 
+def test_model_stores_a_tuple_of_hidden_states():
+    """A model built from a list is hashable and equal to its tuple form, and
+    an entry that is not a HiddenState is a TypeError, not an AttributeError."""
+    state = HiddenState(1.0, (1, 1, 1, 1))
+    listed = LhvModel([state])
+    assert type(listed.states) is tuple
+    assert listed == LhvModel((state,)) and hash(listed) == hash(LhvModel((state,)))
+    for bad in (((1.0, (1, 1, 1, 1)),), [state, (0.0, (1, 1, 1, 1))]):
+        with pytest.raises(TypeError, match="HiddenState"):
+            LhvModel(bad)
+
+
 def test_weights_and_correlations_stored_as_checked_floats():
     state = HiddenState(True, (1, 1, 1, 1))
     assert type(state.weight) is float and state.weight == 1.0

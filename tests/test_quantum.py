@@ -381,6 +381,14 @@ def test_complex_matrix_validation():
     assert not m.is_hermitian()
 
 
+@pytest.mark.parametrize("dim, entries", [(2.0, (1, 0, 0, 1)), (True, (3,))])
+def test_complex_matrix_dimension_must_be_an_int(dim, entries):
+    """A float or bool dimension is a TypeError at construction, not a
+    matrix whose methods fail later (or a 1x1 matrix for True)."""
+    with pytest.raises(TypeError, match="matrix dimension must be an int"):
+        ComplexMatrix(dim, entries)
+
+
 def test_complex_matrix_built_from_a_list_equals_the_tuple_form():
     """Entries are kept as a tuple whatever sequence is passed, so a matrix
     built from a list is Hermitian, equal and hash-equal to its tuple form,
