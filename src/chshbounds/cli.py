@@ -150,7 +150,13 @@ class ConfigError(ValueError):
 def _require_number(value: object, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{label} must be a number, got {value!r}{_yaml_number_hint(value)}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        # Past 4300 digits even repr() of the int raises, so name only its size.
+        raise ConfigError(
+            f"{label} must fit in a float, got an integer of {value.bit_length()} bits"
+        ) from None
     if not math.isfinite(v):
         raise ConfigError(f"{label} must be finite, got {value!r}")
     return v
@@ -194,6 +200,9 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
+    except RecursionError:
+        # PyYAML's composer recurses once per level of nesting.
+        raise ConfigError(f"config file {path} is nested too deeply") from None
     if data is None:
         return {}
     if not isinstance(data, dict):

@@ -6,8 +6,8 @@ Multivectors carry 8 real coefficients over the basis
 
 (scalar | vector | bivector | pseudoscalar).  Basis blades are indexed by
 bitmasks (bit i set means the generator e_{i+1} is a factor).  The product of
-two blades is computed once, by sorting the concatenated generator lists and
-contracting repeated generators with e_i e_i = +1; the resulting
+two blades is computed once, from the parity of the transpositions that sort
+the concatenated generators and with e_i e_i = +1; the resulting
 sign-and-index tables, which encode e_i e_j + e_j e_i = 2 delta_ij with exact
 integer signs, drive ``geometric_product``.  It is plain Python, not a
 kernel: no CLI command multiplies multivectors.
@@ -37,44 +37,24 @@ _INDEX_OF_MASK = {mask: i for i, mask in enumerate(BLADE_ORDER)}
 def blade_product(mask_left: int, mask_right: int) -> tuple[int, int]:
     """Multiply two basis blades; return (sign, result mask).
 
-    Generators of the right factor are merged one at a time into the sorted
-    generator list of the left factor, flipping the sign once per
-    transposition and contracting e_i e_i to +1.
+    The sign counts the transpositions that sort the concatenated generators,
+    one for each pair of a left generator above a right one; e_i e_i = +1
+    then cancels the shared ones (Dorst, Fontijne & Mann 2007, section 19.1).
     """
-    acc = [i for i in (0, 1, 2) if mask_left >> i & 1]
-    sign = 1
-    for gen in (0, 1, 2):
-        if not (mask_right >> gen & 1):
-            continue
-        passed = sum(1 for i in acc if i > gen)
-        if passed % 2:
-            sign = -sign
-        if gen in acc:
-            acc.remove(gen)
-        else:
-            acc.append(gen)
-            acc.sort()
-    mask = 0
-    for i in acc:
-        mask |= 1 << i
-    return sign, mask
-
-
-def _build_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
-    signs = []
-    targets = []
-    for left in BLADE_ORDER:
-        for right in BLADE_ORDER:
-            sign, mask = blade_product(left, right)
-            signs.append(sign)
-            targets.append(_INDEX_OF_MASK[mask])
-    return tuple(signs), tuple(targets)
+    swaps = 0
+    shifted = mask_left >> 1
+    while shifted:
+        swaps += bin(shifted & mask_right).count("1")
+        shifted >>= 1
+    return -1 if swaps % 2 else 1, mask_left ^ mask_right
 
 
 # Flattened 8x8 tables, row-major in the canonical blade order:
 # coefficient u_i * v_j contributes PRODUCT_SIGNS[8*i+j] * u_i * v_j to the
 # coefficient at PRODUCT_TARGETS[8*i+j].
-PRODUCT_SIGNS, PRODUCT_TARGETS = _build_tables()
+_PRODUCTS = [blade_product(left, right) for left in BLADE_ORDER for right in BLADE_ORDER]
+PRODUCT_SIGNS = tuple(sign for sign, _ in _PRODUCTS)
+PRODUCT_TARGETS = tuple(_INDEX_OF_MASK[mask] for _, mask in _PRODUCTS)
 
 
 @dataclass(frozen=True)

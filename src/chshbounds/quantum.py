@@ -53,8 +53,8 @@ class ComplexMatrix:
 
     ``entries`` is stored as a tuple whatever sequence is passed, so that
     equality, hashing and :meth:`is_hermitian` compare like with like.  The
-    matrix product ``@`` is plain Python, not a kernel: no CLI command forms
-    more than 21 products, all 2x2 or 4x4.
+    matrix product ``@`` (2x2 and 4x4 only) is plain Python, not a kernel: no
+    CLI command forms more than 21 products.
     """
 
     dim: int
@@ -127,10 +127,10 @@ class ComplexMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        """Matrix product.
+        """Matrix product of two 2x2 or two 4x4 matrices; other sizes raise ValueError.
 
         Entry (i, j) is 0j + a[i,0]*b[0,j] + a[i,1]*b[1,j] + ..., summed left
-        to right; n = 2 and n = 4 spell that sum out.
+        to right and spelled out for each size.
         """
         if not isinstance(other, ComplexMatrix):
             return NotImplemented
@@ -166,15 +166,7 @@ class ComplexMatrix:
                 0j + a2 * b0 + a3 * b2,
                 0j + a2 * b1 + a3 * b3,
             ))
-        a, b = self.entries, other.entries
-        out = []
-        for i in range(n):
-            for j in range(n):
-                acc = 0j
-                for k in range(n):
-                    acc = acc + a[i * n + k] * b[k * n + j]
-                out.append(acc)
-        return ComplexMatrix(n, tuple(out))
+        raise ValueError(f"matrix product expects 2x2 or 4x4 matrices, got {n}x{n}")
 
     def expectation(self, state: Sequence[complex]) -> complex:
         """Quadratic form <state| M |state>, summed row by row in index order."""
@@ -354,16 +346,15 @@ def cross_commutator_residual(cfg: Configuration) -> float:
 
 
 def operator_norm(m: ComplexMatrix) -> float:
-    """Spectral norm via the Jacobi eigensolver.
+    """Spectral norm of an exactly Hermitian matrix: its largest absolute eigenvalue.
 
-    Exactly Hermitian input: the largest absolute eigenvalue.  Any other
-    input: sqrt of the largest eigenvalue of M-dagger M, with M first scaled
-    by the power of two 2**-e that brings its largest real or imaginary part
-    into [0.5, 1), so that the Gram matrix cannot overflow or underflow; the
-    norm is scaled back by 2**e.  Both scalings are exact.
+    The Jacobi eigensolver prescales by a power of two, so the norm is
+    accurate from 1e-300 to 1e300.  The operators of the CHSH argument, B and
+    C = [A, A'] (x) [B, B'], are Hermitian bit for bit, because IEEE complex
+    products commute and conjugation distributes over them exactly.
     Raises TypeError naming the first entry that is not a number, ValueError
-    naming the first non-finite entry, and RuntimeError if the eigensolver
-    fails to converge.
+    naming the first non-finite entry or for a matrix that is not exactly
+    Hermitian, and RuntimeError if the eigensolver fails to converge.
     """
     for index, z in enumerate(m.entries):
         try:
@@ -377,20 +368,10 @@ def operator_norm(m: ComplexMatrix) -> float:
             raise ValueError(
                 f"matrix entry ({index // m.dim}, {index % m.dim}) is not finite: {z!r}"
             )
-    if m.is_hermitian():
-        eigs = _kernels.eigvals_hermitian(m.entries, m.dim)
-        return max(abs(eigs[0]), abs(eigs[-1]))
-    exponent = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in m.entries))[1]
-    scaled = ComplexMatrix(
-        m.dim,
-        tuple(
-            complex(math.ldexp(z.real, -exponent), math.ldexp(z.imag, -exponent))
-            for z in m.entries
-        ),
-    )
-    gram = scaled.dagger() @ scaled
-    eigs = _kernels.eigvals_hermitian(gram.entries, gram.dim)
-    return math.ldexp(math.sqrt(max(0.0, eigs[-1])), exponent)
+    if not m.is_hermitian():
+        raise ValueError("operator_norm expects an exactly Hermitian matrix")
+    eigs = _kernels.eigvals_hermitian(m.entries, m.dim)
+    return max(abs(eigs[0]), abs(eigs[-1]))
 
 
 def _chsh_value_from_vectors(a: Vec3, ap: Vec3, b: Vec3, bp: Vec3) -> float:

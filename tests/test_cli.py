@@ -390,6 +390,10 @@ def test_library_range_checks_exit_2_with_their_own_message(capsys, tmp_path, en
     assert err == f"chshbounds: error: {message}\n"
 
 
+HUGE = "1" + "0" * 400
+HUGE_MESSAGE = "must fit in a float, got an integer of 1329 bits"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -415,8 +419,40 @@ def test_library_range_checks_exit_2_with_their_own_message(capsys, tmp_path, en
             "lhv_model: {states: [{weight: -0.5, responses: [1, 1, 1, 1]}]}",
             "state weight must be >= 0, got -0.5",
         ),
+        # Integers that YAML reads exactly, past the float range; the message
+        # gives their size, not their digits.
+        (
+            f"lhv_model: {{states: [{{weight: {HUGE}, responses: [1, 1, 1, 1]}}]}}",
+            f"lhv_model.states[0].weight {HUGE_MESSAGE}",
+        ),
+        (
+            f"lhv_model: {{states: [{{weight: 1.0, responses: [1, {HUGE}, 1, 1]}}]}}",
+            f"lhv_model.states[0].responses[1] {HUGE_MESSAGE}",
+        ),
+        (f"coefficients: [1, 1, -{HUGE}, 1]", f"coefficients[2] {HUGE_MESSAGE}"),
+        (
+            f"configuration: {{a: [{HUGE}, 0, 0], a_prime: [0, 1, 0],"
+            " b: [0, 0, 1], b_prime: [1, 0, 0]}",
+            f"configuration.a[0] {HUGE_MESSAGE}",
+        ),
+        (
+            f"configuration: {{angles_deg: [0, {HUGE}, 0, 0]}}",
+            f"configuration.angles_deg[1] {HUGE_MESSAGE}",
+        ),
     ],
-    ids=["weight", "response", "coefficient", "vector", "angle", "negative-weight"],
+    ids=[
+        "weight",
+        "response",
+        "coefficient",
+        "vector",
+        "angle",
+        "negative-weight",
+        "huge-weight",
+        "huge-response",
+        "huge-coefficient",
+        "huge-vector",
+        "huge-angle",
+    ],
 )
 def test_non_finite_and_negative_values_exit_2(capsys, tmp_path, text, message):
     path = tmp_path / "run.yaml"
@@ -424,6 +460,19 @@ def test_non_finite_and_negative_values_exit_2(capsys, tmp_path, text, message):
     code, out, err = run_cli(capsys, "verify", "--config", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"chshbounds: error: {message}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["configuration: " + "[" * 5000 + "]" * 5000, "lhv_model: " + "{a: " * 5000 + "1" + "}" * 5000],
+    ids=["sequences", "mappings"],
+)
+def test_deeply_nested_yaml_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "run.yaml"
+    path.write_text(f"track: all\n{text}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"chshbounds: error: config file {path} is nested too deeply\n"
 
 
 YAML_NUMBER_HINT = (

@@ -66,6 +66,20 @@ def test_ci_runs_tier1_on_both_backends():
     assert sorted(builds) == [False, True]
 
 
+def test_ci_runs_the_installed_console_script_last_on_both_backends():
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    verify = "chshbounds verify --track all --canonical --seed 7"
+    golden = "cmp - tests/golden/verify_all_canonical_seed7.json"
+    for job in workflow["jobs"].values():
+        step = job["steps"][-1]
+        assert step["if"] == "matrix.python-version == '3.11'"
+        assert step["run"].splitlines() == [
+            "python -m pip install --no-build-isolation --no-deps .",
+            f"{verify} | {golden}",
+            f"CHSHBOUNDS_BACKEND=python {verify} | {golden}",
+        ]
+
+
 def test_ci_rejects_tracked_build_artefacts():
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
     commands = [step.get("run", "") for job in workflow["jobs"].values() for step in job["steps"]]
