@@ -198,7 +198,8 @@ def _load_config_file(path: str) -> dict:
             data = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: bytes that are not UTF-8, or an int over Python's digit limit.
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     except RecursionError:
         # PyYAML's composer recurses once per level of nesting.

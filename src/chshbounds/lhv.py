@@ -197,6 +197,9 @@ def monte_carlo_correlations(model: LhvModel, samples: int, seed: int) -> MonteC
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if samples >= 2**63:
+        # Draw indices are 64-bit signed integers in both kernels.
+        raise ValueError(f"samples must be < 2**63, got a {samples.bit_length()}-bit integer")
     cum_weights = []
     acc = 0.0
     for state in model.states:

@@ -210,15 +210,20 @@ def test_verify_rejects_malformed_config_entries(capsys, tmp_path, text, message
 
 @pytest.mark.parametrize(
     "content",
-    [b"{unclosed", b"track: classical\n\xff\xfe\n"],
-    ids=["unclosed", "not-utf8"],
+    [
+        b"{unclosed",
+        b"track: classical\n\xff\xfe\n",
+        # Python's own limit on int conversion raises a plain ValueError.
+        b"track: all\ncoefficients: [1" + b"0" * 5000 + b", 1, 1, 1]\n",
+    ],
+    ids=["unclosed", "not-utf8", "5001-digit-int"],
 )
 def test_verify_rejects_malformed_yaml(capsys, tmp_path, content):
     path = tmp_path / "broken.yaml"
     path.write_bytes(content)
     code, _, err = run_cli(capsys, "verify", "--config", str(path))
     assert code == 2
-    assert "not valid YAML" in err
+    assert err.startswith(f"chshbounds: error: config file {path} is not valid YAML: ")
 
 
 def test_verify_requires_a_track(capsys):
@@ -549,3 +554,22 @@ def test_importing_cli_does_not_load_yaml(child_env):
     run = subprocess.run(command, capture_output=True, text=True, env=child_env)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "config, flags, bits",
+    [
+        ("track: classical\n", ["--samples", str(2**63)], 64),
+        ("track: classical\nsamples: 1" + "0" * 400 + "\n", [], 1329),
+    ],
+    ids=["flag", "config"],
+)
+def test_samples_beyond_the_int64_draw_indices_exit_2(tmp_path, child_env, config, flags, bits):
+    # Without the check the sampling loop would run ~samples / 4096 blocks, so
+    # it runs in a child process that a regression times out instead of hanging.
+    path = tmp_path / "run.yaml"
+    path.write_text(config, encoding="utf-8")
+    command = [sys.executable, "-m", "chshbounds.cli", "verify", "--config", str(path), *flags]
+    run = subprocess.run(command, capture_output=True, text=True, env=child_env, timeout=60)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == f"chshbounds: error: samples must be < 2**63, got a {bits}-bit integer\n"

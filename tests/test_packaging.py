@@ -43,47 +43,82 @@ def test_readme_names_the_kernels():
     assert tuple(re.findall(r"`(\w+)`", match.group(2))) == _kernels.KERNEL_NAMES
 
 
-def test_ci_runs_tier1_on_both_backends():
+def _ci_job() -> dict:
+    """The workflow's one job, whose matrix gives each (Python, backend) entry."""
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
-    jobs = workflow["jobs"]
-    assert len(jobs) == 2
+    (job,) = workflow["jobs"].values()
+    return job
+
+
+def _step_running(steps: list, command: str) -> dict:
+    """The one step whose ``run`` holds ``command``."""
+    (step,) = [step for step in steps if command in step.get("run", "")]
+    return step
+
+
+def test_ci_runs_tier1_on_both_backends():
+    job = _ci_job()
+    assert job["strategy"]["matrix"] == {
+        "python-version": ["3.10", "3.11", "3.12", "3.13"],
+        "backend": ["python", "native"],
+    }
+    steps = job["steps"]
+    # Only native builds the C kernels, and every entry checks that its
+    # backend is the one selected.
+    build = _step_running(steps, "build_ext")
+    assert build["run"] == 'CFLAGS="-Wall -Werror" python setup.py build_ext --inplace'
+    assert build["if"] == "matrix.backend == 'native'"
+    selected = _step_running(steps, "BACKEND_NAME")
+    assert "chshbounds.BACKEND_NAME == '${{ matrix.backend }}'" in selected["run"]
+    assert "if" not in selected
+    # Tier-1 and the acceptance criteria (apart, with -rP to print their
+    # elapsed times) run on every entry.
+    tier1 = _step_running(steps, TIER1)
+    acceptance = _step_running(steps, ACCEPTANCE)
+    assert "--ignore=tests/test_acceptance.py" in tier1["run"]
+    assert acceptance["run"] == ACCEPTANCE
+    assert "if" not in tier1 and "if" not in acceptance
+    # The traced benchmark runs on every workload on both backends (3.11)
+    # and requires "correct": true, so its output checks cover both.
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [workload["name"] for workload in benchmark["workloads"]]
-    builds = []
-    for job in jobs.values():
-        assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12", "3.13"]
-        commands = "\n".join(step.get("run", "") for step in job["steps"])
-        assert TIER1 in commands
-        # The acceptance criteria run apart, with -rP to print their elapsed times.
-        assert "--ignore=tests/test_acceptance.py" in commands
-        assert ACCEPTANCE in commands.splitlines()
-        # Each job runs the traced benchmark on every workload and requires
-        # "correct": true, so its output checks run on both backends.
-        assert f"for workload in {' '.join(workloads)}; do" in commands
-        assert TRACED_BENCHMARK in commands
-        assert '["correct"] is not True' in commands
-        builds.append("python setup.py build_ext --inplace" in commands)
-    assert sorted(builds) == [False, True]
+    traced = _step_running(steps, TRACED_BENCHMARK)
+    assert f"for workload in {' '.join(workloads)}; do" in traced["run"]
+    assert '["correct"] is not True' in traced["run"]
+    assert traced["if"] == "matrix.python-version == '3.11'"
+
+
+def test_ci_conditions_name_only_listed_matrix_values():
+    # A misspelt value ('natve') would match no entry and silently drop its step.
+    job = _ci_job()
+    matrix = job["strategy"]["matrix"]
+    clause = re.compile(r"matrix\.(python-version|backend) == '([^']*)'")
+    conditions = [step["if"] for step in job["steps"] if "if" in step]
+    assert conditions
+    for condition in conditions:
+        for part in condition.split(" && "):
+            match = clause.fullmatch(part)
+            assert match is not None, f"unexpected condition {condition!r}"
+            assert match.group(2) in matrix[match.group(1)], f"no entry matches {condition!r}"
 
 
 def test_ci_runs_the_installed_console_script_last_on_both_backends():
-    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
     verify = "chshbounds verify --track all --canonical --seed 7"
     golden = "cmp - tests/golden/verify_all_canonical_seed7.json"
-    for job in workflow["jobs"].values():
-        step = job["steps"][-1]
-        assert step["if"] == "matrix.python-version == '3.11'"
-        assert step["run"].splitlines() == [
-            "python -m pip install --no-build-isolation --no-deps .",
-            f"{verify} | {golden}",
-            f"CHSHBOUNDS_BACKEND=python {verify} | {golden}",
-        ]
+    # One entry checks both backends, after every step that runs from src/.
+    step = _ci_job()["steps"][-1]
+    assert step["if"] == "matrix.backend == 'native' && matrix.python-version == '3.11'"
+    assert step["run"].splitlines() == [
+        "python -m pip install --no-build-isolation --no-deps .",
+        f"{verify} | {golden}",
+        f"CHSHBOUNDS_BACKEND=python {verify} | {golden}",
+    ]
 
 
 def test_ci_rejects_tracked_build_artefacts():
-    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
-    commands = [step.get("run", "") for job in workflow["jobs"].values() for step in job["steps"]]
-    assert any("git ls-files" in command and "exit 1" in command for command in commands)
+    step = _step_running(_ci_job()["steps"], "git ls-files")
+    assert "exit 1" in step["run"]
+    assert "if" not in step
 
 
 def test_a_failing_hypothesis_test_does_not_abort_the_session(tmp_path):
