@@ -37,9 +37,9 @@ precision before use and echoed back verbatim in the report.  Exit codes:
 ``--out`` or ``output_path``), 2 malformed configuration or usage (an
 unreadable config file included), 3 a bound was violated beyond tolerance (the
 report is still written).  Exit 2 also covers every range or limit check the
-library makes (restarts on every ``optimize`` track, sweep steps, lhv_model
-weights and responses, coefficients); the error line then quotes the library's
-own message.
+library makes (restarts on every ``optimize`` track, sweep steps, samples
+(< 2**63), lhv_model weights and responses, coefficients); the error line then
+quotes the library's own message.
 """
 
 from __future__ import annotations

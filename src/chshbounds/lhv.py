@@ -48,8 +48,11 @@ class HiddenState:
     """One hidden state: a weight and the four response values (a, a', b, b').
 
     Responses within 1e-12 of [-1, 1] are accepted and stored as floats
-    clamped to [-1, 1], so every product of two responses, and every
-    weighted average of such products, lies in [-1, 1] as well.
+    clamped to [-1, 1], so every product of two responses lies in [-1, 1]
+    as well.  A model's weights may sum to 1 + 1e-12
+    (``WEIGHT_SUM_TOLERANCE``), so a weighted average of such products lies
+    in [-1, 1] only up to that factor: a CHSH value can exceed 2 by about
+    2e-12, far inside the -1e-9 ``MARGIN_TOLERANCE`` of a bound report.
     """
 
     weight: float

@@ -44,8 +44,6 @@ __all__ = [
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
-IMAG_RESIDUE_TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True)
 class ComplexMatrix:
@@ -54,7 +52,7 @@ class ComplexMatrix:
     ``entries`` is stored as a tuple whatever sequence is passed, so that
     equality, hashing and :meth:`is_hermitian` compare like with like.  The
     matrix product ``@`` (2x2 and 4x4 only) is plain Python, not a kernel: no
-    CLI command forms more than 21 products.
+    CLI command forms more than 13 products.
     """
 
     dim: int
@@ -214,7 +212,7 @@ def tensor_product(left: ComplexMatrix, right: ComplexMatrix) -> ComplexMatrix:
     """Kronecker product of two 2x2 matrices (left factor acts on side A).
 
     Entry (r, c) is left[r // 2, c // 2] * right[r % 2, c % 2].  Plain
-    Python, not a kernel: no CLI command forms more than 17 such products.
+    Python, not a kernel: no CLI command forms more than 13 such products.
     """
     if left.dim != 2 or right.dim != 2:
         raise ValueError(
@@ -248,14 +246,10 @@ def _correlation_from_vectors(a: Vec3, b: Vec3) -> float:
     of the Kronecker product only the four at rows and columns |01>, |10>
     contribute; the ``singlet_expectation`` kernel contracts just those,
     with the same complex products as the full Kronecker-product pipeline.
+    Its imaginary part is exactly zero: the kernel's entry m21 is the exact
+    conjugate of m12, because a - b == -(b - a) in IEEE arithmetic.
     """
-    value = _kernels.singlet_expectation(a, b)
-    if abs(value.imag) > IMAG_RESIDUE_TOLERANCE:
-        raise RuntimeError(
-            "singlet expectation of a Hermitian observable has imaginary residue "
-            f"{value.imag:.3e}; the operator pipeline is broken"
-        )
-    return value.real
+    return _kernels.singlet_expectation(a, b).real
 
 
 def singlet_correlation(a: Sequence[float], b: Sequence[float]) -> float:
@@ -265,8 +259,8 @@ def singlet_correlation(a: Sequence[float], b: Sequence[float]) -> float:
     The contraction takes the four entries of (sigma.a)(x)(sigma.b) at rows
     and columns |01>, |10>: the other twelve meet a zero singlet amplitude
     on the row or the column side, so they add only exact zeros.  The
-    imaginary residue of the contraction is checked (must not exceed 1e-9)
-    and discarded.
+    contraction's imaginary part is exactly zero for every input, and is
+    discarded.
     """
     ua = require_unit(a, UNIT_GATE_TOLERANCE, "a")
     ub = require_unit(b, UNIT_GATE_TOLERANCE, "b")
@@ -287,8 +281,9 @@ def _spin_matrices(
     return tuple(ComplexMatrix(2, _spin_entries(v)) for v in cfg.vectors())
 
 
-def _chsh_operator(sa, sap, sb, sbp) -> ComplexMatrix:
-    """A(x)B + A(x)B' + A'(x)B - A'(x)B' from the four 2x2 spin matrices."""
+def chsh_operator(cfg: Configuration) -> ComplexMatrix:
+    """The CHSH operator A(x)B + A(x)B' + A'(x)B - A'(x)B' on the joint space."""
+    sa, sap, sb, sbp = _spin_matrices(cfg)
     return (
         tensor_product(sa, sb)
         + tensor_product(sa, sbp)
@@ -297,36 +292,31 @@ def _chsh_operator(sa, sap, sb, sbp) -> ComplexMatrix:
     )
 
 
-def chsh_operator(cfg: Configuration) -> ComplexMatrix:
-    """The CHSH operator A(x)B + A(x)B' + A'(x)B - A'(x)B' on the joint space."""
-    return _chsh_operator(*_spin_matrices(cfg))
-
-
 def chsh_squared_identity_deviation(cfg: Configuration) -> float:
     """Max elementwise deviation of B^2 from 4*I - C, C = [A, A'] (x) [B, B'].
 
-    Both sides are assembled independently as 4x4 matrices, from one set of
-    spin matrices.  The commutator factors act on different tensor slots,
-    which is what lets C be formed as a single Kronecker product;
-    :func:`cross_commutator_residual` checks that premise numerically.
+    Both sides are assembled independently as 4x4 matrices.  The commutator
+    factors act on different tensor slots, which is what lets C be formed as
+    a single Kronecker product; :func:`cross_commutator_residual` reports
+    that premise.
     """
-    spins = _spin_matrices(cfg)
-    residual = _cross_commutator_residual(*spins)
-    if residual > 1e-12:
-        raise RuntimeError(
-            f"cross-factor commutators do not vanish (max entry {residual:.3e}); "
-            "the tensor assembly is broken"
-        )
-    op = _chsh_operator(*spins)
+    op = chsh_operator(cfg)
     squared = op @ op
-    sa, sap, sb, sbp = spins
+    sa, sap, sb, sbp = _spin_matrices(cfg)
     c_joint = tensor_product(commutator_matrix(sa, sap), commutator_matrix(sb, sbp))
     rhs = ComplexMatrix.identity(4) * 4.0 - c_joint
     return squared.max_abs_difference(rhs)
 
 
-def _cross_commutator_residual(sa, sap, sb, sbp) -> float:
-    """Largest entry of [X (x) I, I (x) Y] over X in {A, A'} and Y in {B, B'}."""
+def cross_commutator_residual(cfg: Configuration) -> float:
+    """Largest entry of any cross-factor commutator [X (x) I, I (x) Y].
+
+    The maximum over the four pairs drawn from {A, A'} x {B, B'}.  It is
+    exactly zero in floating point too: each nonzero entry of (X (x) I)(I (x) Y)
+    is a single product x*y, because the factors 1 and 0 are exact, and IEEE
+    complex products commute bit for bit.
+    """
+    sa, sap, sb, sbp = _spin_matrices(cfg)
     a_ops = [tensor_product(s, IDENTITY_2) for s in (sa, sap)]
     b_ops = [tensor_product(IDENTITY_2, s) for s in (sb, sbp)]
     residual = 0.0
@@ -334,15 +324,6 @@ def _cross_commutator_residual(sa, sap, sb, sbp) -> float:
         for y in b_ops:
             residual = max(residual, commutator_matrix(x, y).max_abs_entry())
     return residual
-
-
-def cross_commutator_residual(cfg: Configuration) -> float:
-    """Largest entry of any cross-factor commutator [X (x) I, I (x) Y].
-
-    Exactly zero in exact arithmetic for every pair drawn from
-    {A, A'} x {B, B'}; returns the numerical maximum over the four pairs.
-    """
-    return _cross_commutator_residual(*_spin_matrices(cfg))
 
 
 def operator_norm(m: ComplexMatrix) -> float:

@@ -7,9 +7,11 @@ import pytest
 import yaml
 
 from chshbounds import cli
+from chshbounds.geometry import BOUND_TOLERANCE, require_bounded
+from chshbounds.lhv import WEIGHT_SUM_TOLERANCE, LhvModel
 from chshbounds.optimize import OptimizationResult
 from chshbounds.quantum import TSIRELSON_BOUND
-from chshbounds.reporting import BoundReport
+from chshbounds.reporting import MARGIN_TOLERANCE, BoundReport
 
 SQRT8 = 2.8284271247461903
 
@@ -71,6 +73,39 @@ def test_verify_classical_accepts_responses_within_tolerance(capsys, tmp_path):
     assert report["value"] == 2.0
     assert report["details"]["correlations"] == [1, 1, 1, 1]
     assert report["details"]["monte_carlo"]["chsh_value"] == 2.0
+
+
+def test_largest_accepted_inputs_stay_inside_the_margin_tolerance(capsys, tmp_path):
+    # Weights may sum to 1 + 1e-12 and coefficients reach 1 + 1e-12, so the
+    # classical and ga values can exceed their bounds by a few 1e-12: far
+    # inside MARGIN_TOLERANCE, so verify exits 0, never 3.
+    weight = 1.0 + 2 * WEIGHT_SUM_TOLERANCE
+    while True:
+        try:
+            LhvModel.from_pairs([(weight, (1, 1, 1, -1))])
+            break
+        except ValueError:
+            weight = math.nextafter(weight, 0.0)
+    limit = 1.0 + BOUND_TOLERANCE
+    assert math.nextafter(weight, 2.0) - 1.0 > WEIGHT_SUM_TOLERANCE
+    assert require_bounded(limit, "x") == limit
+    with pytest.raises(ValueError):
+        require_bounded(math.nextafter(limit, 2.0), "x")
+    config = write_config(
+        tmp_path,
+        {
+            "track": "all",
+            "lhv_model": {"states": [{"weight": weight, "responses": [limit] * 3 + [-limit]}]},
+            "coefficients": [limit] * 4,
+            "samples": 1000,
+        },
+    )
+    code, out, err = run_cli(capsys, "verify", "--config", config)
+    assert code == 0 and err == ""
+    reports = {report["track"]: report for report in json.loads(out)["reports"]}
+    assert reports["classical"]["margin"] < 0 and reports["ga"]["margin"] < 0
+    for report in reports.values():
+        assert report["margin"] > MARGIN_TOLERANCE, report
 
 
 def test_verify_classical_monte_carlo_details(capsys, tmp_path):

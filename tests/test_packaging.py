@@ -9,7 +9,7 @@ from pathlib import Path
 
 import yaml
 
-from chshbounds import __version__, _kernels
+from chshbounds import __version__, _kernels, cli, quantum
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"
@@ -41,6 +41,47 @@ def test_readme_names_the_kernels():
     count_words = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight")
     assert match.group(1).lower() == count_words[len(_kernels.KERNEL_NAMES)]
     assert tuple(re.findall(r"`(\w+)`", match.group(2))) == _kernels.KERNEL_NAMES
+
+
+def _count_products(monkeypatch, argv: list) -> tuple:
+    """Kronecker and matrix products that ``cli.main(argv)`` forms."""
+    counts = {"kron": 0, "matmul": 0}
+
+    def counting(kind, function):
+        def wrapper(*args):
+            counts[kind] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(quantum, "tensor_product", counting("kron", quantum.tensor_product))
+    monkeypatch.setattr(
+        quantum.ComplexMatrix, "__matmul__", counting("matmul", quantum.ComplexMatrix.__matmul__)
+    )
+    assert cli.main(argv) == 0
+    monkeypatch.undo()
+    return counts["kron"], counts["matmul"]
+
+
+def test_docs_quote_the_product_counts(monkeypatch, capsys):
+    # verify --track all forms the most products of any command; the README
+    # and the two docstrings that justify plain-Python products quote it.
+    kron, matmul = _count_products(
+        monkeypatch, ["verify", "--track", "all", "--canonical", "--seed", "7"]
+    )
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    match = re.search(r"forms more than (\d+) Kronecker products or (\d+) matrix products", readme)
+    assert match is not None, "README.md has no product-count sentence"
+    assert (int(match.group(1)), int(match.group(2))) == (kron, matmul)
+    for function, count in ((quantum.tensor_product, kron), (quantum.ComplexMatrix, matmul)):
+        doc = " ".join(function.__doc__.split())
+        quoted = re.search(r"forms more than (\d+) (?:such )?products", doc)
+        assert quoted is not None, f"{function.__name__} quotes no product count"
+        assert int(quoted.group(1)) == count
+    optimize = ["optimize", "--track", "quantum", "--restarts", "2"]
+    assert _count_products(monkeypatch, optimize) == (0, 0)
+    assert _count_products(monkeypatch, ["sweep", "--steps", "11"]) == (0, 0)
+    capsys.readouterr()
 
 
 def _ci_job() -> dict:

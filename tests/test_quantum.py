@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import operator
@@ -14,7 +15,9 @@ from chshbounds.geometry import (
     Configuration,
     canonical_configuration,
     cross,
+    dot,
     magnitude,
+    normalized,
     random_configuration,
     random_unit_vector,
 )
@@ -37,8 +40,17 @@ from chshbounds.quantum import (
     spin_operator,
     tensor_product,
 )
+from chshbounds.vector_values import (
+    ResponseCoefficients,
+    chsh_vector_value,
+    vector_bound_expression,
+)
 
 SQRT8 = 2.0 * math.sqrt(2.0)
+
+SIGNED_AXES = [
+    tuple(s if i == k else 0.0 for i in range(3)) for k in range(3) for s in (1.0, -1.0)
+]
 
 
 def _np(m: ComplexMatrix) -> np.ndarray:
@@ -123,6 +135,23 @@ def test_singlet_correlation_equals_minus_cosine():
         assert abs(closed + sum(x * y for x, y in zip(a, b))) == 0.0
 
 
+def test_singlet_expectation_is_exactly_real(backend):
+    # The kernel's two cross terms are exact conjugates (a - b == -(b - a) in
+    # IEEE arithmetic), so its imaginary part is exactly zero for every
+    # finite input, unit or not, at any scale at which the products stay
+    # finite; singlet_correlation discards it unchecked.
+    s = rng.CounterStream(65)
+    directions = list(SIGNED_AXES)
+    for exponent in range(-150, 151, 10):
+        for _ in range(50):
+            directions.append(tuple(10.0**exponent * x for x in s.unit_vector()))
+            directions.append(tuple(10.0**exponent * s.uniform(-1, 1) for _ in range(3)))
+    pairs = [(a, b) for a in SIGNED_AXES for b in SIGNED_AXES]
+    pairs += [(a, directions[s.below(len(directions))]) for a in directions]
+    for a, b in pairs:
+        assert _kernels.singlet_expectation(a, b).imag == 0.0, (a, b)
+
+
 def test_singlet_correlation_axis_cases():
     z = (0.0, 0.0, 1.0)
     assert abs(singlet_correlation(z, z) + 1.0) < 1e-15
@@ -144,7 +173,17 @@ def test_squared_identity_on_random_configurations():
     for i in range(200):
         cfg = random_configuration(63, i)
         assert chsh_squared_identity_deviation(cfg) < 1e-10
-        assert cross_commutator_residual(cfg) < 1e-12
+
+
+def test_cross_commutator_residual_is_exactly_zero():
+    # Each nonzero entry of (X (x) I)(I (x) Y) is one product x*y, because the
+    # factors 1 and 0 are exact, and IEEE complex products commute bit for
+    # bit; so the premise of the B^2 identity holds exactly, signed zeros in
+    # the spin matrices included.
+    configurations = _signed_axis_configurations()
+    configurations += [random_configuration(63, i) for i in range(500)]
+    for cfg in configurations:
+        assert cross_commutator_residual(cfg) == 0.0, cfg
 
 
 def test_operator_norm_matches_numpy_hermitian():
@@ -195,9 +234,32 @@ def test_operator_norms_match_closed_forms(backend):
         assert abs(operator_norm(product) - 4.0 * sines) < 1e-12
 
 
+def _random_rotation(seed: int, index: int) -> tuple:
+    """Rows of a uniformly random rotation: a Haar-random first row u, then
+    w along u x v for a second random v, then w x u."""
+    u = random_unit_vector(seed, 2 * index)
+    w = normalized(cross(u, random_unit_vector(seed, 2 * index + 1)))
+    return (u, cross(w, u), w)
+
+
+def test_value_and_norm_are_invariant_under_rotation_and_party_swap(backend):
+    # The singlet is rotation invariant and symmetric under exchange of the
+    # parties, so rotating all four directions together, or swapping
+    # (a, a') with (b, b'), moves the value and ||B|| by rounding only.
+    for i in range(2000):
+        cfg = random_configuration(71, i)
+        rows = _random_rotation(72, i)
+        rotated = Configuration(*(tuple(dot(r, v) for r in rows) for v in cfg.vectors()))
+        value = chsh_quantum_value(cfg)
+        assert abs(chsh_quantum_value(rotated) - value) < 1e-14
+        norm = operator_norm(chsh_operator(cfg))
+        assert abs(operator_norm(chsh_operator(rotated)) - norm) < 1e-14
+        swapped = Configuration(cfg.b, cfg.b_prime, cfg.a, cfg.a_prime)
+        assert abs(chsh_quantum_value(swapped) - value) < 1e-15
+
+
 def _signed_axis_configurations():
-    axes = [tuple(s if i == k else 0.0 for i in range(3)) for k in range(3) for s in (1.0, -1.0)]
-    return [Configuration(*vectors) for vectors in itertools.product(axes, repeat=4)]
+    return [Configuration(*vectors) for vectors in itertools.product(SIGNED_AXES, repeat=4)]
 
 
 def _random_hermitian_2x2(s: rng.CounterStream, scale: float) -> ComplexMatrix:
@@ -340,6 +402,38 @@ def test_eigvals_bits_are_pinned(backend):
         for m in (b_operator, c_operator, b_operator.dagger() @ b_operator):
             got.append(" ".join(x.hex() for x in _kernels.eigvals_hermitian(m.entries, 4)))
     assert got == PINNED_EIGVALS
+
+
+# sha256 of the seven quantities perfbench/certify.py prints, as float.hex,
+# over random_configuration(7, i) for i < 200; recorded before the run-time
+# guards of chsh_squared_identity_deviation and singlet_correlation went.
+CERTIFY_QUANTITIES_SHA256 = "f68a4b946a3e94c8c26f1eb828a3b9f6898979170b46d31a87edfeebdf9cea80"
+
+
+def test_certify_quantities_bits_are_pinned(backend):
+    # ||B||, ||C||, the B^2 identity deviation, the quantum value, the vector
+    # value, the vector bound and the ga commutator norm: the library-level
+    # numbers that no golden report holds.
+    ones = ResponseCoefficients.ones()
+    lines = []
+    for i in range(200):
+        cfg = random_configuration(7, i)
+        c_operator = tensor_product(
+            commutator_matrix(spin_operator(cfg.a), spin_operator(cfg.a_prime)),
+            commutator_matrix(spin_operator(cfg.b), spin_operator(cfg.b_prime)),
+        )
+        values = (
+            operator_norm(chsh_operator(cfg)),
+            operator_norm(c_operator),
+            chsh_squared_identity_deviation(cfg),
+            chsh_quantum_value(cfg),
+            chsh_vector_value(cfg, ones),
+            vector_bound_expression(cfg.b, cfg.b_prime, 1.0, 1.0),
+            commutator(Multivector.from_vector(cfg.a), Multivector.from_vector(cfg.a_prime)).norm(),
+        )
+        lines.append(" ".join(v.hex() for v in values))
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == CERTIFY_QUANTITIES_SHA256
 
 
 NAN, INF = math.nan, math.inf
