@@ -2,23 +2,24 @@
 
 The classical track is an exact enumeration of the 16 deterministic
 strategies (mixtures are convex, so they cannot beat the deterministic
-maximum).  The quantum and vector-valued tracks run a derivative-free
-coordinate search over spherical angles (plus the two b-side magnitude
-coefficients for the vector track) from seeded random restarts; both recover
-the 2*sqrt(2) ceiling and the canonical attainment geometry.  A probe
-recomputes only the chart vector it moves and that vector's two pair terms,
-by the same float operations and summed in the same order as a full
-recompute, so every value and the evaluation count are bit-identical to it.
+maximum).  The quantum and vector-valued tracks alternate exact best
+responses (a "see-saw") from seeded random restarts: each objective is
+linear in a, a' for fixed b, b' and vice versa, so a round sets the a side,
+then the b side, to its closed-form best unit vectors and records the value
+at the new point.  A restart stops at the first round that does not strictly
+raise its value.  Both recover the 2*sqrt(2) ceiling and its geometry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import rng
-from .geometry import Configuration, Vec3, dot, planar_vector, spherical_vector
+from .geometry import (
+    Configuration, Vec3, add, dot, normalized, planar_vector, scale, spherical_vector, sub,
+)
 from .lhv import (
     CLASSICAL_BOUND,
     LhvModel,
@@ -37,26 +38,17 @@ __all__ = [
     "sweep_coplanar_family",
 ]
 
-INITIAL_STEP = 0.3
-STEP_SHRINK = 0.5
-MIN_STEP = 1e-8
 DEFAULT_RESTARTS = 32
 
-# Safety valve only: a sweep level ends as soon as a full pass yields no
-# improvement, which in practice happens after a handful of passes.
-_MAX_SWEEPS_PER_LEVEL = 1000
+# Safety valve only: a restart stops at the first round that does not raise
+# its value, which in practice happens within five rounds.
+_MAX_ROUNDS = 100
 
+_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
-def _chart_vectors(t: Sequence[float]) -> tuple[Vec3, Vec3, Vec3, Vec3]:
-    """Directions a, a', b, b' from the first 8 chart angles; no validation."""
-    return tuple(spherical_vector(t[2 * j], t[2 * j + 1]) for j in range(4))
-
-
-# Term k pairs chart vectors _PAIRS[k]; chart vector j feeds terms _TERMS_OF_VECTOR[j].
-_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
-_TERMS_OF_VECTOR = ((0, 1), (2, 3), (0, 2), (1, 3))
-_PairTerm = Callable[[Vec3, Vec3], float]
-_Combine = Callable[[list[float], list[float]], float]
+# A round maps a point to the next one; a value scores a point.
+_Round = Callable[[tuple], tuple]
+_Value = Callable[[tuple], float]
 
 
 @dataclass(frozen=True)
@@ -91,69 +83,87 @@ class _SearchState:
     def __init__(self):
         self.evaluations = 0
         self.best_value = -math.inf
-        self.best_point: tuple[float, ...] | None = None
+        # (a, a', b, b'), followed on the vector track by (alpha_b, alpha_b').
+        self.best_point: tuple | None = None
         self.history: list[tuple[int, float]] = []
 
-    def record(self, point: Sequence[float], value: float) -> None:
+    def record(self, point: tuple, value: float) -> None:
         self.evaluations += 1
         if value > self.best_value:
             self.best_value = value
-            self.best_point = tuple(point)
+            self.best_point = point
             self.history.append((self.evaluations, value))
 
 
-def _coordinate_ascent(
-    pair_term: _PairTerm, combine: _Combine, start: Sequence[float], state: _SearchState
-) -> None:
-    """Coordinate search with shrinking steps.
+def _best_pair(p: Vec3, q: Vec3, x: Vec3, x_prime: Vec3) -> tuple[Vec3, Vec3]:
+    """p + q and p - q normalized: the unit pair maximizing x.(p + q) + x'.(p - q).
 
-    From ``start``, each coordinate is probed at +/-step, a coefficient
-    clamped to [-1, 1]; improvements are accepted greedily, and the step
-    shrinks by ``STEP_SHRINK`` once a full pass stalls, terminating below
-    ``MIN_STEP``.  A point's value is ``combine(terms, point)``, term k being
-    ``pair_term`` of chart vectors ``_PAIRS[k]``.  The current point's
-    vectors and terms are cached: a probe of angle i recomputes vector i // 2
-    and its two terms, a probe of a coefficient reuses all four, and an
-    accepted probe replaces the cache.  Each term is the same float operations
-    on the same inputs as in a full recompute and ``combine`` sums the terms
-    in a fixed order, so every value and the evaluation count match a full
-    recompute bit for bit.  Every evaluation is recorded in ``state``.
+    A zero vector (from a = +/-a', b = +/-b' or zero coefficients) makes
+    every direction equally good; the current ``x`` or ``x_prime`` is kept.
     """
-    x = list(start)
-    vectors = list(_chart_vectors(x))
-    terms = [pair_term(vectors[p], vectors[q]) for p, q in _PAIRS]
-    current = combine(terms, x)
-    state.record(x, current)
-    step = INITIAL_STEP
-    while step >= MIN_STEP:
-        for _ in range(_MAX_SWEEPS_PER_LEVEL):
-            improved = False
-            for i in range(len(x)):
-                for delta in (step, -step):
-                    old = x[i]
-                    candidate = old + delta
-                    if i >= 8:
-                        candidate = min(1.0, max(-1.0, candidate))
-                        if candidate == old:
-                            continue
-                    x[i] = candidate
-                    trial_vectors, trial_terms = list(vectors), list(terms)
-                    if i < 8:
-                        j = i // 2
-                        trial_vectors[j] = spherical_vector(x[2 * j], x[2 * j + 1])
-                        for k in _TERMS_OF_VECTOR[j]:
-                            p, q = _PAIRS[k]
-                            trial_terms[k] = pair_term(trial_vectors[p], trial_vectors[q])
-                    value = combine(trial_terms, x)
-                    state.record(x, value)
-                    if value > current:
-                        vectors, terms, current = trial_vectors, trial_terms, value
-                        improved = True
-                    else:
-                        x[i] = old
-            if not improved:
-                break
-        step *= STEP_SHRINK
+    u, w = add(p, q), sub(p, q)
+    zero = (0.0, 0.0, 0.0)
+    return (x if u == zero else normalized(u), x_prime if w == zero else normalized(w))
+
+
+def _quantum_value(point: tuple) -> float:
+    return _chsh_value_from_vectors(*point)
+
+
+def _quantum_round(point: tuple) -> tuple:
+    """Best a, a' for the current b, b', then best b, b' for the new a, a'.
+
+    The objective is |a.u + a'.w| with u_i = E(e_i, b) + E(e_i, b') and
+    w_i = E(e_i, b) - E(e_i, b'), each E a singlet correlation on an axis,
+    so a = u/|u| and a' = w/|w| attain |u| + |w|.  The b side is symmetric.
+    """
+    a, a_prime, b, b_prime = point
+    a, a_prime = _best_pair(
+        [_correlation_from_vectors(e, b) for e in _AXES],
+        [_correlation_from_vectors(e, b_prime) for e in _AXES], a, a_prime,
+    )
+    b, b_prime = _best_pair(
+        [_correlation_from_vectors(a, e) for e in _AXES],
+        [_correlation_from_vectors(a_prime, e) for e in _AXES], b, b_prime,
+    )
+    return a, a_prime, b, b_prime
+
+
+def _ga_value(point: tuple) -> float:
+    a, a_prime, b, b_prime, alpha_b, alpha_b_prime = point
+    return _chsh_vector_from_dots(
+        dot(a, b), dot(a, b_prime), dot(a_prime, b), dot(a_prime, b_prime),
+        1.0, 1.0, alpha_b, alpha_b_prime,
+    )
+
+
+def _ga_round(point: tuple) -> tuple:
+    """Best a, a' for the current b side, then the best b side for the new a, a'.
+
+    The objective is |a.(alpha_b b + alpha_b' b')| + |a'.(alpha_b b - alpha_b' b')|.
+    For fixed a, a' every sign pattern of the two absolute values is at most
+    |a + a'| + |a - a'|, attained by b, b' along a +/- a' with unit alphas.
+    """
+    a, a_prime, b, b_prime, alpha_b, alpha_b_prime = point
+    a, a_prime = _best_pair(scale(b, alpha_b), scale(b_prime, alpha_b_prime), a, a_prime)
+    b, b_prime = _best_pair(a, a_prime, b, b_prime)
+    return a, a_prime, b, b_prime, 1.0, 1.0
+
+
+def _see_saw(round_: _Round, value: _Value, start: tuple, state: _SearchState) -> None:
+    """Rounds from ``start`` until one fails to strictly raise the value.
+
+    Every value is recorded in ``state``; ``_MAX_ROUNDS`` caps the rounds.
+    """
+    point, current = start, value(start)
+    state.record(point, current)
+    for _ in range(_MAX_ROUNDS):
+        trial = round_(point)
+        trial_value = value(trial)
+        state.record(trial, trial_value)
+        if not trial_value > current:
+            return
+        point, current = trial, trial_value
 
 
 def _require_restarts(restarts: int) -> None:
@@ -162,27 +172,36 @@ def _require_restarts(restarts: int) -> None:
 
 
 def _multistart(
-    pair_term: _PairTerm, combine: _Combine, restarts: int, seed: int, coefficients: int
-) -> _SearchState:
-    """Coordinate search from ``restarts`` seeded random starts.
+    track: str, round_: _Round, value: _Value, restarts: int, seed: int, coefficients: int
+) -> OptimizationResult:
+    """The see-saw from ``restarts`` seeded random starts; the best point is reported.
 
-    A point is the 8-angle chart of :func:`_chart_vectors` followed by
-    ``coefficients`` parameters bounded to [-1, 1].  Restart ``index`` draws
-    its start from the stream ``derive_seed(seed, index)``: uniform-on-sphere
-    angles for a, a', b, b', then the coefficients uniform on [-1, 1).  Each
-    restart runs :func:`_coordinate_ascent`, which evaluates probes incrementally.
+    Restart ``index`` draws its start from the stream ``derive_seed(seed,
+    index)``: a, a', b, b' uniform on the sphere (polar angle acos(2u - 1),
+    then azimuth 2*pi*u), then ``coefficients`` values uniform on [-1, 1).
     """
     _require_restarts(restarts)
     state = _SearchState()
     for index in range(restarts):
         stream = rng.CounterStream(rng.derive_seed(seed, index))
-        start = []
-        for _ in range(4):
-            start.append(math.acos(2.0 * stream.u01() - 1.0))
-            start.append(rng.TWO_PI * stream.u01())
+        start = [
+            spherical_vector(math.acos(2.0 * stream.u01() - 1.0), rng.TWO_PI * stream.u01())
+            for _ in range(4)
+        ]
         start += [stream.uniform(-1.0, 1.0) for _ in range(coefficients)]
-        _coordinate_ascent(pair_term, combine, start, state)
-    return state
+        _see_saw(round_, value, tuple(start), state)
+    best = state.best_point
+    return OptimizationResult(
+        track=track,
+        best_value=state.best_value,
+        bound=TSIRELSON_BOUND,
+        iterations=state.evaluations,
+        history=tuple(state.history),
+        best_configuration=Configuration.from_vectors(*best[:4]),
+        best_coefficients=ResponseCoefficients(1.0, 1.0, *best[4:]) if coefficients else None,
+        restarts=restarts,
+        seed=seed,
+    )
 
 
 def maximize_classical() -> OptimizationResult:
@@ -231,48 +250,25 @@ def maximize_classical() -> OptimizationResult:
 def maximize_quantum(restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> OptimizationResult:
     """Maximize the quantum CHSH value over measurement configurations.
 
-    Coordinate search over the 8-angle chart from ``restarts`` seeded random
-    starts; recovers 2*sqrt(2) well within 1e-6.
+    Alternating exact best responses from ``restarts`` seeded random starts:
+    a, a' along E(e_i, b) +/- E(e_i, b') (singlet correlations on the axes),
+    then b, b' likewise for the new a, a'.  A restart stops at the first
+    round that does not raise its value.  Recovers 2*sqrt(2) well within 1e-6.
     """
-    state = _multistart(
-        _correlation_from_vectors, lambda t, _: abs(t[0] + t[1] + t[2] - t[3]), restarts, seed, 0
-    )
-    return OptimizationResult(
-        track="quantum",
-        best_value=state.best_value,
-        bound=TSIRELSON_BOUND,
-        iterations=state.evaluations,
-        history=tuple(state.history),
-        best_configuration=Configuration.from_vectors(*_chart_vectors(state.best_point)),
-        restarts=restarts,
-        seed=seed,
-    )
+    return _multistart("quantum", _quantum_round, _quantum_value, restarts, seed, 0)
 
 
 def maximize_ga(restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> OptimizationResult:
     """Maximize the vector-valued CHSH expression.
 
-    Searches the 8-angle chart plus the two b-side magnitude coefficients
-    (10 parameters; the a-side coefficients only scale the two absolute
-    terms, so their optimum is pinned at magnitude 1 and they are held
-    fixed).  Recovers 2*sqrt(2) with |alpha_b| = |alpha_b'| = 1 and
-    b perpendicular to b'.
+    Alternating exact best responses over a, a', b, b' and the two b-side
+    magnitude coefficients (the a-side ones only scale the two absolute
+    terms, so they are held at 1): a, a' along alpha_b b +/- alpha_b' b', then
+    b, b' along a +/- a' with alpha_b = alpha_b' = 1.  A restart stops at the
+    first round that does not raise its value.  Recovers 2*sqrt(2) with
+    |alpha_b| = |alpha_b'| = 1 and b perpendicular to b'.
     """
-    state = _multistart(
-        dot, lambda t, x: _chsh_vector_from_dots(*t, 1.0, 1.0, x[8], x[9]), restarts, seed, 2
-    )
-    best = state.best_point
-    return OptimizationResult(
-        track="ga",
-        best_value=state.best_value,
-        bound=TSIRELSON_BOUND,
-        iterations=state.evaluations,
-        history=tuple(state.history),
-        best_configuration=Configuration.from_vectors(*_chart_vectors(best)),
-        best_coefficients=ResponseCoefficients(1.0, 1.0, best[8], best[9]),
-        restarts=restarts,
-        seed=seed,
-    )
+    return _multistart("ga", _ga_round, _ga_value, restarts, seed, 2)
 
 
 def sweep_coplanar_family(steps: int) -> list[tuple[float, float]]:

@@ -1,9 +1,19 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chshbounds import _kernels, optimize, quantum
-from chshbounds.geometry import Configuration, dot
+from chshbounds.geometry import (
+    Configuration,
+    add,
+    dot,
+    magnitude,
+    random_unit_vector,
+    scale,
+    sub,
+)
 from chshbounds.lhv import CLASSICAL_BOUND, LhvModel, chsh_classical_value, classical_correlations
 from chshbounds.optimize import (
     maximize_classical,
@@ -11,7 +21,13 @@ from chshbounds.optimize import (
     maximize_quantum,
     sweep_coplanar_family,
 )
-from chshbounds.quantum import TSIRELSON_BOUND, _chsh_value_from_vectors, chsh_quantum_value
+from chshbounds.quantum import (
+    TSIRELSON_BOUND,
+    _chsh_value_from_vectors,
+    _correlation_from_vectors,
+    chsh_quantum_value,
+)
+from chshbounds.rng import CounterStream
 from chshbounds.vector_values import _chsh_vector_from_dots, chsh_vector_value
 
 SQRT8 = 2.0 * math.sqrt(2.0)
@@ -38,9 +54,9 @@ def test_singlet_objective_uses_fused_kernel_only(monkeypatch):
     )
     restarts = 2
     result = maximize_quantum(restarts=restarts, seed=0)
-    # Each restart's start point computes all four correlations; every later
-    # probe moves one vector and recomputes only its two correlations.
-    expected = 4 * restarts + 2 * (result.iterations - restarts)
+    # Every recorded value takes four correlations, and every round after a
+    # restart's start point takes six more for each side's best response.
+    expected = 4 * result.iterations + 12 * (result.iterations - restarts)
     assert counts == {"tensor_product": 0, "singlet_expectation": expected}
     counts.update(tensor_product=0, singlet_expectation=0)
     sweep_coplanar_family(11)
@@ -48,13 +64,14 @@ def test_singlet_objective_uses_fused_kernel_only(monkeypatch):
 
 
 def _full_quantum_value(point):
-    return _chsh_value_from_vectors(*optimize._chart_vectors(point))
+    return _chsh_value_from_vectors(*point)
 
 
 def _full_ga_value(point):
-    a, a_prime, b, b_prime = optimize._chart_vectors(point)
+    a, a_prime, b, b_prime, alpha_b, alpha_b_prime = point
     return _chsh_vector_from_dots(
-        dot(a, b), dot(a, b_prime), dot(a_prime, b), dot(a_prime, b_prime), 1.0, 1.0, *point[8:]
+        dot(a, b), dot(a, b_prime), dot(a_prime, b), dot(a_prime, b_prime),
+        1.0, 1.0, alpha_b, alpha_b_prime,
     )
 
 
@@ -63,28 +80,132 @@ def _full_ga_value(point):
 )
 @pytest.mark.parametrize("seed", [0, 5, 17])
 def test_incremental_values_equal_a_full_recompute(monkeypatch, maximize, full_value, seed):
-    """Every value the search records, bit for bit, is the objective
-    recomputed from scratch at the recorded point, so no cached vector or
-    pair term is stale."""
+    """Every value the search records along its rounds, bit for bit, is the
+    objective recomputed from scratch at the recorded point.  On the quantum
+    track each recorded value, and nothing else, goes through the module
+    global ``optimize._chsh_value_from_vectors``, so a tracer wrapping it
+    counts exactly the evaluations."""
+    counts = _count_calls(monkeypatch, (optimize, "_chsh_value_from_vectors"))
     record = optimize._SearchState.record
     recorded = []
 
     def checked(self, point, value):
-        assert value.hex() == full_value(point).hex(), (len(recorded), tuple(point))
+        assert value.hex() == full_value(point).hex(), (len(recorded), point)
         recorded.append(value)
         record(self, point, value)
 
     monkeypatch.setattr(optimize._SearchState, "record", checked)
-    result = maximize(restarts=2, seed=seed)
+    result = maximize(restarts=8, seed=seed)
     assert len(recorded) == result.iterations
     assert max(recorded) == result.best_value
+    expected_calls = result.iterations if maximize is maximize_quantum else 0
+    assert counts == {"_chsh_value_from_vectors": expected_calls}
+
+
+E1, E2 = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+MINUS_E1, MINUS_E2 = (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)
+AXES = (E1, E2, (0.0, 0.0, 1.0))
+
+
+def test_zero_response_vector_keeps_the_current_direction():
+    x, x_prime = (0.0, 0.0, 1.0), (0.0, 0.6, 0.8)
+    assert optimize._best_pair(E1, E1, x, x_prime) == (E1, x_prime)
+    assert optimize._best_pair(E1, MINUS_E1, x, x_prime) == (x, E1)
+    assert optimize._best_pair((0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), x, x_prime) == (x, x_prime)
+
+
+@pytest.mark.parametrize(
+    "track, start",
+    [
+        ("quantum", (E1, E1, E1, E1)),
+        ("quantum", (E1, MINUS_E1, E2, E2)),
+        ("quantum", (E1, E2, E2, MINUS_E2)),
+        ("ga", (E1, E1, E2, E2, 1.0, 1.0)),
+        ("ga", (E1, MINUS_E1, E2, MINUS_E2, 0.5, -0.5)),
+        ("ga", (E1, E2, E2, E1, 0.0, 0.0)),
+    ],
+)
+def test_degenerate_start_runs_to_a_finite_bounded_value(backend, track, start):
+    """a = +/-a', b = +/-b' or zero coefficients give zero response vectors."""
+    state = optimize._SearchState()
+    if track == "quantum":
+        optimize._see_saw(optimize._quantum_round, optimize._quantum_value, start, state)
+    else:
+        optimize._see_saw(optimize._ga_round, optimize._ga_value, start, state)
+    assert math.isfinite(state.best_value)
+    assert state.best_value <= SQRT8 + 1e-9
+    assert 2 <= state.evaluations <= optimize._MAX_ROUNDS + 1
+
+
+unit_vectors = st.one_of(
+    st.integers(min_value=0, max_value=10**6).map(lambda i: random_unit_vector(91, i)),
+    st.sampled_from(AXES + (MINUS_E1, MINUS_E2)),
+)
+coefficients = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+def _random_pairs(seed):
+    """64 (x, x', alpha, alpha') draws: unit x, x' and alphas uniform on [-1, 1)."""
+    stream = CounterStream(seed)
+    return [
+        (random_unit_vector(seed, 2 * k), random_unit_vector(seed, 2 * k + 1),
+         stream.uniform(-1.0, 1.0), stream.uniform(-1.0, 1.0))
+        for k in range(64)
+    ]
+
+
+def _close(value, expected):
+    # Within 1e-15 relative: the four kernel correlations and the two
+    # magnitudes round differently, by up to 3 ulps near 2*sqrt(2).
+    return abs(value - expected) <= 1e-15 * max(1.0, expected)
+
+
+def _magnitudes(p, q):
+    return magnitude(add(p, q)) + magnitude(sub(p, q))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(unit_vectors, unit_vectors)
+def test_quantum_best_responses_are_optimal(b, b_prime):
+    a, a_prime, b_next, b_prime_next = optimize._quantum_round((E1, E2, b, b_prime))
+    # a side: a, a' against the given b, b'.
+    value = _chsh_value_from_vectors(a, a_prime, b, b_prime)
+    rows = [[_correlation_from_vectors(e, v) for e in AXES] for v in (b, b_prime)]
+    assert _close(value, _magnitudes(*rows))
+    for x, x_prime, _, _ in _random_pairs(92):
+        assert value >= _chsh_value_from_vectors(x, x_prime, b, b_prime)
+    # b side: b, b' against the new a, a'.
+    value = _chsh_value_from_vectors(a, a_prime, b_next, b_prime_next)
+    rows = [[_correlation_from_vectors(v, e) for e in AXES] for v in (a, a_prime)]
+    assert _close(value, _magnitudes(*rows))
+    for y, y_prime, _, _ in _random_pairs(93):
+        assert value >= _chsh_value_from_vectors(a, a_prime, y, y_prime)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(unit_vectors, unit_vectors, coefficients, coefficients)
+def test_ga_best_responses_are_optimal(b, b_prime, alpha_b, alpha_b_prime):
+    point = (E1, E2, b, b_prime, alpha_b, alpha_b_prime)
+    a, a_prime, b_next, b_prime_next, one, one_prime = optimize._ga_round(point)
+    assert (one, one_prime) == (1.0, 1.0)
+    # a side: a, a' against the given b side.
+    value = _full_ga_value((a, a_prime, b, b_prime, alpha_b, alpha_b_prime))
+    assert _close(value, _magnitudes(scale(b, alpha_b), scale(b_prime, alpha_b_prime)))
+    for x, x_prime, _, _ in _random_pairs(94):
+        assert value >= _full_ga_value((x, x_prime, b, b_prime, alpha_b, alpha_b_prime))
+    # b side, all four sign patterns of the two absolute values included:
+    # b, b' and unit alphas against the new a, a'.
+    value = _full_ga_value((a, a_prime, b_next, b_prime_next, 1.0, 1.0))
+    assert _close(value, _magnitudes(a, a_prime))
+    for y, y_prime, beta, beta_prime in _random_pairs(95):
+        assert value >= _full_ga_value((a, a_prime, y, y_prime, beta, beta_prime))
 
 
 @pytest.mark.parametrize(
     "maximize, best_hex, iterations, improvements",
     [
-        (maximize_quantum, "0x1.6a09e667f3bcep+1", 34400, 81),
-        (maximize_ga, "0x1.6a09e667f3bcdp+1", 37745, 80),
+        (maximize_quantum, "0x1.6a09e667f3bcfp+1", 107, 3),
+        (maximize_ga, "0x1.6a09e667f3bcep+1", 131, 4),
     ],
 )
 def test_default_search_is_pinned(maximize, best_hex, iterations, improvements):

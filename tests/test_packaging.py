@@ -129,6 +129,20 @@ def test_ci_runs_tier1_on_both_backends():
     assert traced["if"] == "matrix.python-version == '3.11'"
 
 
+def test_ci_compares_both_backends_and_times_the_python_kernels():
+    steps = _ci_job()["steps"]
+    # The native entry checks that both backends print the same search bytes.
+    search = _step_running(steps, "python -m chshbounds.cli optimize \\")
+    assert search["if"] == "matrix.backend == 'native'"
+    assert "for track in quantum ga; do" in search["run"]
+    assert "--restarts 32 --seed 0" in search["run"]
+    assert 'cmp "$RUNNER_TEMP/optimize-$track-python.json"' in search["run"]
+    # One python entry prints the elapsed time of the 32-restart search.
+    timed = _step_running(steps, "time PYTHONPATH=src python -m chshbounds.cli optimize")
+    assert timed["if"] == "matrix.backend == 'python' && matrix.python-version == '3.11'"
+    assert "optimize --track quantum --restarts 32 > /dev/null" in timed["run"]
+
+
 def test_ci_conditions_name_only_listed_matrix_values():
     # A misspelt value ('natve') would match no entry and silently drop its step.
     job = _ci_job()
