@@ -17,7 +17,6 @@ import importlib
 import os
 
 KERNEL_NAMES = (
-    "singlet_expectation",
     "eigvals_hermitian",
     "rng_u01",
     "lhv_mc_sums",

@@ -1,13 +1,13 @@
-/* Native compute kernels: the four kernels of chshbounds._kernels.reference,
+/* Native compute kernels: the three kernels of chshbounds._kernels.reference,
  * with the same signatures and the same floating-point operations in the same
  * order, so that each returns the same bits.  Complex arithmetic is CPython
  * 3.11's, spelled out: a product is (ar*br - ai*bi, ar*bi + ai*br), and a float
  * operand of a complex product is first promoted to (x, 0.0).  So both backends
- * give bit-identical values on one machine (complex entries may differ only in
- * the sign of a zero).  setup.py disables FMA contraction and sin/cos fusion,
- * which would change last bits.  Change the reference too.  Matrix and
- * Kronecker products are plain Python in chshbounds.quantum: no CLI command
- * forms enough of them for a copy here to pay for itself. */
+ * give bit-identical values on one machine.  setup.py disables FMA contraction
+ * and sin/cos fusion, which would change last bits.  Change the reference too.
+ * Matrix and Kronecker products and the singlet contraction are plain Python in
+ * chshbounds.quantum: no CLI command runs enough of them for a copy here to pay
+ * for itself. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -135,29 +135,6 @@ static PyObject *rng_u01(PyObject *self, PyObject *const *args, Py_ssize_t nargs
         || load_u64(args[1], &index) < 0)
         return NULL;
     return PyFloat_FromDouble(u01(seed, index));
-}
-
-/* <psi-| (sigma.a) (x) (sigma.b) |psi->: the four Kronecker entries at rows
- * and columns |01>, |10>, contracted with the singlet's two non-zero
- * amplitudes, in the order of quantum.tensor_product followed by the full
- * quadratic form. */
-static PyObject *singlet_expectation(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    double a[3], b[3];
-    if (check_nargs("singlet_expectation", nargs, 2) < 0
-        || load_items(args[0], 3, "a", a, NULL) < 0 || load_items(args[1], 3, "b", b, NULL) < 0)
-        return NULL;
-    double s = sqrt(0.5);
-    cplx psi01 = {s, 0.0}, psi10 = {-s, 0.0};
-    cplx conj01 = {psi01.re, -psi01.im}, conj10 = {psi10.re, -psi10.im};
-    cplx m11 = c_mul((cplx){a[2], 0.0}, (cplx){-b[2], 0.0});
-    cplx m12 = c_mul((cplx){a[0], -a[1]}, (cplx){b[0], b[1]});
-    cplx m21 = c_mul((cplx){a[0], a[1]}, (cplx){b[0], -b[1]});
-    cplx m22 = c_mul((cplx){-a[2], 0.0}, (cplx){b[2], 0.0});
-    cplx row1 = c_add(c_mul(m11, psi01), c_mul(m12, psi10));
-    cplx row2 = c_add(c_mul(m21, psi01), c_mul(m22, psi10));
-    cplx total = c_add(c_mul(conj01, row1), c_mul(conj10, row2));
-    return PyComplex_FromDoubles(total.re, total.im);
 }
 
 /* Scales the `size` entries of a by the power of two 2**-e that brings the
@@ -313,7 +290,6 @@ static PyObject *lhv_mc_sums(PyObject *self, PyObject *const *args, Py_ssize_t n
 
 static PyMethodDef kernel_methods[] = {
     KERNEL(rng_u01, "Return draw ``index`` of the stream ``seed``, uniform on [0, 1)."),
-    KERNEL(singlet_expectation, "<psi-| (sigma.a) (x) (sigma.b) |psi-> for directions a and b."),
     KERNEL(eigvals_hermitian, "Eigenvalues of a flat n x n complex Hermitian matrix, ascending."),
     KERNEL(lhv_mc_sums,
            "Accumulate Monte Carlo sums for a finite hidden-state mixture.\n\n"

@@ -1,21 +1,20 @@
 """Pure-Python compute kernels.
 
-Reference implementations of the package's four kernels: the fused singlet
-expectation, the cyclic Jacobi eigensolver, the uniform counter-based random
-stream, and the Monte Carlo accumulator.  The 64-bit draw ``rng_u64`` here
-is not a kernel: ``rng`` calls it directly on both backends, once per
-derived seed or ``CounterStream.u64``, too rarely for a C copy to pay for
-itself.  Matrix and Kronecker products are plain Python in ``quantum``; no
-CLI command forms enough of them for a C copy to pay for itself either.  The
-optional C extension ``chshbounds._kernels._native`` (``_native.c``)
-implements the four kernels with the same signatures.  The contract
-between the two is identical results: on the same machine both backends
-return the same bits (complex entries may differ only in the sign of a zero)
-and raise the same error types.  Floating-point operations that reach a
-result must happen in the same order on both sides, except where every
-partial sum is an exact integer, which any order reaches; everything else
-(how a state is searched for, how a loop is organised) may differ.  Keep
-the two files in sync.
+Reference implementations of the package's three kernels: the cyclic Jacobi
+eigensolver, the uniform counter-based random stream, and the Monte Carlo
+accumulator.  The 64-bit draw ``rng_u64`` here is not a kernel: ``rng``
+calls it directly on both backends, once per derived seed or
+``CounterStream.u64``, too rarely for a C copy to pay for itself.  Matrix
+and Kronecker products and the singlet contraction are plain Python in
+``quantum``; no CLI command runs enough of them for a C copy to pay for
+itself either.  The optional C extension ``chshbounds._kernels._native``
+(``_native.c``) implements the three kernels with the same signatures.  The
+contract between the two is identical results: on the same machine both
+backends return the same bits and raise the same error types.
+Floating-point operations that reach a result must happen in the same order
+on both sides, except where every partial sum is an exact integer, which
+any order reaches; everything else (how a state is searched for, how a loop
+is organised) may differ.  Keep the two files in sync.
 
 Loop organisation in this file, chosen for interpreter speed:
 ``eigvals_hermitian`` walks index tables built once per n (the off-diagonal
@@ -42,6 +41,7 @@ Conventions shared by both backends:
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from array import array
 from bisect import bisect_right
@@ -76,13 +76,6 @@ _MAX_SPLIT_BYTES = 64
 _JACOBI_RTOL = 2.5e-15
 _JACOBI_MAX_SWEEPS = 100
 
-# Singlet amplitudes on |01> and |10> (those on |00> and |11> are zero) and
-# their conjugates, which carry an imaginary part of -0.0.
-_SINGLET_01 = complex(math.sqrt(0.5), 0.0)
-_SINGLET_10 = complex(-math.sqrt(0.5), 0.0)
-_SINGLET_01_CONJ = _SINGLET_01.conjugate()
-_SINGLET_10_CONJ = _SINGLET_10.conjugate()
-
 
 def rng_u64(seed: int, index: int) -> int:
     """Return draw ``index`` of the stream ``seed`` as a 64-bit integer.
@@ -101,38 +94,14 @@ def rng_u01(seed: int, index: int) -> float:
     return (rng_u64(seed, index) >> 11) * _INV_2_53
 
 
-def singlet_expectation(a, b) -> complex:
-    """<psi-| (sigma.a) (x) (sigma.b) |psi-> for two directions a and b.
-
-    The singlet (|01> - |10>)/sqrt(2) has zero amplitudes on |00> and |11>,
-    so only the four Kronecker entries at rows and columns |01>, |10> reach
-    the quadratic form.  Those entries and the contraction use the complex
-    products of ``quantum.tensor_product`` followed by the full quadratic
-    form, in the same order; only additions of exact-zero terms are dropped,
-    which can change nothing but the sign of a zero result.
-    """
-    ax, ay, az = a[0], a[1], a[2]
-    bx, by, bz = b[0], b[1], b[2]
-    # Kronecker entries (1,1), (1,2), (2,1), (2,2) of the two spin matrices
-    # ((z, x - iy), (x + iy, -z)).
-    m11 = complex(az, 0.0) * complex(-bz, 0.0)
-    m12 = complex(ax, -ay) * complex(bx, by)
-    m21 = complex(ax, ay) * complex(bx, -by)
-    m22 = complex(-az, 0.0) * complex(bz, 0.0)
-    row1 = m11 * _SINGLET_01 + m12 * _SINGLET_10
-    row2 = m21 * _SINGLET_01 + m22 * _SINGLET_10
-    return _SINGLET_01_CONJ * row1 + _SINGLET_10_CONJ * row2
-
-
-@lru_cache(maxsize=8, typed=True)
+@lru_cache(maxsize=8)
 def _jacobi_tables(n: int):
     """Flat indices of the cyclic Jacobi sweep over an n x n matrix.
 
     Returns the off-diagonal entries in row-major order, the diagonal, and
     per pivot (p, q), in sweep order: the indices of a_pq, a_pp and a_qq,
     then the (k, p), (k, q) pairs of the column update and the (p, k),
-    (q, k) pairs of the row update, for k = 0 .. n-1.  ``typed`` keeps a
-    float n from reusing the tables of the equal int; it raises TypeError.
+    (q, k) pairs of the row update, for k = 0 .. n-1.
     """
     off_diagonal = tuple(p * n + q for p in range(n) for q in range(n) if p != q)
     diagonal = tuple(i * n + i for i in range(n))
@@ -161,10 +130,18 @@ def eigvals_hermitian(entries, n: int):
     rotation with tan(2*theta) = 2|a_pq| / (a_pp - a_qq).  Convergence is
     declared when the off-diagonal Frobenius mass is zero or below 2.5e-15
     times the Frobenius norm of the matrix; exceeding 100 sweeps raises
-    RuntimeError.  A NaN or infinite entry raises ValueError.
+    RuntimeError.  A NaN or infinite entry raises ValueError, and so does a
+    negative n or one too large for n*n complex entries to be addressed,
+    before any entry is read (OverflowError beyond the Py_ssize_t range).
     """
     sqrt, atan2, cos, sin, ldexp = math.sqrt, math.atan2, math.cos, math.sin, math.ldexp
-    off_diagonal, diagonal, pivots = _jacobi_tables(n)
+    # n as the native backend's size check takes it: an index that fits a
+    # Py_ssize_t, with the byte count of n*n complex entries in range too.
+    n = operator.index(n)
+    if not -sys.maxsize - 1 <= n <= sys.maxsize:
+        raise OverflowError("cannot fit 'int' into an index-sized integer")
+    if n < 0 or n * n > sys.maxsize // 64:
+        raise ValueError(f"matrix size {n} is out of range")
     # The first n*n entries in order, as the native backend reads them, so a
     # short matrix is an IndexError before any check of the values.  A str,
     # which complex() would parse, is a TypeError there.
@@ -192,6 +169,7 @@ def eigvals_hermitian(entries, n: int):
     if not math.isfinite(norm2):
         raise ValueError("matrix has a NaN or infinite entry")
     tol = _JACOBI_RTOL * sqrt(norm2)
+    off_diagonal, diagonal, pivots = _jacobi_tables(n)
     for sweep in range(_JACOBI_MAX_SWEEPS + 1):
         off = 0.0
         for i in off_diagonal:

@@ -188,6 +188,10 @@ IDENTITY_2 = ComplexMatrix.identity(2)
 
 # Singlet amplitudes (|01> - |10>)/sqrt(2) in the fixed basis order.
 _SINGLET = (0j, complex(math.sqrt(0.5), 0.0), complex(-math.sqrt(0.5), 0.0), 0j)
+# Its amplitudes on |01> and |10> and their conjugates, which carry an
+# imaginary part of -0.0, bound once for _singlet_expectation.
+_SINGLET_01, _SINGLET_10 = _SINGLET[1], _SINGLET[2]
+_SINGLET_01_CONJ, _SINGLET_10_CONJ = _SINGLET_01.conjugate(), _SINGLET_10.conjugate()
 
 
 def _spin_entries(v: Vec3) -> tuple[complex, complex, complex, complex]:
@@ -239,17 +243,45 @@ def singlet_state() -> tuple[complex, complex, complex, complex]:
     return _SINGLET
 
 
+def _singlet_expectation(a: Vec3, b: Vec3) -> complex:
+    """<psi-| (sigma.a) (x) (sigma.b) |psi-> for two directions a and b; no validation.
+
+    The singlet has zero amplitudes on |00> and |11>, so only the four
+    Kronecker entries at rows and columns |01>, |10> reach the quadratic
+    form.  Those entries and the contraction use the complex products of
+    :func:`tensor_product` followed by the full quadratic form, in the same
+    order; only additions of exact-zero terms are dropped, which can change
+    nothing but the sign of a zero result.
+
+    The imaginary part is exactly zero for every finite input at which the
+    products stay finite: m21 is the exact conjugate of m12, because
+    a - b == -(b - a) in IEEE arithmetic, and m11, m22 and the amplitudes
+    are real, so the imaginary parts of the two terms of the last sum are
+    exact negatives of each other.
+    """
+    ax, ay, az = a[0], a[1], a[2]
+    bx, by, bz = b[0], b[1], b[2]
+    # Kronecker entries (1,1), (1,2), (2,1), (2,2) of the two spin matrices
+    # ((z, x - iy), (x + iy, -z)).
+    m11 = complex(az, 0.0) * complex(-bz, 0.0)
+    m12 = complex(ax, -ay) * complex(bx, by)
+    m21 = complex(ax, ay) * complex(bx, -by)
+    m22 = complex(-az, 0.0) * complex(bz, 0.0)
+    row1 = m11 * _SINGLET_01 + m12 * _SINGLET_10
+    row2 = m21 * _SINGLET_01 + m22 * _SINGLET_10
+    return _SINGLET_01_CONJ * row1 + _SINGLET_10_CONJ * row2
+
+
 def _correlation_from_vectors(a: Vec3, b: Vec3) -> float:
     """Singlet expectation of (sigma.a)(x)(sigma.b); no input validation.
 
-    The singlet's amplitudes on |00> and |11> are zero, so of the 16 entries
-    of the Kronecker product only the four at rows and columns |01>, |10>
-    contribute; the ``singlet_expectation`` kernel contracts just those,
-    with the same complex products as the full Kronecker-product pipeline.
-    Its imaginary part is exactly zero: the kernel's entry m21 is the exact
-    conjugate of m12, because a - b == -(b - a) in IEEE arithmetic.
+    The real part of :func:`_singlet_expectation`, which matches the full
+    Kronecker-product pipeline up to the sign of a zero.  The imaginary
+    part it discards is exactly zero, not merely small: the contraction's
+    cross entries m12 and m21 are exact conjugates, since a - b == -(b - a)
+    in IEEE arithmetic, so nothing is lost by taking ``.real``.
     """
-    return _kernels.singlet_expectation(a, b).real
+    return _singlet_expectation(a, b).real
 
 
 def singlet_correlation(a: Sequence[float], b: Sequence[float]) -> float:

@@ -1,5 +1,4 @@
-"""Backend parity: the C kernels must match the pure-Python reference bit for
-bit on real outputs (complex outputs may differ only in zero signs).
+"""Backend parity: the C kernels must match the pure-Python reference bit for bit.
 
 The ``native`` fixture (conftest.py) builds the C module with setup.py, so
 these tests run wherever a C compiler is installed.
@@ -212,17 +211,15 @@ def _exact_zero_directions():
     return axes + diagonals
 
 
-def test_singlet_pipeline_identical(native):
-    """The fused singlet kernel matches across backends bit for bit, and the
-    unfused Kronecker-product pipeline up to the sign of a zero (``==``)."""
+def test_singlet_pipeline_identical():
+    """The fused singlet contraction matches the unfused Kronecker-product
+    pipeline up to the sign of a zero (``==``)."""
     r = random.Random(15)
     special = _exact_zero_directions()
     pairs = [(_rand_direction(r), _rand_direction(r)) for _ in range(PARITY_INPUTS)]
     pairs += [(a, b) for a in special for b in special]
     for a, b in pairs:
-        got = reference.singlet_expectation(a, b)
-        assert _complex_bits(native.singlet_expectation(a, b)) == _complex_bits(got)
-        assert got == _singlet_oracle(a, b)
+        assert quantum._singlet_expectation(a, b) == _singlet_oracle(a, b)
 
 
 def test_eigvals_match_numpy_oracle():
@@ -293,6 +290,29 @@ def test_eigvals_reads_the_first_n_squared_entries(native):
         # Entries past n*n are ignored, even a non-finite one.
         got = backend.eigvals_hermitian([2 + 0j, 1j, -1j, 0j, complex(_INF, 0.0)], 2)
         assert _bits(got) == _bits(backend.eigvals_hermitian([2 + 0j, 1j, -1j, 0j], 2))
+
+
+@pytest.mark.parametrize(
+    "n, error",
+    [
+        (-1, ValueError),
+        (-2, ValueError),
+        (2**40, ValueError),  # n*n entries would overflow a byte count
+        (2**63, OverflowError),  # beyond Py_ssize_t
+        (200, IndexError),  # in range, but only 4 entries
+    ],
+)
+def test_eigvals_checks_the_size_before_any_work_on_both_backends(native, monkeypatch, n, error):
+    """Both backends refuse a bad n with the same error type, before reading
+    an entry or, on python, building the Jacobi tables for it."""
+
+    def no_tables(n):
+        raise AssertionError(f"Jacobi tables built for n = {n}")
+
+    monkeypatch.setattr(reference, "_jacobi_tables", no_tables)
+    for backend in (reference, native):
+        with pytest.raises(error):
+            backend.eigvals_hermitian([0j] * 4, n)
 
 
 def _cum_weights(weights):
@@ -528,10 +548,9 @@ def test_draw_threshold_agrees_with_the_float_comparison(c):
 # Wrong arity, a too-short sequence and a non-number, per kernel.  Each row
 # is keyed by the number in its test id, so that removing a row renames no
 # other test.
-_C4, _C3, _V3 = [0j] * 4, [0j] * 3, [0.0, 0.0, 1.0]
+_C4, _C3 = [0j] * 4, [0j] * 3
 BAD_CALLS = {
     "rng_u01": {2: (1, 2, 3), 3: (0, 1.5)},
-    "singlet_expectation": {15: (_V3,), 16: (_V3, _V3[:2]), 17: ([None] * 3, _V3)},
     "eigvals_hermitian": {18: (_C4,), 19: (_C4, 2, 1e-14), 20: (_C3, 2), 21: ([object()] * 4, 2)},
     "lhv_mc_sums": {
         22: ([1.0], [1.0] * 4, 0, 0),
@@ -626,8 +645,10 @@ def test_load_backend_rejects_unknown():
 
 
 def test_selected_backend_exports():
-    assert len(_kernels.KERNEL_NAMES) == 4
-    retired = {"gp8", "kron2", "matmul", "spin_matrix", "expectation", "rng_u64"}
+    assert len(_kernels.KERNEL_NAMES) == 3
+    retired = {
+        "gp8", "kron2", "matmul", "spin_matrix", "expectation", "rng_u64", "singlet_expectation"
+    }
     assert not retired & set(_kernels.KERNEL_NAMES)
     for name in _kernels.KERNEL_NAMES:
         assert callable(getattr(_kernels, name))

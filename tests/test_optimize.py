@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chshbounds import _kernels, optimize, quantum
+from chshbounds import _kernels, cli, optimize, quantum
 from chshbounds.geometry import (
     Configuration,
     add,
@@ -50,17 +50,29 @@ def _count_calls(monkeypatch, *targets):
 
 def test_singlet_objective_uses_fused_kernel_only(monkeypatch):
     counts = _count_calls(
-        monkeypatch, (quantum, "tensor_product"), (_kernels, "singlet_expectation")
+        monkeypatch, (quantum, "tensor_product"), (quantum, "_singlet_expectation")
     )
     restarts = 2
     result = maximize_quantum(restarts=restarts, seed=0)
     # Every recorded value takes four correlations, and every round after a
     # restart's start point takes six more for each side's best response.
     expected = 4 * result.iterations + 12 * (result.iterations - restarts)
-    assert counts == {"tensor_product": 0, "singlet_expectation": expected}
-    counts.update(tensor_product=0, singlet_expectation=0)
+    assert counts == {"tensor_product": 0, "_singlet_expectation": expected}
+    counts.update(tensor_product=0, _singlet_expectation=0)
     sweep_coplanar_family(11)
-    assert counts == {"tensor_product": 0, "singlet_expectation": 4 * 11}
+    assert counts == {"tensor_product": 0, "_singlet_expectation": 4 * 11}
+
+
+def test_quantum_objective_calls_no_kernel(monkeypatch, capsys):
+    """The singlet contraction is plain Python: a sweep makes no kernel call,
+    and a quantum search only draws its start points, two uniforms for each
+    of its four directions per restart."""
+    counts = _count_calls(monkeypatch, *[(_kernels, name) for name in _kernels.KERNEL_NAMES])
+    assert cli.main(["sweep", "--steps", "11"]) == 0
+    assert sum(counts.values()) == 0
+    assert cli.main(["optimize", "--track", "quantum", "--restarts", "2", "--seed", "0"]) == 0
+    assert counts == {name: 16 if name == "rng_u01" else 0 for name in _kernels.KERNEL_NAMES}
+    capsys.readouterr()
 
 
 def _full_quantum_value(point):
@@ -155,7 +167,7 @@ def _random_pairs(seed):
 
 
 def _close(value, expected):
-    # Within 1e-15 relative: the four kernel correlations and the two
+    # Within 1e-15 relative: the four singlet correlations and the two
     # magnitudes round differently, by up to 3 ulps near 2*sqrt(2).
     return abs(value - expected) <= 1e-15 * max(1.0, expected)
 

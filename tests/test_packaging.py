@@ -137,10 +137,12 @@ def test_ci_compares_both_backends_and_times_the_python_kernels():
     assert "for track in quantum ga; do" in search["run"]
     assert "--restarts 32 --seed 0" in search["run"]
     assert 'cmp "$RUNNER_TEMP/optimize-$track-python.json"' in search["run"]
-    # One python entry prints the elapsed time of the 32-restart search.
+    # One entry per backend prints the elapsed time of the 32-restart search
+    # and of the 10,001-step sweep, so the native sweep's cost shows too.
     timed = _step_running(steps, "time PYTHONPATH=src python -m chshbounds.cli optimize")
-    assert timed["if"] == "matrix.backend == 'python' && matrix.python-version == '3.11'"
+    assert timed["if"] == "matrix.python-version == '3.11'"
     assert "optimize --track quantum --restarts 32 > /dev/null" in timed["run"]
+    assert "chshbounds.cli sweep --steps 10001 > /dev/null" in timed["run"]
 
 
 def test_ci_conditions_name_only_listed_matrix_values():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chshbounds import _kernels, rng
+from chshbounds import _kernels, quantum, rng
 from chshbounds.ga import E1, Multivector, commutator
 from chshbounds.geometry import (
     Configuration,
@@ -135,11 +135,12 @@ def test_singlet_correlation_equals_minus_cosine():
         assert abs(closed + sum(x * y for x, y in zip(a, b))) == 0.0
 
 
-def test_singlet_expectation_is_exactly_real(backend):
-    # The kernel's two cross terms are exact conjugates (a - b == -(b - a) in
-    # IEEE arithmetic), so its imaginary part is exactly zero for every
+def test_singlet_expectation_is_exactly_real(backend, monkeypatch):
+    # The contraction's two cross terms are exact conjugates (a - b == -(b - a)
+    # in IEEE arithmetic), so its imaginary part is exactly zero for every
     # finite input, unit or not, at any scale at which the products stay
-    # finite; singlet_correlation discards it unchecked.
+    # finite; singlet_correlation discards it unchecked.  The contraction is
+    # plain Python, so under either kernel backend it makes no kernel call.
     s = rng.CounterStream(65)
     directions = list(SIGNED_AXES)
     for exponent in range(-150, 151, 10):
@@ -148,8 +149,15 @@ def test_singlet_expectation_is_exactly_real(backend):
             directions.append(tuple(10.0**exponent * s.uniform(-1, 1) for _ in range(3)))
     pairs = [(a, b) for a in SIGNED_AXES for b in SIGNED_AXES]
     pairs += [(a, directions[s.below(len(directions))]) for a in directions]
+    calls = []
+    for name in _kernels.KERNEL_NAMES:
+        kernel = getattr(_kernels, name)
+        monkeypatch.setattr(
+            _kernels, name, lambda *args, _k=kernel, _n=name: calls.append(_n) or _k(*args)
+        )
     for a, b in pairs:
-        assert _kernels.singlet_expectation(a, b).imag == 0.0, (a, b)
+        assert quantum._singlet_expectation(a, b).imag == 0.0, (a, b)
+    assert calls == []
 
 
 def test_singlet_correlation_axis_cases():
