@@ -62,7 +62,9 @@ class Multivector:
     """Element of the geometric algebra of R^3.
 
     ``coefficients`` follows the canonical blade order
-    (1, e1, e2, e3, e12, e13, e23, e123); all entries must be finite.
+    (1, e1, e2, e3, e12, e13, e23, e123); all entries must be finite.  It is
+    stored as a tuple of floats whatever sequence of numbers is passed, so
+    that equality and hashing compare like with like.
     """
 
     coefficients: tuple[float, ...]
@@ -72,16 +74,18 @@ class Multivector:
             raise ValueError(
                 f"multivector needs exactly 8 coefficients, got {len(self.coefficients)}"
             )
+        # math.isfinite refuses text, which float() would parse.
         if not all(math.isfinite(c) for c in self.coefficients):
             raise ValueError(f"non-finite multivector coefficients: {self.coefficients!r}")
+        object.__setattr__(self, "coefficients", tuple(map(float, self.coefficients)))
 
     @classmethod
     def scalar(cls, value: float) -> "Multivector":
-        return cls((float(value), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        return cls((value, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
     @classmethod
     def vector(cls, x: float, y: float, z: float) -> "Multivector":
-        return cls((0.0, float(x), float(y), float(z), 0.0, 0.0, 0.0, 0.0))
+        return cls((0.0, x, y, z, 0.0, 0.0, 0.0, 0.0))
 
     @classmethod
     def from_vector(cls, v: Sequence[float]) -> "Multivector":

@@ -73,11 +73,19 @@ def normalized(v: Sequence[float]) -> Vec3:
     return (x / m, y / m, z / m)
 
 
+def _as_float(value, label: str) -> float:
+    """float(value), refusing the str, bytes and bytearray that float() would parse."""
+    if isinstance(value, (str, bytes, bytearray)):
+        raise TypeError(f"{label} must be a number, not {type(value).__name__}")
+    return float(value)
+
+
 def require_unit(v: Sequence[float], tol: float = UNIT_TOLERANCE, label: str = "vector") -> Vec3:
     """Float triple of a length-3 v whose length is within tol of 1; NaN and inf fail too."""
     if len(v) != 3:
         raise ValueError(f"{label} must have exactly 3 components, got {len(v)}")
-    x, y, z = float(v[0]), float(v[1]), float(v[2])
+    part = f"{label} component"
+    x, y, z = _as_float(v[0], part), _as_float(v[1], part), _as_float(v[2], part)
     deviation = abs(math.sqrt(x * x + y * y + z * z) - 1.0)
     if not deviation <= tol:
         raise ValueError(
@@ -87,8 +95,8 @@ def require_unit(v: Sequence[float], tol: float = UNIT_TOLERANCE, label: str = "
 
 
 def require_bounded(value: float, label: str) -> float:
-    """Coerce to float, rejecting |value| > 1 + 1e-12 (NaN and +/-inf included)."""
-    v = float(value)
+    """Coerce to float, rejecting text and |value| > 1 + 1e-12 (NaN and +/-inf included)."""
+    v = _as_float(value, label)
     if not abs(v) <= 1.0 + BOUND_TOLERANCE:
         raise ValueError(f"{label} must lie in [-1, 1], got {value!r}")
     return v

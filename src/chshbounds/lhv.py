@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _kernels, rng
-from .geometry import require_bounded
+from .geometry import _as_float, require_bounded
 
 __all__ = [
     "CLASSICAL_BOUND",
@@ -59,7 +59,7 @@ class HiddenState:
     responses: tuple[float, float, float, float]
 
     def __post_init__(self):
-        weight = float(self.weight)
+        weight = _as_float(self.weight, "state weight")
         if not 0.0 <= weight < math.inf:
             raise ValueError(f"state weight must be >= 0, got {self.weight!r}")
         object.__setattr__(self, "weight", weight)
@@ -103,7 +103,7 @@ class LhvModel:
     @classmethod
     def deterministic(cls, ra: float, ra_prime: float, rb: float, rb_prime: float) -> "LhvModel":
         """Single-state model with +/-1 responses."""
-        responses = (float(ra), float(ra_prime), float(rb), float(rb_prime))
+        responses = tuple(_as_float(r, "response") for r in (ra, ra_prime, rb, rb_prime))
         if any(r not in (-1.0, 1.0) for r in responses):
             raise ValueError(f"deterministic responses must be +/-1, got {responses!r}")
         return cls((HiddenState(1.0, responses),))

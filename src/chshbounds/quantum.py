@@ -188,10 +188,6 @@ IDENTITY_2 = ComplexMatrix.identity(2)
 
 # Singlet amplitudes (|01> - |10>)/sqrt(2) in the fixed basis order.
 _SINGLET = (0j, complex(math.sqrt(0.5), 0.0), complex(-math.sqrt(0.5), 0.0), 0j)
-# Its amplitudes on |01> and |10> and their conjugates, which carry an
-# imaginary part of -0.0, bound once for _singlet_expectation.
-_SINGLET_01, _SINGLET_10 = _SINGLET[1], _SINGLET[2]
-_SINGLET_01_CONJ, _SINGLET_10_CONJ = _SINGLET_01.conjugate(), _SINGLET_10.conjugate()
 
 
 def _spin_entries(v: Vec3) -> tuple[complex, complex, complex, complex]:
@@ -243,45 +239,33 @@ def singlet_state() -> tuple[complex, complex, complex, complex]:
     return _SINGLET
 
 
-def _singlet_expectation(a: Vec3, b: Vec3) -> complex:
-    """<psi-| (sigma.a) (x) (sigma.b) |psi-> for two directions a and b; no validation.
-
-    The singlet has zero amplitudes on |00> and |11>, so only the four
-    Kronecker entries at rows and columns |01>, |10> reach the quadratic
-    form.  Those entries and the contraction use the complex products of
-    :func:`tensor_product` followed by the full quadratic form, in the same
-    order; only additions of exact-zero terms are dropped, which can change
-    nothing but the sign of a zero result.
-
-    The imaginary part is exactly zero for every finite input at which the
-    products stay finite: m21 is the exact conjugate of m12, because
-    a - b == -(b - a) in IEEE arithmetic, and m11, m22 and the amplitudes
-    are real, so the imaginary parts of the two terms of the last sum are
-    exact negatives of each other.
-    """
-    ax, ay, az = a[0], a[1], a[2]
-    bx, by, bz = b[0], b[1], b[2]
-    # Kronecker entries (1,1), (1,2), (2,1), (2,2) of the two spin matrices
-    # ((z, x - iy), (x + iy, -z)).
-    m11 = complex(az, 0.0) * complex(-bz, 0.0)
-    m12 = complex(ax, -ay) * complex(bx, by)
-    m21 = complex(ax, ay) * complex(bx, -by)
-    m22 = complex(-az, 0.0) * complex(bz, 0.0)
-    row1 = m11 * _SINGLET_01 + m12 * _SINGLET_10
-    row2 = m21 * _SINGLET_01 + m22 * _SINGLET_10
-    return _SINGLET_01_CONJ * row1 + _SINGLET_10_CONJ * row2
-
-
 def _correlation_from_vectors(a: Vec3, b: Vec3) -> float:
-    """Singlet expectation of (sigma.a)(x)(sigma.b); no input validation.
+    """Singlet expectation of (sigma.a)(x)(sigma.b), in real arithmetic; no validation.
 
-    The real part of :func:`_singlet_expectation`, which matches the full
-    Kronecker-product pipeline up to the sign of a zero.  The imaginary
-    part it discards is exactly zero, not merely small: the contraction's
-    cross entries m12 and m21 are exact conjugates, since a - b == -(b - a)
-    in IEEE arithmetic, so nothing is lost by taking ``.real``.
+    The real part of the Kronecker pipeline (tensor_product, then the
+    quadratic form), worked out by hand; wherever the products stay finite
+    it equals that pipeline's result up to the sign of a zero.  Only the
+    Kronecker entries at rows and columns |01>, |10> meet a nonzero singlet
+    amplitude, +h and -h with h = sqrt(0.5):
+
+        m11 = (z_a)(-z_b)                   m12 = (x_a - i y_a)(x_b + i y_b)
+        m21 = (x_a + i y_a)(x_b - i y_b)    m22 = (-z_a)(z_b)
+
+    - The amplitudes are real, so every imaginary part of an entry meets an
+      exact 0.0 on its way to the real part, where it can change only the
+      sign of a zero.
+    - Re m12 = Re m21 = x_a x_b + y_a y_b and m22 = m11 = -(z_a z_b)
+      exactly, since (-u) v == u (-v) == -(u v) and u - (-v) == u + v in
+      IEEE arithmetic.
+    - So the rows of the quadratic form, m11 h - m12 h and m21 h - m22 h,
+      are exact negatives of each other, and the conjugated amplitudes +h
+      and -h make the two terms of the final sum equal:
+      2 h (m11 h - m12 h).
     """
-    return _singlet_expectation(a, b).real
+    m11 = a[2] * -b[2]
+    m12 = a[0] * b[0] + a[1] * b[1]
+    h = _SINGLET[1].real
+    return 2.0 * (h * (m11 * h - m12 * h))
 
 
 def singlet_correlation(a: Sequence[float], b: Sequence[float]) -> float:
@@ -290,9 +274,9 @@ def singlet_correlation(a: Sequence[float], b: Sequence[float]) -> float:
     Equals -a.b; the closed form is kept separate as an independent oracle.
     The contraction takes the four entries of (sigma.a)(x)(sigma.b) at rows
     and columns |01>, |10>: the other twelve meet a zero singlet amplitude
-    on the row or the column side, so they add only exact zeros.  The
-    contraction's imaginary part is exactly zero for every input, and is
-    discarded.
+    on the row or the column side, so they add only exact zeros.  It is
+    worked in real arithmetic (see :func:`_correlation_from_vectors`) and
+    equals the Kronecker pipeline up to the sign of a zero.
     """
     ua = require_unit(a, UNIT_GATE_TOLERANCE, "a")
     ub = require_unit(b, UNIT_GATE_TOLERANCE, "b")
@@ -401,7 +385,8 @@ def chsh_quantum_value(cfg: Configuration) -> float:
     """Absolute value of the four-term singlet correlation combination.
 
     Computed by contracting spin-operator Kronecker entries with the singlet
-    (see :func:`singlet_correlation`); bounded by 2*sqrt(2) for every
-    configuration and attains it at :func:`canonical_configuration`.
+    (see :func:`singlet_correlation`), equal to the Kronecker pipeline up to
+    the sign of a zero; bounded by 2*sqrt(2) for every configuration and
+    attains it at :func:`canonical_configuration`.
     """
     return _chsh_value_from_vectors(cfg.a, cfg.a_prime, cfg.b, cfg.b_prime)

@@ -206,3 +206,22 @@ def test_multivector_str_is_pinned():
     assert str(geometric_product(E1, E2)) == "+1*e12"
     mixed = Multivector((1.0, 0.0, -2.5, 0.0, 0.5, 0.0, 0.0, 1e-7))
     assert str(mixed) == "+1 -2.5*e2 +0.5*e12 +1e-07*e123"
+
+
+def test_multivector_stores_a_tuple_of_floats():
+    """Coefficients are kept as a tuple of floats whatever sequence of numbers
+    is passed, so a list and a tuple give equal, hash-equal multivectors;
+    text, which float() would parse, is refused."""
+    listed = Multivector([1.0] + [0.0] * 7)
+    tupled = Multivector((1.0,) + (0.0,) * 7)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    ints = Multivector((1, 0, 0, 0, 0, 0, 0, True))
+    assert ints == Multivector((1.0,) + (0.0,) * 6 + (1.0,))
+    for mv in (listed, ints, Multivector.scalar(2), Multivector.vector(1, 2, 3)):
+        assert type(mv.coefficients) is tuple
+        assert all(type(c) is float for c in mv.coefficients)
+    for text in ("1", b"1", bytearray(b"1")):
+        with pytest.raises(TypeError):
+            Multivector((text,) + (0.0,) * 7)
+        with pytest.raises(TypeError):
+            Multivector.scalar(text)

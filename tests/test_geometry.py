@@ -103,6 +103,18 @@ def test_angle_between_clamps_rounding():
     assert abs(angle_between((1, 0, 0), (0, 1, 0)) - math.pi / 2) < 1e-15
 
 
+@pytest.mark.parametrize("text", ["1", b"1", bytearray(b"1")], ids=["str", "bytes", "bytearray"])
+def test_configuration_refuses_text(text):
+    """float() would parse text; a direction's components must be numbers."""
+    e1 = (1.0, 0.0, 0.0)
+    with pytest.raises(TypeError, match="a component must be a number"):
+        Configuration((text, 0, 0), e1, e1, e1)
+    with pytest.raises(TypeError, match="b_prime component must be a number"):
+        Configuration(e1, e1, e1, (0, 0, text))
+    with pytest.raises(TypeError, match="v component must be a number"):
+        require_unit((0.0, text, 0.0), label="v")
+
+
 def test_configuration_rejects_non_unit():
     e1, e2, e3 = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
     for bad in ((2.0, 0.0, 0.0), (1.0, 1e-5, 0.0), (math.nan, 0.0, 0.0), (1.0, 0.0)):

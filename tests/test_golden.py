@@ -65,3 +65,20 @@ def test_sweep_10001_digest(out_format, backend, tmp_path):
     out = tmp_path / f"sweep.{out_format}"
     assert cli.main(["sweep", "--steps", "10001", "--format", out_format, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_10001_SHA256[out_format]
+
+
+# sha256 of the 32-restart searches at seed 0, the size the benchmark's
+# optimize_quantum workload runs, where the golden files use 8 restarts.
+OPTIMIZE_32_SHA256 = {
+    "quantum": "8cc5e0f839cf052719423daaf94ffd5b5d7090718ce25802535efe03490caf57",
+    "ga": "96b04af59498697bd9b42c785546fe32180ce9eed6d2333adfde7bcbf41968e3",
+}
+
+
+@pytest.mark.parametrize("track", sorted(OPTIMIZE_32_SHA256))
+@pytest.mark.parametrize("backend", ["python", "native"], indirect=True)
+def test_optimize_32_restarts_digest(track, backend, tmp_path):
+    out = tmp_path / f"optimize_{track}.json"
+    argv = ["optimize", "--track", track, "--restarts", "32", "--seed", "0", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OPTIMIZE_32_SHA256[track]

@@ -137,6 +137,17 @@ def test_model_stores_a_tuple_of_hidden_states():
             LhvModel(bad)
 
 
+@pytest.mark.parametrize("text", ["0.5", b"0.5", bytearray(b"0.5")], ids=["str", "bytes", "bytearray"])
+def test_hidden_state_refuses_text(text):
+    """float() would parse text; a weight and each response must be numbers."""
+    with pytest.raises(TypeError, match="state weight must be a number"):
+        HiddenState(text, (1, 1, 1, 1))
+    with pytest.raises(TypeError, match="response must be a number"):
+        HiddenState(0.5, (1, 1, 1, text))
+    with pytest.raises(TypeError, match="response must be a number"):
+        LhvModel.deterministic(1, 1, text, 1)
+
+
 def test_weights_and_correlations_stored_as_checked_floats():
     state = HiddenState(True, (1, 1, 1, 1))
     assert type(state.weight) is float and state.weight == 1.0

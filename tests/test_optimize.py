@@ -48,19 +48,23 @@ def _count_calls(monkeypatch, *targets):
     return counts
 
 
-def test_singlet_objective_uses_fused_kernel_only(monkeypatch):
+def test_singlet_objective_counts_correlations(monkeypatch):
+    # optimize imports the name, so both bindings are counted.
     counts = _count_calls(
-        monkeypatch, (quantum, "tensor_product"), (quantum, "_singlet_expectation")
+        monkeypatch,
+        (quantum, "tensor_product"),
+        (quantum, "_correlation_from_vectors"),
+        (optimize, "_correlation_from_vectors"),
     )
     restarts = 2
     result = maximize_quantum(restarts=restarts, seed=0)
     # Every recorded value takes four correlations, and every round after a
     # restart's start point takes six more for each side's best response.
     expected = 4 * result.iterations + 12 * (result.iterations - restarts)
-    assert counts == {"tensor_product": 0, "_singlet_expectation": expected}
-    counts.update(tensor_product=0, _singlet_expectation=0)
+    assert counts == {"tensor_product": 0, "_correlation_from_vectors": expected}
+    counts.update(tensor_product=0, _correlation_from_vectors=0)
     sweep_coplanar_family(11)
-    assert counts == {"tensor_product": 0, "_singlet_expectation": 4 * 11}
+    assert counts == {"tensor_product": 0, "_correlation_from_vectors": 4 * 11}
 
 
 def test_quantum_objective_calls_no_kernel(monkeypatch, capsys):

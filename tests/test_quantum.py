@@ -135,12 +135,42 @@ def test_singlet_correlation_equals_minus_cosine():
         assert abs(closed + sum(x * y for x, y in zip(a, b))) == 0.0
 
 
-def test_singlet_expectation_is_exactly_real(backend, monkeypatch):
-    # The contraction's two cross terms are exact conjugates (a - b == -(b - a)
-    # in IEEE arithmetic), so its imaginary part is exactly zero for every
-    # finite input, unit or not, at any scale at which the products stay
-    # finite; singlet_correlation discards it unchecked.  The contraction is
-    # plain Python, so under either kernel backend it makes no kernel call.
+def _unit_free_singlet_oracle(a, b):
+    """The Kronecker pipeline, tensor_product then the quadratic form, on spin
+    matrices built without the unit gate, so that any finite a and b go in."""
+    left = ComplexMatrix(2, quantum._spin_entries(a))
+    right = ComplexMatrix(2, quantum._spin_entries(b))
+    return tensor_product(left, right).expectation(singlet_state())
+
+
+def _assert_real_part_of_oracle(a, b):
+    # The pipeline's imaginary part is exactly zero, not merely small, so
+    # the real-arithmetic correlation loses nothing by leaving it out.
+    oracle = _unit_free_singlet_oracle(a, b)
+    assert quantum._correlation_from_vectors(a, b) == oracle.real, (a, b)
+    assert oracle.imag == 0.0, (a, b)
+
+
+_component = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@st.composite
+def _scaled_directions(draw):
+    """A finite direction, unit or not, scaled by 10**k for |k| <= 150."""
+    v = draw(st.tuples(_component, _component, _component))
+    if draw(st.booleans()) and any(v):
+        v = normalized(v)
+    scale = 10.0 ** draw(st.integers(min_value=-150, max_value=150))
+    return tuple(scale * x for x in v)
+
+
+@settings(derandomize=True, max_examples=500)
+@given(_scaled_directions(), _scaled_directions())
+def test_correlation_is_the_real_part_of_the_kronecker_pipeline(a, b):
+    _assert_real_part_of_oracle(a, b)
+
+
+def test_correlation_matches_the_pipeline_on_axes_and_scaled_inputs():
     s = rng.CounterStream(65)
     directions = list(SIGNED_AXES)
     for exponent in range(-150, 151, 10):
@@ -149,15 +179,8 @@ def test_singlet_expectation_is_exactly_real(backend, monkeypatch):
             directions.append(tuple(10.0**exponent * s.uniform(-1, 1) for _ in range(3)))
     pairs = [(a, b) for a in SIGNED_AXES for b in SIGNED_AXES]
     pairs += [(a, directions[s.below(len(directions))]) for a in directions]
-    calls = []
-    for name in _kernels.KERNEL_NAMES:
-        kernel = getattr(_kernels, name)
-        monkeypatch.setattr(
-            _kernels, name, lambda *args, _k=kernel, _n=name: calls.append(_n) or _k(*args)
-        )
     for a, b in pairs:
-        assert quantum._singlet_expectation(a, b).imag == 0.0, (a, b)
-    assert calls == []
+        _assert_real_part_of_oracle(a, b)
 
 
 def test_singlet_correlation_axis_cases():

@@ -66,6 +66,15 @@ def test_coefficients_stored_as_checked_floats():
     assert all(type(c) is float for c in co.as_tuple())
 
 
+@pytest.mark.parametrize("text", ["1", b"1", bytearray(b"1")], ids=["str", "bytes", "bytearray"])
+def test_coefficients_refuse_text(text):
+    """float() would parse text; a coefficient must be a number."""
+    with pytest.raises(TypeError, match="alpha_a must be a number"):
+        ResponseCoefficients(text, 0.5, 1, 1)
+    with pytest.raises(TypeError, match="alpha_b_prime must be a number"):
+        ResponseCoefficients(1, 0.5, 1, text)
+
+
 def _random_coefficients(stream: CounterStream) -> ResponseCoefficients:
     return ResponseCoefficients(
         stream.uniform(-1.0, 1.0),
