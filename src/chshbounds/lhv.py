@@ -193,10 +193,10 @@ def monte_carlo_correlations(model: LhvModel, samples: int, seed: int) -> MonteC
     One uniform draw per sample selects a hidden state by inverse CDF; the
     per-state response products are then deterministic, so the estimator's
     only randomness is the state choice.  Draws come from the counter-based
-    stream of ``seed`` and are consumed in fixed blocks merged in index
-    order, making the result independent of how the index range might be
-    partitioned across workers.  Standard errors use the unbiased sample
-    variance (reported as 0 when samples < 2).
+    stream of ``seed`` and are consumed in blocks of ``MC_BLOCK`` merged in
+    index order, so whole blocks could be spread across workers without
+    changing a bit (boundaries elsewhere can round differently).  Standard
+    errors use the unbiased sample variance (reported as 0 when samples < 2).
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")

@@ -8,13 +8,15 @@ linear in a, a' for fixed b, b' and vice versa, so a round sets the a side,
 then the b side, to its closed-form best unit vectors and records the value
 at the new point.  A restart stops at the first round that does not strictly
 raise its value.  Both recover the 2*sqrt(2) ceiling and its geometry.
+
+All three maximizers score an ordered stream of (point, value) pairs and
+report it through one rule, :func:`_best`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from . import rng
 from .geometry import (
@@ -46,10 +48,6 @@ _MAX_ROUNDS = 100
 
 _AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
-# A round maps a point to the next one; a value scores a point.
-_Round = Callable[[tuple], tuple]
-_Value = Callable[[tuple], float]
-
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -75,24 +73,19 @@ class OptimizationResult:
     note: str | None = None
 
 
-class _SearchState:
-    """Evaluation counter plus the global best across restarts."""
+def _best(scored) -> tuple[float, tuple | None, tuple[tuple[int, float], ...], int]:
+    """Best value, its first point, history and evaluation count of a (point, value) stream.
 
-    __slots__ = ("evaluations", "best_value", "best_point", "history")
-
-    def __init__(self):
-        self.evaluations = 0
-        self.best_value = -math.inf
-        # (a, a', b, b'), followed on the vector track by (alpha_b, alpha_b').
-        self.best_point: tuple | None = None
-        self.history: list[tuple[int, float]] = []
-
-    def record(self, point: tuple, value: float) -> None:
-        self.evaluations += 1
-        if value > self.best_value:
-            self.best_value = value
-            self.best_point = point
-            self.history.append((self.evaluations, value))
+    The history holds (1-based evaluation index, value) for each strict
+    improvement, so a tie keeps the earlier point and a NaN value is counted
+    but never becomes the best.
+    """
+    best_value, best_point, history, count = -math.inf, None, [], 0
+    for count, (point, value) in enumerate(scored, 1):
+        if value > best_value:
+            best_value, best_point = value, point
+            history.append((count, value))
+    return best_value, best_point, tuple(history), count
 
 
 def _best_pair(p: Vec3, q: Vec3, x: Vec3, x_prime: Vec3) -> tuple[Vec3, Vec3]:
@@ -150,17 +143,18 @@ def _ga_round(point: tuple) -> tuple:
     return a, a_prime, b, b_prime, 1.0, 1.0
 
 
-def _see_saw(round_: _Round, value: _Value, start: tuple, state: _SearchState) -> None:
-    """Rounds from ``start`` until one fails to strictly raise the value.
+def _see_saw(round_, value, start: tuple):
+    """Yields (point, value) at ``start`` and after each round.
 
-    Every value is recorded in ``state``; ``_MAX_ROUNDS`` caps the rounds.
+    Stops after the first round that does not strictly raise the value, or
+    after ``_MAX_ROUNDS`` rounds.
     """
     point, current = start, value(start)
-    state.record(point, current)
+    yield point, current
     for _ in range(_MAX_ROUNDS):
         trial = round_(point)
         trial_value = value(trial)
-        state.record(trial, trial_value)
+        yield trial, trial_value
         if not trial_value > current:
             return
         point, current = trial, trial_value
@@ -172,7 +166,7 @@ def _require_restarts(restarts: int) -> None:
 
 
 def _multistart(
-    track: str, round_: _Round, value: _Value, restarts: int, seed: int, coefficients: int
+    track: str, round_, value, restarts: int, seed: int, coefficients: int
 ) -> OptimizationResult:
     """The see-saw from ``restarts`` seeded random starts; the best point is reported.
 
@@ -181,22 +175,24 @@ def _multistart(
     then azimuth 2*pi*u), then ``coefficients`` values uniform on [-1, 1).
     """
     _require_restarts(restarts)
-    state = _SearchState()
-    for index in range(restarts):
+
+    def start(index: int) -> tuple:
         stream = rng.CounterStream(rng.derive_seed(seed, index))
-        start = [
+        directions = [
             spherical_vector(math.acos(2.0 * stream.u01() - 1.0), rng.TWO_PI * stream.u01())
             for _ in range(4)
         ]
-        start += [stream.uniform(-1.0, 1.0) for _ in range(coefficients)]
-        _see_saw(round_, value, tuple(start), state)
-    best = state.best_point
+        return (*directions, *(stream.uniform(-1.0, 1.0) for _ in range(coefficients)))
+
+    best_value, best, history, evaluations = _best(
+        scored for index in range(restarts) for scored in _see_saw(round_, value, start(index))
+    )
     return OptimizationResult(
         track=track,
-        best_value=state.best_value,
+        best_value=best_value,
         bound=TSIRELSON_BOUND,
-        iterations=state.evaluations,
-        history=tuple(state.history),
+        iterations=evaluations,
+        history=history,
         best_configuration=Configuration.from_vectors(*best[:4]),
         best_coefficients=ResponseCoefficients(1.0, 1.0, *best[4:]) if coefficients else None,
         restarts=restarts,
@@ -212,34 +208,21 @@ def maximize_classical() -> OptimizationResult:
     over the extreme points of the model polytope.  The maximum is exactly 2.
     """
     strategies = all_deterministic_strategies()
-    history = []
-    best_value = -math.inf
-    best_strategy = None
-    values = []
-    correlation_sets = []
-    for i, strategy in enumerate(strategies):
-        model = LhvModel.deterministic(*strategy)
-        correlations = classical_correlations(model)
-        value = chsh_classical_value(correlations)
-        values.append(value)
-        correlation_sets.append(correlations.as_tuple())
-        if value > best_value:
-            best_value = value
-            best_strategy = strategy
-            history.append((i + 1, value))
-    maximizer_count = sum(1 for v in values if v == best_value)
-    distinct = len(
-        {cs for cs, v in zip(correlation_sets, values) if v == best_value}
-    )
+    correlation_sets = [
+        classical_correlations(LhvModel.deterministic(*strategy)) for strategy in strategies
+    ]
+    values = [chsh_classical_value(correlations) for correlations in correlation_sets]
+    best_value, best_strategy, history, evaluations = _best(zip(strategies, values))
+    maximizing = [cs.as_tuple() for cs, v in zip(correlation_sets, values) if v == best_value]
     return OptimizationResult(
         track="classical",
         best_value=best_value,
         bound=CLASSICAL_BOUND,
-        iterations=len(strategies),
-        history=tuple(history),
+        iterations=evaluations,
+        history=history,
         best_strategy=best_strategy,
-        maximizer_count=maximizer_count,
-        distinct_maximizing_correlations=distinct,
+        maximizer_count=len(maximizing),
+        distinct_maximizing_correlations=len(set(maximizing)),
         note=(
             "mixtures are convex combinations of deterministic strategies, so the "
             "mixed-model supremum equals the deterministic maximum"

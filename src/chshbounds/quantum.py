@@ -73,14 +73,6 @@ class ComplexMatrix:
             )
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[complex]]) -> "ComplexMatrix":
-        dim = len(rows)
-        for row in rows:
-            if len(row) != dim:
-                raise ValueError(f"every row of a {dim}x{dim} matrix needs {dim} entries")
-        return cls(dim, tuple(complex(v) for row in rows for v in row))
-
-    @classmethod
     def identity(cls, dim: int) -> "ComplexMatrix":
         return cls(dim, tuple(1 + 0j if i == j else 0j for i in range(dim) for j in range(dim)))
 

@@ -6,8 +6,10 @@ hidden generator state: any draw, and any slice of a stream, can be computed
 independently of every other.  Consequences relied on throughout the package:
 
 * runs are bit-reproducible from the seed alone;
-* Monte Carlo work can be partitioned across workers at arbitrary block
-  boundaries without changing the merged result;
+* any block of Monte Carlo draws can be computed on its own, so a merged
+  result depends only on the seed and the block boundaries (float sums are
+  not associative, so other boundaries can round differently; the Monte
+  Carlo estimator fixes them at multiples of ``lhv.MC_BLOCK``);
 * independent sub-streams are derived from (seed, stream id) pairs instead of
   by jumping a shared generator.
 

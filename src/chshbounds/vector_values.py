@@ -67,22 +67,22 @@ class ResponseCoefficients:
 
 
 def response_vector(direction: Sequence[float], alpha: float) -> Vec3:
-    """Single-side vector response alpha*direction; magnitude |alpha| <= 1."""
-    a = require_bounded(alpha, "alpha")
-    return scale(direction, a)
+    """Single-side vector response alpha*direction for a unit direction (within
+    1e-12); magnitude |alpha| <= 1."""
+    unit = require_unit(direction, label="direction")
+    return scale(unit, require_bounded(alpha, "alpha"))
 
 
 def pair_value(
     x: Sequence[float], y: Sequence[float], alpha: float, beta: float
 ) -> float:
-    """Factorized scalar pair response alpha*beta*(x.y).
+    """Factorized scalar pair response alpha*beta*(x.y) for unit x, y (within 1e-12).
 
     At alpha = 1, beta = -1 this equals -x.y, the singlet correlation, which
     is the correspondence making the vector-valued chain quantum-relevant.
     """
-    a = require_bounded(alpha, "alpha")
-    b = require_bounded(beta, "beta")
-    return a * b * dot(x, y)
+    ux, uy = require_unit(x, label="x"), require_unit(y, label="y")
+    return require_bounded(alpha, "alpha") * require_bounded(beta, "beta") * dot(ux, uy)
 
 
 def _chsh_vector_from_dots(

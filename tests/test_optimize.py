@@ -102,15 +102,16 @@ def test_incremental_values_equal_a_full_recompute(monkeypatch, maximize, full_v
     global ``optimize._chsh_value_from_vectors``, so a tracer wrapping it
     counts exactly the evaluations."""
     counts = _count_calls(monkeypatch, (optimize, "_chsh_value_from_vectors"))
-    record = optimize._SearchState.record
+    best = optimize._best
     recorded = []
 
-    def checked(self, point, value):
-        assert value.hex() == full_value(point).hex(), (len(recorded), point)
-        recorded.append(value)
-        record(self, point, value)
+    def checked(scored):
+        for point, value in scored:
+            assert value.hex() == full_value(point).hex(), (len(recorded), point)
+            recorded.append(value)
+            yield point, value
 
-    monkeypatch.setattr(optimize._SearchState, "record", checked)
+    monkeypatch.setattr(optimize, "_best", lambda scored: best(checked(scored)))
     result = maximize(restarts=8, seed=seed)
     assert len(recorded) == result.iterations
     assert max(recorded) == result.best_value
@@ -143,14 +144,34 @@ def test_zero_response_vector_keeps_the_current_direction():
 )
 def test_degenerate_start_runs_to_a_finite_bounded_value(backend, track, start):
     """a = +/-a', b = +/-b' or zero coefficients give zero response vectors."""
-    state = optimize._SearchState()
     if track == "quantum":
-        optimize._see_saw(optimize._quantum_round, optimize._quantum_value, start, state)
+        rounds = optimize._see_saw(optimize._quantum_round, optimize._quantum_value, start)
     else:
-        optimize._see_saw(optimize._ga_round, optimize._ga_value, start, state)
-    assert math.isfinite(state.best_value)
-    assert state.best_value <= SQRT8 + 1e-9
-    assert 2 <= state.evaluations <= optimize._MAX_ROUNDS + 1
+        rounds = optimize._see_saw(optimize._ga_round, optimize._ga_value, start)
+    values = [value for _, value in rounds]
+    assert all(math.isfinite(value) and value <= SQRT8 + 1e-9 for value in values)
+    assert 2 <= len(values) <= optimize._MAX_ROUNDS + 1
+
+
+def test_see_saw_yields_the_start_and_every_round_up_to_the_first_that_does_not_raise():
+    # Points are integers and a round adds 1: the value rises to 3 and then
+    # holds, so the round reaching 4 is the last one yielded.
+    assert list(optimize._see_saw(lambda x: x + 1, lambda x: min(x, 3), 0)) == [
+        (0, 0), (1, 1), (2, 2), (3, 3), (4, 3)
+    ]
+    # A value that keeps rising is cut after _MAX_ROUNDS rounds.
+    points = [point for point, _ in optimize._see_saw(lambda x: x + 1, float, 0)]
+    assert points == list(range(optimize._MAX_ROUNDS + 1))
+
+
+def test_best_keeps_the_first_maximizer_and_records_strict_improvements():
+    nan = math.nan
+    scored = [("p", nan), ("q", 1.0), ("r", 1.0), ("s", nan), ("t", 0.5), ("u", 2.0), ("v", 2.0)]
+    # (value, first point attaining it, (1-based index, value) per strict
+    # improvement, evaluations): ties and NaN are counted, never recorded.
+    assert optimize._best(iter(scored)) == (2.0, "u", ((2, 1.0), (6, 2.0)), 7)
+    assert optimize._best([("p", nan)]) == (-math.inf, None, (), 1)
+    assert optimize._best([]) == (-math.inf, None, (), 0)
 
 
 unit_vectors = st.one_of(

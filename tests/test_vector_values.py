@@ -38,6 +38,25 @@ def test_response_vector_scales_direction():
         response_vector((1.0, 0.0, 0.0), 1.5)
 
 
+@pytest.mark.parametrize(
+    "direction", [(3.0, 0.0, 0.0), (math.nan, 0.0, 0.0), (1.0 + 1e-11, 0.0, 0.0), (1.0, 0.0)]
+)
+def test_directions_must_be_unit_vectors(direction):
+    """A response's magnitude is |alpha| <= 1 only for a unit direction; a
+    scaled, NaN or two-component direction is refused, not multiplied."""
+    unit = (1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="^direction "):
+        response_vector(direction, 1.0)
+    with pytest.raises(ValueError, match="^x "):
+        pair_value(direction, unit, 1.0, 1.0)
+    with pytest.raises(ValueError, match="^y "):
+        pair_value(unit, direction, 1.0, 1.0)
+    # Within 1e-12 of unit length, the given components are used as they are.
+    nearly = (1.0 + 1e-13, 0.0, 0.0)
+    assert response_vector(nearly, -1.0) == (-(1.0 + 1e-13), -0.0, -0.0)
+    assert pair_value(nearly, nearly, 1.0, 1.0) == (1.0 + 1e-13) ** 2
+
+
 def test_pair_value_with_unit_minus_unit_is_singlet_correlation():
     for i in range(300):
         x = random_unit_vector(80, 2 * i)
