@@ -47,7 +47,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, fields
 from typing import Sequence
 
 from ._version import __version__
@@ -405,14 +404,13 @@ def _run_verify(args: argparse.Namespace) -> int:
 def _optimization_mapping(result: OptimizationResult, verdict: BoundReport) -> dict[str, object]:
     """The result's set fields (``history`` as ``improvements``) plus the verdict."""
     out: dict[str, object] = {}
-    for item in fields(result):
-        value = getattr(result, item.name)
+    for name, value in zip(result._fields, result._values()):
         if isinstance(value, Configuration):
-            value = asdict(value)
+            value = dict(zip(value._fields, value._values()))
         elif isinstance(value, ResponseCoefficients):
             value = value.as_tuple()
         if value is not None:
-            out["improvements" if item.name == "history" else item.name] = value
+            out["improvements" if name == "history" else name] = value
     out.update(margin=verdict.margin, attained=verdict.attained, version=verdict.version)
     return out
 

@@ -16,8 +16,9 @@ kernel: no CLI command multiplies multivectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
+
+from ._value import Value
 
 __all__ = [
     "Multivector",
@@ -57,8 +58,7 @@ PRODUCT_SIGNS = tuple(sign for sign, _ in _PRODUCTS)
 PRODUCT_TARGETS = tuple(_INDEX_OF_MASK[mask] for _, mask in _PRODUCTS)
 
 
-@dataclass(frozen=True)
-class Multivector:
+class Multivector(Value):
     """Element of the geometric algebra of R^3.
 
     ``coefficients`` follows the canonical blade order
@@ -67,17 +67,15 @@ class Multivector:
     that equality and hashing compare like with like.
     """
 
-    coefficients: tuple[float, ...]
+    _fields = ("coefficients",)
 
-    def __post_init__(self):
-        if len(self.coefficients) != 8:
-            raise ValueError(
-                f"multivector needs exactly 8 coefficients, got {len(self.coefficients)}"
-            )
+    def __init__(self, coefficients: Sequence[float]) -> None:
+        if len(coefficients) != 8:
+            raise ValueError(f"multivector needs exactly 8 coefficients, got {len(coefficients)}")
         # math.isfinite refuses text, which float() would parse.
-        if not all(math.isfinite(c) for c in self.coefficients):
-            raise ValueError(f"non-finite multivector coefficients: {self.coefficients!r}")
-        object.__setattr__(self, "coefficients", tuple(map(float, self.coefficients)))
+        if not all(math.isfinite(c) for c in coefficients):
+            raise ValueError(f"non-finite multivector coefficients: {coefficients!r}")
+        self.__dict__["coefficients"] = tuple(map(float, coefficients))
 
     @classmethod
     def scalar(cls, value: float) -> "Multivector":

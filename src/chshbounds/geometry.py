@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import rng
+from ._value import Value
 
 Vec3 = tuple[float, float, float]
 
@@ -84,8 +84,10 @@ def require_unit(v: Sequence[float], tol: float = UNIT_TOLERANCE, label: str = "
     """Float triple of a length-3 v whose length is within tol of 1; NaN and inf fail too."""
     if len(v) != 3:
         raise ValueError(f"{label} must have exactly 3 components, got {len(v)}")
-    part = f"{label} component"
-    x, y, z = _as_float(v[0], part), _as_float(v[1], part), _as_float(v[2], part)
+    x, y, z = v[0], v[1], v[2]
+    if not (type(x) is float and type(y) is float and type(z) is float):
+        part = f"{label} component"
+        x, y, z = _as_float(x, part), _as_float(y, part), _as_float(z, part)
     deviation = abs(math.sqrt(x * x + y * y + z * z) - 1.0)
     if not deviation <= tol:
         raise ValueError(
@@ -96,7 +98,7 @@ def require_unit(v: Sequence[float], tol: float = UNIT_TOLERANCE, label: str = "
 
 def require_bounded(value: float, label: str) -> float:
     """Coerce to float, rejecting text and |value| > 1 + 1e-12 (NaN and +/-inf included)."""
-    v = _as_float(value, label)
+    v = value if type(value) is float else _as_float(value, label)
     if not abs(v) <= 1.0 + BOUND_TOLERANCE:
         raise ValueError(f"{label} must lie in [-1, 1], got {value!r}")
     return v
@@ -123,8 +125,7 @@ def spherical_vector(polar: float, azimuth: float) -> Vec3:
     return (sp * math.cos(azimuth), sp * math.sin(azimuth), math.cos(polar))
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Value):
     """Measurement directions a, a', b, b', each a unit vector to within 1e-12.
 
     The vectors are the only stored state.  Construction, directly or via
@@ -134,16 +135,17 @@ class Configuration:
     vectors on access.
     """
 
-    a: Vec3
-    a_prime: Vec3
-    b: Vec3
-    b_prime: Vec3
+    _fields = ("a", "a_prime", "b", "b_prime")
 
-    def __post_init__(self):
-        for label in ("a", "a_prime", "b", "b_prime"):
-            object.__setattr__(
-                self, label, require_unit(getattr(self, label), UNIT_TOLERANCE, label)
-            )
+    def __init__(
+        self, a: Sequence[float], a_prime: Sequence[float], b: Sequence[float],
+        b_prime: Sequence[float],
+    ) -> None:
+        d = self.__dict__
+        d["a"] = require_unit(a, UNIT_TOLERANCE, "a")
+        d["a_prime"] = require_unit(a_prime, UNIT_TOLERANCE, "a_prime")
+        d["b"] = require_unit(b, UNIT_TOLERANCE, "b")
+        d["b_prime"] = require_unit(b_prime, UNIT_TOLERANCE, "b_prime")
 
     @classmethod
     def from_vectors(

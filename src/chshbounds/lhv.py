@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import _kernels, rng
+from ._value import Value
 from .geometry import _as_float, require_bounded
 
 __all__ = [
@@ -43,8 +43,7 @@ WEIGHT_SUM_TOLERANCE = 1e-12
 MC_BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class HiddenState:
+class HiddenState(Value):
     """One hidden state: a weight and the four response values (a, a', b, b').
 
     Responses within 1e-12 of [-1, 1] are accepted and stored as floats
@@ -55,24 +54,22 @@ class HiddenState:
     2e-12, far inside the -1e-9 ``MARGIN_TOLERANCE`` of a bound report.
     """
 
-    weight: float
-    responses: tuple[float, float, float, float]
+    _fields = ("weight", "responses")
 
-    def __post_init__(self):
-        weight = _as_float(self.weight, "state weight")
-        if not 0.0 <= weight < math.inf:
-            raise ValueError(f"state weight must be >= 0, got {self.weight!r}")
-        object.__setattr__(self, "weight", weight)
-        if len(self.responses) != 4:
+    def __init__(self, weight: float, responses: Sequence[float]) -> None:
+        value = _as_float(weight, "state weight")
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"state weight must be >= 0, got {weight!r}")
+        if len(responses) != 4:
             raise ValueError("each hidden state needs exactly 4 responses")
-        clamped = tuple(
-            min(1.0, max(-1.0, require_bounded(r, "response"))) for r in self.responses
+        d = self.__dict__
+        d["weight"] = value
+        d["responses"] = tuple(
+            min(1.0, max(-1.0, require_bounded(r, "response"))) for r in responses
         )
-        object.__setattr__(self, "responses", clamped)
 
 
-@dataclass(frozen=True)
-class LhvModel:
+class LhvModel(Value):
     """Finite weighted mixture of hidden states; weights sum to 1.
 
     ``states`` is stored as a tuple whatever sequence is passed, so that a
@@ -80,19 +77,20 @@ class LhvModel:
     :class:`HiddenState`, which has validated itself.
     """
 
-    states: tuple[HiddenState, ...]
+    _fields = ("states",)
 
-    def __post_init__(self):
-        if not self.states:
+    def __init__(self, states: Sequence[HiddenState]) -> None:
+        if not states:
             raise ValueError("model needs at least one hidden state")
-        if type(self.states) is not tuple:
-            object.__setattr__(self, "states", tuple(self.states))
-        for state in self.states:
+        if type(states) is not tuple:
+            states = tuple(states)
+        for state in states:
             if not isinstance(state, HiddenState):
                 raise TypeError(f"model states must be HiddenState, not {type(state).__name__}")
-        total = sum(s.weight for s in self.states)
+        total = sum(s.weight for s in states)
         if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
             raise ValueError(f"state weights must sum to 1, got {total!r}")
+        self.__dict__["states"] = states
 
     @classmethod
     def from_pairs(
@@ -109,18 +107,19 @@ class LhvModel:
         return cls((HiddenState(1.0, responses),))
 
 
-@dataclass(frozen=True)
-class CorrelationSet:
+class CorrelationSet(Value):
     """The four pair correlations c(a,b), c(a,b'), c(a',b), c(a',b')."""
 
-    c_ab: float
-    c_ab_prime: float
-    c_aprime_b: float
-    c_aprime_bprime: float
+    _fields = ("c_ab", "c_ab_prime", "c_aprime_b", "c_aprime_bprime")
 
-    def __post_init__(self):
-        for label in ("c_ab", "c_ab_prime", "c_aprime_b", "c_aprime_bprime"):
-            object.__setattr__(self, label, require_bounded(getattr(self, label), label))
+    def __init__(
+        self, c_ab: float, c_ab_prime: float, c_aprime_b: float, c_aprime_bprime: float
+    ) -> None:
+        d = self.__dict__
+        d["c_ab"] = require_bounded(c_ab, "c_ab")
+        d["c_ab_prime"] = require_bounded(c_ab_prime, "c_ab_prime")
+        d["c_aprime_b"] = require_bounded(c_aprime_b, "c_aprime_b")
+        d["c_aprime_bprime"] = require_bounded(c_aprime_bprime, "c_aprime_bprime")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.c_ab, self.c_ab_prime, self.c_aprime_b, self.c_aprime_bprime)
@@ -177,14 +176,17 @@ def scalar_pair_bound_holds(x: float, y: float) -> bool:
     return abs(vx + vy) + abs(vx - vy) <= 2.0 + 1e-12
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
+class MonteCarloEstimate(Value):
     """Sampled correlations with their standard errors."""
 
-    correlations: CorrelationSet
-    std_errors: tuple[float, float, float, float]
-    samples: int
-    seed: int
+    _fields = ("correlations", "std_errors", "samples", "seed")
+
+    def __init__(
+        self, correlations: CorrelationSet, std_errors: tuple[float, ...], samples: int, seed: int
+    ) -> None:
+        self.__dict__.update(
+            correlations=correlations, std_errors=std_errors, samples=samples, seed=seed
+        )
 
 
 def monte_carlo_correlations(model: LhvModel, samples: int, seed: int) -> MonteCarloEstimate:

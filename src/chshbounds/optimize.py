@@ -16,9 +16,9 @@ report it through one rule, :func:`_best`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import rng
+from ._value import Value
 from .geometry import (
     Configuration, Vec3, add, dot, normalized, planar_vector, scale, spherical_vector, sub,
 )
@@ -49,8 +49,7 @@ _MAX_ROUNDS = 100
 _AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(Value):
     """Outcome of one maximization run.
 
     ``history`` records global-best improvements as (evaluation index,
@@ -58,19 +57,29 @@ class OptimizationResult:
     ``best_value`` is the maximum over all of them.
     """
 
-    track: str
-    best_value: float
-    bound: float
-    iterations: int
-    history: tuple[tuple[int, float], ...]
-    best_configuration: Configuration | None = None
-    best_coefficients: ResponseCoefficients | None = None
-    best_strategy: tuple[float, float, float, float] | None = None
-    restarts: int | None = None
-    seed: int | None = None
-    maximizer_count: int | None = None
-    distinct_maximizing_correlations: int | None = None
-    note: str | None = None
+    _fields = (
+        "track", "best_value", "bound", "iterations", "history", "best_configuration",
+        "best_coefficients", "best_strategy", "restarts", "seed", "maximizer_count",
+        "distinct_maximizing_correlations", "note",
+    )
+
+    def __init__(
+        self, track: str, best_value: float, bound: float, iterations: int,
+        history: tuple[tuple[int, float], ...],
+        best_configuration: Configuration | None = None,
+        best_coefficients: ResponseCoefficients | None = None,
+        best_strategy: tuple[float, float, float, float] | None = None,
+        restarts: int | None = None, seed: int | None = None,
+        maximizer_count: int | None = None, distinct_maximizing_correlations: int | None = None,
+        note: str | None = None,
+    ) -> None:
+        self.__dict__.update(
+            track=track, best_value=best_value, bound=bound, iterations=iterations,
+            history=history, best_configuration=best_configuration,
+            best_coefficients=best_coefficients, best_strategy=best_strategy,
+            restarts=restarts, seed=seed, maximizer_count=maximizer_count,
+            distinct_maximizing_correlations=distinct_maximizing_correlations, note=note,
+        )
 
 
 def _best(scored) -> tuple[float, tuple | None, tuple[tuple[int, float], ...], int]:

@@ -16,10 +16,10 @@ sigma_y = [[0, -i], [i, 0]], sigma_z = [[1, 0], [0, -1]].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import _kernels
+from ._value import Value
 from .geometry import UNIT_GATE_TOLERANCE, Configuration, Vec3, dot, require_unit
 
 __all__ = [
@@ -45,8 +45,7 @@ __all__ = [
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class ComplexMatrix:
+class ComplexMatrix(Value):
     """Dense square complex matrix, entries flat row-major.
 
     ``entries`` is stored as a tuple whatever sequence is passed, so that
@@ -55,22 +54,21 @@ class ComplexMatrix:
     CLI command forms more than 13 products.
     """
 
-    dim: int
-    entries: tuple[complex, ...]
+    _fields = ("dim", "entries")
 
-    def __post_init__(self):
-        if type(self.entries) is not tuple:
-            object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, dim: int, entries: Sequence[complex]) -> None:
+        if type(entries) is not tuple:
+            entries = tuple(entries)
         # bool is an int subclass, but True is no dimension.
-        if isinstance(self.dim, bool) or not isinstance(self.dim, int):
-            raise TypeError(f"matrix dimension must be an int, not {type(self.dim).__name__}")
-        if self.dim < 1:
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise TypeError(f"matrix dimension must be an int, not {type(dim).__name__}")
+        if dim < 1:
             raise ValueError("matrix dimension must be positive")
-        if len(self.entries) != self.dim * self.dim:
-            raise ValueError(
-                f"{self.dim}x{self.dim} matrix needs {self.dim * self.dim} entries, "
-                f"got {len(self.entries)}"
-            )
+        if len(entries) != dim * dim:
+            raise ValueError(f"{dim}x{dim} matrix needs {dim * dim} entries, got {len(entries)}")
+        d = self.__dict__
+        d["dim"] = dim
+        d["entries"] = entries
 
     @classmethod
     def identity(cls, dim: int) -> "ComplexMatrix":

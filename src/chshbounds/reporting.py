@@ -10,9 +10,9 @@ identical files.  Key order is resolved once per key set per writer call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from ._value import Value
 from ._version import __version__
 
 __all__ = [
@@ -37,22 +37,24 @@ SWEEP_COLUMNS = ("theta_rad", "classical_bound", "qm_value", "tsirelson_bound")
 REPORT_COLUMNS = ("track", "value", "bound", "margin", "attained", "seed", "version")
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Value):
     """One track's computed value against its bound, plus the run's inputs.
 
     ``details`` carries optional per-track diagnostics (identity residuals,
     sampling estimates); it rides along in JSON output but stays out of the
-    fixed CSV columns.
+    fixed CSV columns.  Left out, it is a new empty dict.
     """
 
-    track: str
-    value: float
-    bound: float
-    inputs: Mapping[str, object]
-    seed: int
-    version: str = __version__
-    details: Mapping[str, object] = field(default_factory=dict)
+    _fields = ("track", "value", "bound", "inputs", "seed", "version", "details")
+
+    def __init__(
+        self, track: str, value: float, bound: float, inputs: Mapping[str, object], seed: int,
+        version: str = __version__, details: Mapping[str, object] | None = None,
+    ) -> None:
+        self.__dict__.update(
+            track=track, value=value, bound=bound, inputs=inputs, seed=seed, version=version,
+            details={} if details is None else details,
+        )
 
     @property
     def margin(self) -> float:

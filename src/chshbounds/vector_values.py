@@ -18,9 +18,9 @@ the coefficient-free expression occurs exactly at b = +/-b', and the maximum
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+from ._value import Value
 from .geometry import (
     Configuration,
     Vec3,
@@ -45,18 +45,19 @@ __all__ = [
     "equality_condition_check",
 ]
 
-@dataclass(frozen=True)
-class ResponseCoefficients:
+class ResponseCoefficients(Value):
     """Magnitude coefficients of the four vector-valued responses, each in [-1, 1]."""
 
-    alpha_a: float
-    alpha_a_prime: float
-    alpha_b: float
-    alpha_b_prime: float
+    _fields = ("alpha_a", "alpha_a_prime", "alpha_b", "alpha_b_prime")
 
-    def __post_init__(self):
-        for label in ("alpha_a", "alpha_a_prime", "alpha_b", "alpha_b_prime"):
-            object.__setattr__(self, label, require_bounded(getattr(self, label), label))
+    def __init__(
+        self, alpha_a: float, alpha_a_prime: float, alpha_b: float, alpha_b_prime: float
+    ) -> None:
+        d = self.__dict__
+        d["alpha_a"] = require_bounded(alpha_a, "alpha_a")
+        d["alpha_a_prime"] = require_bounded(alpha_a_prime, "alpha_a_prime")
+        d["alpha_b"] = require_bounded(alpha_b, "alpha_b")
+        d["alpha_b_prime"] = require_bounded(alpha_b_prime, "alpha_b_prime")
 
     @classmethod
     def ones(cls) -> "ResponseCoefficients":

@@ -583,12 +583,18 @@ def test_bad_track_choice_is_a_usage_error(capsys):
 
 
 def test_importing_cli_does_not_load_yaml(child_env):
-    # yaml is imported only when --config is given, to keep start-up short.
-    probe = "import sys, chshbounds.cli; print('yaml' in sys.modules)"
-    command = [sys.executable, "-c", probe]
-    run = subprocess.run(command, capture_output=True, text=True, env=child_env)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    # yaml is imported only when --config is given, and the value objects are
+    # plain classes, not dataclasses (whose import pulls in inspect): each of
+    # these modules would add milliseconds to every command's start-up.
+    for module in ("chshbounds.cli", "chshbounds"):
+        probe = (
+            f"import sys, {module}; "
+            "print([m for m in ('dataclasses', 'inspect', 'yaml') if m in sys.modules])"
+        )
+        command = [sys.executable, "-c", probe]
+        run = subprocess.run(command, capture_output=True, text=True, env=child_env)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]", module
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -124,7 +123,8 @@ def test_configuration_rejects_non_unit():
 
 
 def test_configuration_stores_only_vectors_validated_once(monkeypatch):
-    assert [f.name for f in dataclasses.fields(Configuration)] == ["a", "a_prime", "b", "b_prime"]
+    names = ("a", "a_prime", "b", "b_prime")
+    assert Configuration._fields == names
     calls = {"require_unit": 0, "acos": 0}
 
     def counting(name, f):
@@ -138,6 +138,7 @@ def test_configuration_stores_only_vectors_validated_once(monkeypatch):
     monkeypatch.setattr(geometry.math, "acos", counting("acos", math.acos))
     cfg = Configuration.from_vectors([1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0])
     assert calls == {"require_unit": 4, "acos": 0}
+    assert tuple(vars(cfg)) == names
     assert cfg.a == (1.0, 0.0, 0.0) and type(cfg.a[0]) is float
 
 

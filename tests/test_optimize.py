@@ -254,13 +254,13 @@ def test_default_search_is_pinned(maximize, best_hex, iterations, improvements):
 
 def test_configuration_built_only_for_the_reported_maximizer(monkeypatch):
     built = []
-    validate = Configuration.__post_init__
+    build = Configuration.__init__
 
-    def counted(self):
+    def counted(self, *args):
+        build(self, *args)
         built.append(self)
-        validate(self)
 
-    monkeypatch.setattr(Configuration, "__post_init__", counted)
+    monkeypatch.setattr(Configuration, "__init__", counted)
     sweep_coplanar_family(11)
     assert built == []
     quantum = maximize_quantum(restarts=2, seed=0)

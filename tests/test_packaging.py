@@ -138,10 +138,13 @@ def test_ci_compares_both_backends_and_times_the_python_kernels():
     assert 'cmp "$RUNNER_TEMP/$config-python.json" "$RUNNER_TEMP/$config-native.json"' in (
         compared["run"]
     )
-    # One entry per backend prints the elapsed time of the 32-restart search
-    # and of the 10,001-step sweep, so the native sweep's cost shows too.
+    # One entry per backend prints the elapsed time of the CLI import (the
+    # start-up every command pays), of the 32-restart search and of the
+    # 10,001-step sweep, so the native sweep's cost shows too.
     timed = _step_running(steps, "time PYTHONPATH=src python -m chshbounds.cli optimize")
     assert timed["if"] == "matrix.python-version == '3.11'"
+    assert 'TIMEFORMAT="import chshbounds.cli: %R s"' in timed["run"]
+    assert 'time PYTHONPATH=src python -c "import chshbounds.cli"' in timed["run"]
     assert "optimize --track quantum --restarts 32 > /dev/null" in timed["run"]
     assert "chshbounds.cli sweep --steps 10001 > /dev/null" in timed["run"]
 
