@@ -8,7 +8,8 @@ before import to force a choice.  Both produce bit-identical results, so the
 selection affects speed only.
 
 Only a native module that is not built falls back to ``python``; a built
-module that fails to import raises, so a broken build is never hidden.
+module that fails to import, or that lacks a kernel (a stale build), raises
+``ImportError``, so a broken build is never hidden.
 """
 
 from __future__ import annotations
@@ -26,14 +27,24 @@ _NATIVE_MODULE = "chshbounds._kernels._native"
 
 
 def load_backend(name: str):
-    """Import and return the kernel module for ``name`` ('python' or 'native')."""
-    if name == "python":
-        from . import reference
+    """Import and return the kernel module for ``name`` ('python' or 'native').
 
-        return reference
-    if name == "native":
-        return importlib.import_module(_NATIVE_MODULE)
-    raise ValueError(f"unknown kernel backend {name!r}; expected 'python' or 'native'")
+    A module that lacks any of ``KERNEL_NAMES`` raises ``ImportError``.
+    """
+    if name == "python":
+        from . import reference as module
+    elif name == "native":
+        module = importlib.import_module(_NATIVE_MODULE)
+    else:
+        raise ValueError(f"unknown kernel backend {name!r}; expected 'python' or 'native'")
+    missing = [kernel for kernel in KERNEL_NAMES if not hasattr(module, kernel)]
+    if missing:
+        raise ImportError(
+            f"{getattr(module, '__file__', module.__name__)} is missing kernels:"
+            f" {', '.join(missing)}; rebuild it with `python setup.py build_ext --inplace`,"
+            " delete it, or set CHSHBOUNDS_BACKEND=python"
+        )
+    return module
 
 
 def _native_if_built():

@@ -22,13 +22,15 @@ entries, and per pivot its three entries and its column and row pairs).
 ``lhv_mc_sums`` mixes up to 1024 SplitMix64 draws at once, each in its own
 128-bit lane of one Python int, so that every integer operation of the
 finalizer runs over the whole chunk in C.  It then picks each draw's state
-from a 256-entry guide table indexed by the draw's top byte, one
-``bytes.translate`` per chunk; only draws whose byte a weight threshold
-splits are bisected, over integer thresholds that give the same
-comparisons as the float variates.  It adds the states' table rows in index
-order, as the plain loop does.  The exception: when every product is -1, 1
-or a zero, every partial sum is an exact integer, and the sums are formed
-from the number of picks of each state, with the same bits.
+by bisection over integer thresholds that give the same comparisons as the
+float variates.  One route rule: a guide table for fewer than 255 states;
+per-state counts where a table exists and every product is -1, 0 or 1.
+The table, indexed by the draw's top byte, picks a chunk's states in one
+``bytes.translate``; only draws whose byte a weight threshold splits are
+bisected.  The states' table rows are added in index order, as the plain
+loop does, except under per-state counts: every partial sum is then an
+exact integer, and the sums formed from the number of picks of each state
+have the same bits.
 
 Conventions shared by both backends:
 
@@ -62,12 +64,8 @@ _INT64_LIMIT = 1 << 63
 _MC_LANES = 1024
 
 # Guide-table entry of a top byte whose draws a threshold splits; no state
-# index reaches it, since a table is built only for fewer states.  A draw on
-# such a byte costs a few plain bisections, so a table stops paying for
-# itself at about 100 split bytes with non-integer products (measured per
-# 4096-draw block); _MAX_SPLIT_BYTES, a quarter of them, keeps a margin.
+# index reaches it, since a table is built only for fewer states.
 _SPLIT = 255
-_MAX_SPLIT_BYTES = 64
 
 # Jacobi stopping rule: off-diagonal Frobenius mass below _JACOBI_RTOL times
 # the Frobenius norm of the matrix, at most _JACOBI_MAX_SWEEPS sweeps.  Every
@@ -252,24 +250,24 @@ def _draw_threshold(c: float) -> int:
 
 @lru_cache(maxsize=8)
 def _guide_table(thresholds: tuple[int, ...]) -> bytes | None:
-    """The 256-byte guide table of ``thresholds``, or None where none pays.
+    """The 256-byte guide table of ``thresholds`` for fewer than 255
+    (``_SPLIT``) states; None from 255 states on.
 
     Entry b is the state ``bisect_right(thresholds, x)`` for every 64-bit
     draw x whose top byte is b, or ``_SPLIT`` where a threshold falls inside
     that byte's range, so that those draws need their own search (the
-    guide-table method of Chen and Asau, 1974).  There is no table for
-    ``_SPLIT`` or more states, for thresholds out of order (bisection
-    presumes them sorted; on any other list every draw is searched as
-    before), or for more than ``_MAX_SPLIT_BYTES`` split bytes.
+    guide-table method of Chen and Asau, 1974).  On any list, sorted or
+    not, bisection's result is nondecreasing in x, so a state found at both
+    ends of a byte's range is the state of every draw inside it.
     """
-    if len(thresholds) >= _SPLIT or list(thresholds) != sorted(thresholds):
+    if len(thresholds) >= _SPLIT:
         return None
     guide = bytearray()
     for top in range(256):
         low = bisect_right(thresholds, top << 56)
         high = bisect_right(thresholds, ((top + 1) << 56) - 1)
         guide.append(low if low == high else _SPLIT)
-    return bytes(guide) if guide.count(_SPLIT) <= _MAX_SPLIT_BYTES else None
+    return bytes(guide)
 
 
 def _draw_words(draws: bytes) -> array:
@@ -342,15 +340,14 @@ def lhv_mc_sums(cum_weights, products, seed: int, start: int, stop: int):
     The draws are made up to 1024 at a time by ``_packed_draws``, in 128-bit
     lanes of one int.  Each draw's state is the one that bisection over the
     integer thresholds of ``_draw_threshold`` picks; those agree with every
-    comparison of ``rng_u01`` against a weight.  A guide table indexed by
-    the draw's top byte gives that state for most draws without a search
-    (``_guide_table``, ``_state_picks``).  The loop then adds each state's
-    products and squares, read from a table built once per call, into
-    eight running sums in index order.  Where a guide table exists, every
-    product is -1, 1 or a zero and there are at most 2**53 draws, the sums
-    are formed from per-state counts instead (``_counted_sums``), with the
-    same bits; without a table, that is for many states, summing the counts
-    would cost more than the loop.
+    comparison of ``rng_u01`` against a weight.  The route rule: a guide
+    table for fewer than 255 states; per-state counts where a table exists
+    and every product is -1, 0 or 1.  The table, indexed by the draw's top
+    byte, gives the state of most draws without a search (``_guide_table``,
+    ``_state_picks``).  The loop then adds each state's products and
+    squares, read from a table built once per call, into eight running sums
+    in index order.  Per-state counts (``_counted_sums``, at most 2**53
+    draws) replace that loop with the same bits.
     Draw indices are 64-bit signed integers, as in the native kernel: a
     ``start`` or ``stop`` outside [-2**63, 2**63) raises ``OverflowError``
     before any draw.  Weights and products are read as floats once per

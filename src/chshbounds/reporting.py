@@ -46,6 +46,8 @@ class BoundReport(Value):
     """
 
     _fields = ("track", "value", "bound", "inputs", "seed", "version", "details")
+    # Its inputs and details are dicts, so no report hashes.
+    __hash__ = None
 
     def __init__(
         self, track: str, value: float, bound: float, inputs: Mapping[str, object], seed: int,

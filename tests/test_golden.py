@@ -82,3 +82,24 @@ def test_optimize_32_restarts_digest(track, backend, tmp_path):
     argv = ["optimize", "--track", track, "--restarts", "32", "--seed", "0", "--out", str(out)]
     assert cli.main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == OPTIMIZE_32_SHA256[track]
+
+
+# sha256 of `verify --config` on the python kernel's two pick routes beyond
+# the golden files' 16 states: 70 states with non-integer responses and 69
+# split top bytes (a guide table), and 256 states of weight 2**-8 with +/-1
+# responses (bisection alone).  Both were recorded while the 70-state
+# mixture was still bisected alone, so the two routes are pinned to each
+# other.
+MC_ROUTE_SHA256 = {
+    "mc_split_bytes": "9ad5e5308612f38fac814b810240d524b08ad1f1d4f2718a9e6af542b5d474c1",
+    "mc_many_states": "510dac5f60724dd2f670eddf9548f7ec94aa7b4a2431c8b3d93e68aebe8925c2",
+}
+
+
+@pytest.mark.parametrize("config", sorted(MC_ROUTE_SHA256))
+@pytest.mark.parametrize("backend", ["python", "native"], indirect=True)
+def test_mc_route_digest(config, backend, tmp_path):
+    out = tmp_path / f"{config}.json"
+    argv = ["verify", "--config", str(GOLDEN / f"{config}.yaml"), "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MC_ROUTE_SHA256[config]

@@ -428,14 +428,14 @@ def _route_weights(layout, n_states, r):
 
 
 # (states, weight layout, whether a guide table picks the states).  Without
-# one, every draw is bisected: 255 states or more, or too many split bytes.
+# one, at 255 states or more, every draw is bisected.
 PICK_ROUTES = [
     (1, "random", True),
     (4, "bytes", True),
     (16, "random", True),
     (16, "ties", True),
     (254, "bytes", True),
-    (254, "random", False),
+    (254, "random", True),
     (255, "bytes", False),
     (1000, "random", False),
 ]
@@ -476,6 +476,20 @@ def test_guide_table_on_top_byte_boundaries():
     thresholds = tuple(reference._draw_threshold(c) for c in (0.25 + 2.0**-20, 1.0))
     guide = reference._guide_table(thresholds)
     assert guide == bytes([0] * 64 + [reference._SPLIT] + [1] * 191)
+
+
+def test_guide_table_exactly_below_255_states():
+    """A table whatever its number of split bytes, up to 254 states; none from 255."""
+    r = random.Random(254)
+    for n_states in (254, 255):
+        thresholds = tuple(
+            reference._draw_threshold(c) for c in _route_weights("random", n_states, r)
+        )
+        guide = reference._guide_table(thresholds)
+        if n_states < reference._SPLIT:
+            assert guide.count(reference._SPLIT) > 128
+        else:
+            assert guide is None
 
 
 def test_lhv_mc_sums_rejects_indices_beyond_int64(native):
@@ -595,18 +609,28 @@ def test_entries_are_read_as_numbers_on_both_backends(native, name, args, error)
 
 
 _FAKE_NATIVE = """
-import importlib.abc, sys
+import importlib.abc, importlib.util, sys
 
-class NativeFinder(importlib.abc.MetaPathFinder):
+class NativeFinder(importlib.abc.MetaPathFinder, importlib.abc.Loader):
     def find_spec(self, name, path, target=None):
         if name == "chshbounds._kernels._native":
-            raise {error}
+            {find}
         return None
+
+    # A stale build: it imports, but exports an older kernel set.
+    def create_module(self, spec):
+        return None
+
+    def exec_module(self, module):
+        module.BACKEND_NAME = "native"
+        module.hermitian_norm = module.rng_u01 = module.lhv_mc_sums = print
 
 sys.meta_path.insert(0, NativeFinder())
 import chshbounds
 print(chshbounds.BACKEND_NAME)
 """
+
+_STALE_SPEC = 'return importlib.util.spec_from_file_location(name, "/stale_native.so", loader=self)'
 
 
 @pytest.mark.parametrize(
@@ -619,15 +643,19 @@ print(chshbounds.BACKEND_NAME)
         ('ModuleNotFoundError("no numpy9", name="numpy9")', None, "no numpy9"),
         # An explicit python backend never touches the native module.
         ('ImportError("undefined symbol: broken_build")', "python", None),
+        # Built from other sources: it imports but lacks a kernel.
+        (None, None, "ImportError: /stale_native.so is missing kernels: eigvals_hermitian"),
+        (None, "python", None),
     ],
 )
 def test_native_import_failure_handling(error, backend_env, failure):
-    """Only a native module that is not built falls back to python."""
+    """Only a native module that is not built falls back to python; a
+    stale one, without a kernel of ``KERNEL_NAMES``, names what it lacks."""
     env = {k: v for k, v in os.environ.items() if k != "CHSHBOUNDS_BACKEND"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     if backend_env:
         env["CHSHBOUNDS_BACKEND"] = backend_env
-    script = _FAKE_NATIVE.format(error=error)
+    script = _FAKE_NATIVE.format(find=_STALE_SPEC if error is None else f"raise {error}")
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )

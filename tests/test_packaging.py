@@ -132,9 +132,16 @@ def test_ci_runs_tier1_on_both_backends():
 def test_ci_compares_both_backends_and_times_the_python_kernels():
     steps = _ci_job()["steps"]
     # The native entry checks that both backends print the same Monte Carlo
-    # bytes; no golden file covers its 10^6 samples.
+    # bytes on both pick routes of the python kernel; no golden file covers
+    # its 10^6 samples.
     compared = _step_running(steps, "for backend in python native; do")
     assert compared["if"] == "matrix.backend == 'native'"
+    assert "four Monte Carlo verifications" in compared["name"]
+    assert (
+        "for config in mc_mixture mc_strategies mc_split_bytes mc_many_states; do"
+        in compared["run"]
+    )
+    assert "--samples 1000000" in compared["run"]
     assert 'cmp "$RUNNER_TEMP/$config-python.json" "$RUNNER_TEMP/$config-native.json"' in (
         compared["run"]
     )

@@ -5,6 +5,7 @@ are the ones the classes printed when they were frozen dataclasses, so the
 move to plain classes changed none of them.
 """
 
+import collections.abc
 import copy
 import pickle
 
@@ -87,6 +88,7 @@ def test_value_semantics(cls, args, text):
     if cls is BoundReport:  # its inputs and details are dicts, as they were
         with pytest.raises(TypeError):
             hash(value)
+        assert not isinstance(value, collections.abc.Hashable)
     else:
         assert hash(value) == hash(twin)
 
