@@ -246,6 +246,19 @@ static PyObject *eigvals_hermitian(PyObject *self, PyObject *const *args, Py_ssi
     return result;
 }
 
+/* Refuse cum_weights that decrease (or hold a NaN) before any draw, with the
+ * reference's error, so both backends select states by the same rule. */
+static int check_nondecreasing(const double *cw, Py_ssize_t n)
+{
+    for (Py_ssize_t k = 1; k < n; k++) {
+        if (!(cw[k - 1] <= cw[k])) {
+            PyErr_Format(PyExc_ValueError, "cum_weights is not nondecreasing at index %zd", k);
+            return -1;
+        }
+    }
+    return 0;
+}
+
 static PyObject *lhv_mc_sums(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     uint64_t seed;
@@ -264,13 +277,15 @@ static PyObject *lhv_mc_sums(PyObject *self, PyObject *const *args, Py_ssize_t n
     double *pr = cw + nstates;
     PyObject *result = NULL;
     if (load_items(args[0], nstates, "cum_weights", cw, NULL) == 0
-        && load_items(args[1], 4 * nstates, "products", pr, NULL) == 0) {
+        && load_items(args[1], 4 * nstates, "products", pr, NULL) == 0
+        && check_nondecreasing(cw, nstates) == 0) {
         double sums[8] = {0.0};
         for (long long i = start; i < stop; i++) {
             /* The uint64 wrap of a negative index matches the reference's mask. */
             double u = u01(seed, (uint64_t)i);
             /* Inverse CDF; the last state also takes draws beyond its weight.  On
-             * nondecreasing cum_weights this is the reference's bisect_right. */
+             * nondecreasing cum_weights, the only ones accepted, this is the
+             * reference's bisect_right. */
             Py_ssize_t k = 0;
             while (k < nstates - 1 && !(u < cw[k]))
                 k++;
@@ -295,8 +310,9 @@ static PyMethodDef kernel_methods[] = {
            "Accumulate Monte Carlo sums for a finite hidden-state mixture.\n\n"
            "Draw i in [start, stop) selects the first state j with\n"
            "rng_u01(seed, i) < cum_weights[j], or the last state when there is none.\n"
-           "Precondition: cum_weights is nondecreasing; the linear search here and the\n"
-           "reference's guide table and bisection then select the same state."),
+           "cum_weights must be nondecreasing (ties allowed): otherwise ValueError,\n"
+           "before any draw, as in the reference, whose guide table and bisection\n"
+           "select the same state as the linear search here."),
     {NULL, NULL, 0, NULL},
 };
 

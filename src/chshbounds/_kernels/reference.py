@@ -328,13 +328,16 @@ def lhv_mc_sums(cum_weights, products, seed: int, start: int, stop: int):
     For each draw index i in [start, stop), the uniform variate
     ``rng_u01(seed, i)`` selects the first state j with
     ``u < cum_weights[j]``, or the last state when there is none.
-    Precondition: ``cum_weights`` is nondecreasing, so that bisection finds
-    that state.  ``products`` holds the four per-state response products,
-    flattened.  Returns the four product sums followed by the four sums of
-    squares, accumulated in index order, so the result depends only on the
-    arguments.  It is not, in general, the sum of the results over a split
-    of [start, stop): float addition is not associative, so non-integer
-    products round differently.  ``lhv.monte_carlo_correlations`` therefore
+    ``cum_weights`` must be nondecreasing, so that bisection finds that
+    state; ties are allowed, since zero-weight states make them.  Both
+    backends raise ``ValueError``, once the floats are read and before any
+    draw, naming the first k at which ``cum_weights[k-1] <= cum_weights[k]``
+    fails, so a NaN among two or more weights is refused too.  ``products``
+    holds the four per-state response products, flattened.  Returns the four
+    product sums followed by the four sums of squares, accumulated in index
+    order, so the result depends only on the arguments.  It is not, in
+    general, the sum of the results over a split of [start, stop): float
+    addition is not associative, so non-integer products round differently.  ``lhv.monte_carlo_correlations`` therefore
     fixes its block boundaries at multiples of ``MC_BLOCK``.
 
     The draws are made up to 1024 at a time by ``_packed_draws``, in 128-bit
@@ -360,7 +363,8 @@ def lhv_mc_sums(cum_weights, products, seed: int, start: int, stop: int):
         raise IndexError("cum_weights is empty")
     # ldexp(x, 0) is x as a float, -0.0 included; unlike float() it parses no str.
     ldexp = math.ldexp
-    thresholds = tuple([_draw_threshold(ldexp(w, 0)) for w in cum_weights])
+    weights = [ldexp(w, 0) for w in cum_weights]
+    thresholds = tuple(map(_draw_threshold, weights))
     table = []
     for base in range(0, 4 * len(thresholds), 4):
         p1 = ldexp(products[base], 0)
@@ -372,6 +376,9 @@ def lhv_mc_sums(cum_weights, products, seed: int, start: int, stop: int):
     table.append(table[-1])
     # Reduced here, so a seed that is not an int fails even on an empty range.
     seed &= _MASK64
+    for k in range(1, len(weights)):
+        if not weights[k - 1] <= weights[k]:
+            raise ValueError(f"cum_weights is not nondecreasing at index {k}")
     guide = _guide_table(thresholds)
     chunks = _state_picks(thresholds, guide, seed, start, stop)
     if (

@@ -160,15 +160,22 @@ def geometric_product(u: Multivector, v: Multivector) -> Multivector:
 
     Bilinear and associative; for grade-1 inputs the grade-0 part of the
     result is the dot product and the grade-2 part is the wedge product.
+
+    Terms with a zero coefficient are skipped, with the same bits as the
+    full 64-term sum: every accumulator starts at +0.0, and a
+    round-to-nearest sum is -0.0 only when both addends are, so no
+    accumulator is ever -0.0 and adding a zero (of either sign) never
+    changes one.  A skipped term is a zero times a finite coefficient.
     """
     out = [0.0] * 8
     signs = PRODUCT_SIGNS
     targets = PRODUCT_TARGETS
-    k = 0
-    for ui in u.coefficients:
-        for vj in v.coefficients:
-            out[targets[k]] += signs[k] * ui * vj
-            k += 1
+    v_terms = [(j, vj) for j, vj in enumerate(v.coefficients) if vj]
+    for i, ui in enumerate(u.coefficients):
+        if ui:
+            for j, vj in v_terms:
+                k = 8 * i + j
+                out[targets[k]] += signs[k] * ui * vj
     return Multivector(tuple(out))
 
 

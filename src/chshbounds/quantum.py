@@ -8,6 +8,9 @@ CHSH operator
 the operator identity B^2 = 4*I - C with C = [A, A'] (x) [B, B'], and the
 spectral norms that establish the 2*sqrt(2) ceiling.
 
+Operators are formed entry by entry in one pass, with no intermediate matrix,
+in the operation order of the matrix sums and products they stand for.
+
 Conventions: computational basis ordered |00>, |01>, |10>, |11> with the left
 tensor factor as side A; Pauli matrices sigma_x = [[0, 1], [1, 0]],
 sigma_y = [[0, -i], [i, 0]], sigma_z = [[1, 0], [0, -1]].
@@ -51,7 +54,7 @@ class ComplexMatrix(Value):
     ``entries`` is stored as a tuple whatever sequence is passed, so that
     equality, hashing and :meth:`is_hermitian` compare like with like.  The
     matrix product ``@`` (2x2 and 4x4 only) is plain Python, not a kernel: no
-    CLI command forms more than 13 products.
+    CLI command forms more than 9 products.
     """
 
     _fields = ("dim", "entries")
@@ -75,14 +78,13 @@ class ComplexMatrix(Value):
         return cls(dim, tuple(1 + 0j if i == j else 0j for i in range(dim) for j in range(dim)))
 
     def dagger(self) -> "ComplexMatrix":
-        n = self.dim
-        return ComplexMatrix(
-            n, tuple(self.entries[j * n + i].conjugate() for i in range(n) for j in range(n))
-        )
+        e = self.entries
+        return ComplexMatrix(self.dim, tuple([e[k].conjugate() for k in _transposition(self.dim)]))
 
     def is_hermitian(self) -> bool:
         """Exactly equal to its conjugate transpose, entry by entry."""
-        return self.entries == self.dagger().entries
+        e = self.entries
+        return e == tuple([e[k].conjugate() for k in _transposition(self.dim)])
 
     def max_abs_entry(self) -> float:
         return max(abs(v) for v in self.entries)
@@ -171,6 +173,20 @@ class ComplexMatrix(Value):
         return total
 
 
+# Kronecker index table: entry k = 4r + c of left (x) right is
+# left[i] * right[j], i = 2(r // 2) + c // 2 and j = 2(r % 2) + c % 2.
+_KRON = tuple((2 * (r // 2) + c // 2, 2 * (r % 2) + c % 2) for r in range(4) for c in range(4))
+_FOUR_I = tuple(4.0 * z for z in ComplexMatrix.identity(4).entries)  # as identity(4) * 4.0
+_TRANSPOSITIONS: dict[int, tuple[int, ...]] = {}
+
+
+def _transposition(n: int) -> tuple[int, ...]:
+    """Flat indices of the transpose of an n x n matrix, cached per size."""
+    if n not in _TRANSPOSITIONS:
+        _TRANSPOSITIONS[n] = tuple(j * n + i for i in range(n) for j in range(n))
+    return _TRANSPOSITIONS[n]
+
+
 PAULI_X = ComplexMatrix(2, (0j, 1 + 0j, 1 + 0j, 0j))
 PAULI_Y = ComplexMatrix(2, (0j, -1j, 1j, 0j))
 PAULI_Z = ComplexMatrix(2, (1 + 0j, 0j, 0j, -1 + 0j))
@@ -202,25 +218,32 @@ def tensor_product(left: ComplexMatrix, right: ComplexMatrix) -> ComplexMatrix:
     """Kronecker product of two 2x2 matrices (left factor acts on side A).
 
     Entry (r, c) is left[r // 2, c // 2] * right[r % 2, c % 2].  Plain
-    Python, not a kernel: no CLI command forms more than 13 such products.
+    Python, not a kernel: no CLI command forms more than 4 such products.
     """
     if left.dim != 2 or right.dim != 2:
         raise ValueError(
             f"tensor_product expects two 2x2 matrices, got {left.dim}x{left.dim} "
             f"and {right.dim}x{right.dim}"
         )
-    a0, a1, a2, a3 = left.entries
-    b0, b1, b2, b3 = right.entries
-    return ComplexMatrix(4, (
-        a0 * b0, a0 * b1, a1 * b0, a1 * b1,
-        a0 * b2, a0 * b3, a1 * b2, a1 * b3,
-        a2 * b0, a2 * b1, a3 * b0, a3 * b1,
-        a2 * b2, a2 * b3, a3 * b2, a3 * b3,
-    ))
+    a, b = left.entries, right.entries
+    return ComplexMatrix(4, [a[i] * b[j] for i, j in _KRON])
+
+
+def _commutator_entries(x: Sequence[complex], y: Sequence[complex]) -> tuple[complex, ...]:
+    """Flat 2x2 XY - YX, each entry spelled out as the two ``@`` products form it."""
+    (x0, x1, x2, x3), (y0, y1, y2, y3) = x, y
+    return (
+        (0j + x0 * y0 + x1 * y2) - (0j + y0 * x0 + y1 * x2),
+        (0j + x0 * y1 + x1 * y3) - (0j + y0 * x1 + y1 * x3),
+        (0j + x2 * y0 + x3 * y2) - (0j + y2 * x0 + y3 * x2),
+        (0j + x2 * y1 + x3 * y3) - (0j + y2 * x1 + y3 * x3),
+    )
 
 
 def commutator_matrix(x: ComplexMatrix, y: ComplexMatrix) -> ComplexMatrix:
     """Matrix commutator [X, Y] = XY - YX."""
+    if isinstance(x, ComplexMatrix) and isinstance(y, ComplexMatrix) and x.dim == y.dim == 2:
+        return ComplexMatrix(2, _commutator_entries(x.entries, y.entries))
     return (x @ y) - (y @ x)
 
 
@@ -280,22 +303,12 @@ def singlet_correlation_closed_form(a: Sequence[float], b: Sequence[float]) -> f
     return -dot(ua, ub)
 
 
-def _spin_matrices(
-    cfg: Configuration,
-) -> tuple[ComplexMatrix, ComplexMatrix, ComplexMatrix, ComplexMatrix]:
-    """The 2x2 spin matrices A, A', B, B' of a configuration; no validation."""
-    return tuple(ComplexMatrix(2, _spin_entries(v)) for v in cfg.vectors())
-
-
 def chsh_operator(cfg: Configuration) -> ComplexMatrix:
     """The CHSH operator A(x)B + A(x)B' + A'(x)B - A'(x)B' on the joint space."""
-    sa, sap, sb, sbp = _spin_matrices(cfg)
-    return (
-        tensor_product(sa, sb)
-        + tensor_product(sa, sbp)
-        + tensor_product(sap, sb)
-        - tensor_product(sap, sbp)
-    )
+    a, ap, b, bp = map(_spin_entries, cfg.vectors())
+    return ComplexMatrix(4, [
+        a[i] * b[j] + a[i] * bp[j] + ap[i] * b[j] - ap[i] * bp[j] for i, j in _KRON
+    ])
 
 
 def chsh_squared_identity_deviation(cfg: Configuration) -> float:
@@ -307,11 +320,10 @@ def chsh_squared_identity_deviation(cfg: Configuration) -> float:
     that premise.
     """
     op = chsh_operator(cfg)
-    squared = op @ op
-    sa, sap, sb, sbp = _spin_matrices(cfg)
-    c_joint = tensor_product(commutator_matrix(sa, sap), commutator_matrix(sb, sbp))
-    rhs = ComplexMatrix.identity(4) * 4.0 - c_joint
-    return squared.max_abs_difference(rhs)
+    squared = (op @ op).entries
+    a, ap, b, bp = map(_spin_entries, cfg.vectors())
+    ca, cb = _commutator_entries(a, ap), _commutator_entries(b, bp)
+    return max([abs(squared[k] - (_FOUR_I[k] - ca[i] * cb[j])) for k, (i, j) in enumerate(_KRON)])
 
 
 def cross_commutator_residual(cfg: Configuration) -> float:
@@ -322,7 +334,7 @@ def cross_commutator_residual(cfg: Configuration) -> float:
     is a single product x*y, because the factors 1 and 0 are exact, and IEEE
     complex products commute bit for bit.
     """
-    sa, sap, sb, sbp = _spin_matrices(cfg)
+    sa, sap, sb, sbp = (ComplexMatrix(2, _spin_entries(v)) for v in cfg.vectors())
     a_ops = [tensor_product(s, IDENTITY_2) for s in (sa, sap)]
     b_ops = [tensor_product(IDENTITY_2, s) for s in (sb, sbp)]
     residual = 0.0
@@ -343,18 +355,21 @@ def operator_norm(m: ComplexMatrix) -> float:
     naming the first non-finite entry or for a matrix that is not exactly
     Hermitian, and RuntimeError if the eigensolver fails to converge.
     """
-    for index, z in enumerate(m.entries):
-        try:
-            finite = math.isfinite(z.real) and math.isfinite(z.imag)
-        except AttributeError:
-            raise TypeError(
-                f"matrix entry ({index // m.dim}, {index % m.dim}) must be a number,"
-                f" not {type(z).__name__}"
-            ) from None
-        if not finite:
-            raise ValueError(
-                f"matrix entry ({index // m.dim}, {index % m.dim}) is not finite: {z!r}"
-            )
+    # A finite sum has no infinite or NaN term: only a failing matrix is searched.
+    total = sum(m.entries) if all([type(z) is complex for z in m.entries]) else math.nan
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        for index, z in enumerate(m.entries):
+            try:
+                finite = math.isfinite(z.real) and math.isfinite(z.imag)
+            except AttributeError:
+                raise TypeError(
+                    f"matrix entry ({index // m.dim}, {index % m.dim}) must be a number,"
+                    f" not {type(z).__name__}"
+                ) from None
+            if not finite:
+                raise ValueError(
+                    f"matrix entry ({index // m.dim}, {index % m.dim}) is not finite: {z!r}"
+                )
     if not m.is_hermitian():
         raise ValueError("operator_norm expects an exactly Hermitian matrix")
     eigs = _kernels.eigvals_hermitian(m.entries, m.dim)

@@ -7,6 +7,7 @@ independent check of the multiplication table.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -91,6 +92,34 @@ def test_blade_product_function():
     assert (sign, mask) == (-1, 0b000)
     assert len(ga.PRODUCT_SIGNS) == 64
     assert len(ga.PRODUCT_TARGETS) == 64
+
+
+def _product_of_all_64_terms(u: Multivector, v: Multivector) -> Multivector:
+    out = [0.0] * 8
+    k = 0
+    for ui in u.coefficients:
+        for vj in v.coefficients:
+            out[ga.PRODUCT_TARGETS[k]] += ga.PRODUCT_SIGNS[k] * ui * vj
+            k += 1
+    return Multivector(tuple(out))
+
+
+def test_product_skipping_zero_terms_has_the_bits_of_the_64_term_sum():
+    # Zeros of either sign, and magnitudes whose products underflow to a
+    # zero or cancel exactly, in every coefficient position.
+    r = random.Random(29)
+    values = (0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.5, 1e-200, -1e-200, 1e150)
+    multivectors = [
+        Multivector([r.choice(values + (r.uniform(-1, 1),)) for _ in range(8)])
+        for _ in range(20_000)
+    ]
+    multivectors += [
+        Multivector.from_vector([r.choice((0.0, -0.0, r.uniform(-1, 1))) for _ in range(3)])
+        for _ in range(4000)
+    ]
+    for u, v in zip(multivectors[0::2], multivectors[1::2]):
+        expected = [c.hex() for c in _product_of_all_64_terms(u, v).coefficients]
+        assert [c.hex() for c in geometric_product(u, v).coefficients] == expected, (u, v)
 
 
 @given(multivectors, multivectors, multivectors)

@@ -492,6 +492,32 @@ def test_guide_table_exactly_below_255_states():
             assert guide is None
 
 
+def test_lhv_mc_sums_refuses_decreasing_cum_weights_and_keeps_ties(native):
+    """On a list that decreases, the native linear search and the reference's
+    bisection pick different states, so both backends raise the same
+    ValueError, naming the first k at which cum_weights[k-1] <= cum_weights[k]
+    fails; a NaN fails it too.  Ties, which zero-weight states make, stay
+    allowed and give equal bits on both backends."""
+    products = [1.0, -1.0, 0.5, 0.0, -0.5, 0.25, 1.0, 0.75] * 2
+    refused = [
+        ([0.5, 0.25, 0.75, 1.0], 1),
+        ([0.25, 0.5, 1.0, 0.75], 3),
+        ([0.25, math.nan, 0.75, 1.0], 1),
+        ([0.25, 0.5, 0.75, math.nan], 3),
+        ([math.nan, 0.5, 0.75, 1.0], 1),
+    ]
+    for cum_weights, k in refused:
+        for backend in (reference, native):
+            with pytest.raises(ValueError, match=f"not nondecreasing at index {k}$"):
+                backend.lhv_mc_sums(cum_weights, products, 3, 0, 10**5)
+    tied = [[0.0, 0.5, 0.5, 1.0], [0.25, 0.25, 1.0, 1.0], [-0.0, 0.0, 0.0, 1.0], [1.0] * 4]
+    for cum_weights in tied:
+        args = (cum_weights, products, 3, 0, 3 * 4096 + 17)
+        got = _bits(reference.lhv_mc_sums(*args))
+        assert got == _bits(native.lhv_mc_sums(*args))
+        assert got == _bits(_linear_search_sums(*args))
+
+
 def test_lhv_mc_sums_rejects_indices_beyond_int64(native):
     """Draw indices are 64-bit signed on both backends: a start or stop
     outside [-2**63, 2**63) raises OverflowError before any draw, where the

@@ -156,6 +156,25 @@ def test_ci_compares_both_backends_and_times_the_python_kernels():
     assert "chshbounds.cli sweep --steps 10001 > /dev/null" in timed["run"]
 
 
+def test_ci_compares_certify_output_on_both_backends():
+    # The native entry prints certify.py's elapsed time on each backend for
+    # 2,000 random configurations and checks that both print the same bytes.
+    step = _step_running(_ci_job()["steps"], "perfbench/certify.py")
+    assert step["if"] == "matrix.backend == 'native'"
+    lines = step["run"].splitlines()
+    assert "random_configuration" in lines[0] and "rc(5, i)" in lines[0]
+    assert "'%.17g'" in lines[0] and "range(2000)" in lines[0]
+    assert lines[0].endswith('> "$RUNNER_TEMP/vectors.txt"')
+    assert lines[1:] == [
+        "for kernels in python native; do",
+        '  TIMEFORMAT="certify.py on 2,000 configurations, $kernels kernels: %R s"',
+        "  time CHSHBOUNDS_BACKEND=$kernels PYTHONPATH=src python perfbench/certify.py"
+        ' "$RUNNER_TEMP/vectors.txt" > "$RUNNER_TEMP/certify-$kernels.txt"',
+        "done",
+        'cmp "$RUNNER_TEMP/certify-python.txt" "$RUNNER_TEMP/certify-native.txt"',
+    ]
+
+
 def test_ci_conditions_name_only_listed_matrix_values():
     # A misspelt value ('natve') would match no entry and silently drop its step.
     job = _ci_job()

@@ -217,6 +217,75 @@ def test_cross_commutator_residual_is_exactly_zero():
         assert cross_commutator_residual(cfg) == 0.0, cfg
 
 
+# The operators as sums of matrix objects: four Kronecker products added with
+# ComplexMatrix.__add__ and __sub__, commutators as (x @ y) - (y @ x), and
+# 4I - C formed by ComplexMatrix.identity(4) * 4.0 - C.  The one-pass code
+# in quantum must give these bits.
+
+
+def _kron_of_matrices(left: ComplexMatrix, right: ComplexMatrix) -> ComplexMatrix:
+    a0, a1, a2, a3 = left.entries
+    b0, b1, b2, b3 = right.entries
+    return ComplexMatrix(4, (
+        a0 * b0, a0 * b1, a1 * b0, a1 * b1,
+        a0 * b2, a0 * b3, a1 * b2, a1 * b3,
+        a2 * b0, a2 * b1, a3 * b0, a3 * b1,
+        a2 * b2, a2 * b3, a3 * b2, a3 * b3,
+    ))
+
+
+def _operators_of_matrices(cfg: Configuration) -> tuple:
+    """B, [A, A'], [B, B'], C and the B^2 identity deviation, as matrix sums."""
+    sa, sap, sb, sbp = (spin_operator(v) for v in cfg.vectors())
+    b_operator = (
+        _kron_of_matrices(sa, sb)
+        + _kron_of_matrices(sa, sbp)
+        + _kron_of_matrices(sap, sb)
+        - _kron_of_matrices(sap, sbp)
+    )
+    comm_a, comm_b = (sa @ sap) - (sap @ sa), (sb @ sbp) - (sbp @ sb)
+    c_operator = _kron_of_matrices(comm_a, comm_b)
+    rhs = ComplexMatrix.identity(4) * 4.0 - c_operator
+    deviation = (b_operator @ b_operator).max_abs_difference(rhs)
+    return b_operator, comm_a, comm_b, c_operator, deviation
+
+
+def _one_pass_operators(cfg: Configuration) -> tuple:
+    comm_a = commutator_matrix(spin_operator(cfg.a), spin_operator(cfg.a_prime))
+    comm_b = commutator_matrix(spin_operator(cfg.b), spin_operator(cfg.b_prime))
+    return (
+        chsh_operator(cfg),
+        comm_a,
+        comm_b,
+        tensor_product(comm_a, comm_b),
+        chsh_squared_identity_deviation(cfg),
+    )
+
+
+def _operator_bits(operators: tuple) -> list:
+    *matrices, deviation = operators
+    bits = [x.hex() for m in matrices for z in m.entries for x in (z.real, z.imag)]
+    return bits + [deviation.hex()]
+
+
+# Eight signed axes, with zero components of either sign.
+SIGNED_ZERO_AXES = [
+    (1.0, 0.0, 0.0), (-1.0, -0.0, 0.0), (0.0, 1.0, -0.0), (-0.0, -1.0, -0.0),
+    (0.0, 0.0, 1.0), (-0.0, 0.0, -1.0), (-0.0, -0.0, 1.0), (0.0, -0.0, -1.0),
+]
+
+
+def test_one_pass_operators_have_the_bits_of_the_matrix_sums():
+    configurations = [
+        Configuration(*vectors) for vectors in itertools.product(SIGNED_ZERO_AXES, repeat=4)
+    ]
+    assert len(configurations) == 4096
+    configurations += [random_configuration(29, i) for i in range(10_000)]
+    for cfg in configurations:
+        expected = _operator_bits(_operators_of_matrices(cfg))
+        assert _operator_bits(_one_pass_operators(cfg)) == expected, cfg
+
+
 def test_operator_norm_matches_numpy_hermitian():
     s = rng.CounterStream(64)
     for _ in range(50):
