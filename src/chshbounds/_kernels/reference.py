@@ -337,8 +337,9 @@ def lhv_mc_sums(cum_weights, products, seed: int, start: int, stop: int):
     product sums followed by the four sums of squares, accumulated in index
     order, so the result depends only on the arguments.  It is not, in
     general, the sum of the results over a split of [start, stop): float
-    addition is not associative, so non-integer products round differently.  ``lhv.monte_carlo_correlations`` therefore
-    fixes its block boundaries at multiples of ``MC_BLOCK``.
+    addition is not associative, so non-integer products round differently.
+    ``lhv.monte_carlo_correlations`` therefore fixes its block boundaries at
+    multiples of ``MC_BLOCK``.
 
     The draws are made up to 1024 at a time by ``_packed_draws``, in 128-bit
     lanes of one int.  Each draw's state is the one that bisection over the

@@ -8,8 +8,8 @@ CHSH operator
 the operator identity B^2 = 4*I - C with C = [A, A'] (x) [B, B'], and the
 spectral norms that establish the 2*sqrt(2) ceiling.
 
-Operators are formed entry by entry in one pass, with no intermediate matrix,
-in the operation order of the matrix sums and products they stand for.
+Operators are formed on flat entry tuples, in the operation order of the matrix
+sums and products they stand for; ``_product`` is the one matrix product.
 
 Conventions: computational basis ordered |00>, |01>, |10>, |11> with the left
 tensor factor as side A; Pauli matrices sigma_x = [[0, 1], [1, 0]],
@@ -19,6 +19,7 @@ sigma_y = [[0, -i], [i, 0]], sigma_z = [[1, 0], [0, -1]].
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 from . import _kernels
@@ -54,7 +55,7 @@ class ComplexMatrix(Value):
     ``entries`` is stored as a tuple whatever sequence is passed, so that
     equality, hashing and :meth:`is_hermitian` compare like with like.  The
     matrix product ``@`` (2x2 and 4x4 only) is plain Python, not a kernel: no
-    CLI command forms more than 9 products.
+    CLI command forms more than 0 products with it; its checks call :func:`_product`.
     """
 
     _fields = ("dim", "entries")
@@ -86,77 +87,16 @@ class ComplexMatrix(Value):
         e = self.entries
         return e == tuple([e[k].conjugate() for k in _transposition(self.dim)])
 
-    def max_abs_entry(self) -> float:
-        return max(abs(v) for v in self.entries)
-
-    def max_abs_difference(self, other: "ComplexMatrix") -> float:
-        self._require_same_dim(other)
-        return max(abs(x - y) for x, y in zip(self.entries, other.entries))
-
     def _require_same_dim(self, other: "ComplexMatrix") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def __add__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        if not isinstance(other, ComplexMatrix):
-            return NotImplemented
-        self._require_same_dim(other)
-        return ComplexMatrix(self.dim, tuple(x + y for x, y in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        if not isinstance(other, ComplexMatrix):
-            return NotImplemented
-        self._require_same_dim(other)
-        return ComplexMatrix(self.dim, tuple(x - y for x, y in zip(self.entries, other.entries)))
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, float, complex)):
-            return ComplexMatrix(self.dim, tuple(scalar * v for v in self.entries))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        """Matrix product of two 2x2 or two 4x4 matrices; other sizes raise ValueError.
-
-        Entry (i, j) is 0j + a[i,0]*b[0,j] + a[i,1]*b[1,j] + ..., summed left
-        to right and spelled out for each size.
-        """
+        """Matrix product of two 2x2 or two 4x4 matrices, by :func:`_product`."""
         if not isinstance(other, ComplexMatrix):
             return NotImplemented
         self._require_same_dim(other)
-        n = self.dim
-        if n == 4:
-            a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = self.entries
-            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = other.entries
-            return ComplexMatrix(4, (
-                0j + a0 * b0 + a1 * b4 + a2 * b8 + a3 * b12,
-                0j + a0 * b1 + a1 * b5 + a2 * b9 + a3 * b13,
-                0j + a0 * b2 + a1 * b6 + a2 * b10 + a3 * b14,
-                0j + a0 * b3 + a1 * b7 + a2 * b11 + a3 * b15,
-                0j + a4 * b0 + a5 * b4 + a6 * b8 + a7 * b12,
-                0j + a4 * b1 + a5 * b5 + a6 * b9 + a7 * b13,
-                0j + a4 * b2 + a5 * b6 + a6 * b10 + a7 * b14,
-                0j + a4 * b3 + a5 * b7 + a6 * b11 + a7 * b15,
-                0j + a8 * b0 + a9 * b4 + a10 * b8 + a11 * b12,
-                0j + a8 * b1 + a9 * b5 + a10 * b9 + a11 * b13,
-                0j + a8 * b2 + a9 * b6 + a10 * b10 + a11 * b14,
-                0j + a8 * b3 + a9 * b7 + a10 * b11 + a11 * b15,
-                0j + a12 * b0 + a13 * b4 + a14 * b8 + a15 * b12,
-                0j + a12 * b1 + a13 * b5 + a14 * b9 + a15 * b13,
-                0j + a12 * b2 + a13 * b6 + a14 * b10 + a15 * b14,
-                0j + a12 * b3 + a13 * b7 + a14 * b11 + a15 * b15,
-            ))
-        if n == 2:
-            a0, a1, a2, a3 = self.entries
-            b0, b1, b2, b3 = other.entries
-            return ComplexMatrix(2, (
-                0j + a0 * b0 + a1 * b2,
-                0j + a0 * b1 + a1 * b3,
-                0j + a2 * b0 + a3 * b2,
-                0j + a2 * b1 + a3 * b3,
-            ))
-        raise ValueError(f"matrix product expects 2x2 or 4x4 matrices, got {n}x{n}")
+        return ComplexMatrix(self.dim, _product(self.entries, other.entries))
 
     def expectation(self, state: Sequence[complex]) -> complex:
         """Quadratic form <state| M |state>, summed row by row in index order."""
@@ -171,6 +111,55 @@ class ComplexMatrix(Value):
                 row = row + m[i * n + j] * state[j]
             total = total + state[i].conjugate() * row
         return total
+
+
+def _product(x: Sequence[complex], y: Sequence[complex]) -> tuple[complex, ...]:
+    """The one matrix product, of two flat 2x2 or two flat 4x4 matrices; else ValueError.
+
+    Entry (i, j) is 0j + x[i,0]*y[0,j] + x[i,1]*y[1,j] + ..., summed left to right, spelled out.
+    """
+    if len(x) == 16:
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = x
+        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = y
+        return (
+            0j + a0 * b0 + a1 * b4 + a2 * b8 + a3 * b12,
+            0j + a0 * b1 + a1 * b5 + a2 * b9 + a3 * b13,
+            0j + a0 * b2 + a1 * b6 + a2 * b10 + a3 * b14,
+            0j + a0 * b3 + a1 * b7 + a2 * b11 + a3 * b15,
+            0j + a4 * b0 + a5 * b4 + a6 * b8 + a7 * b12,
+            0j + a4 * b1 + a5 * b5 + a6 * b9 + a7 * b13,
+            0j + a4 * b2 + a5 * b6 + a6 * b10 + a7 * b14,
+            0j + a4 * b3 + a5 * b7 + a6 * b11 + a7 * b15,
+            0j + a8 * b0 + a9 * b4 + a10 * b8 + a11 * b12,
+            0j + a8 * b1 + a9 * b5 + a10 * b9 + a11 * b13,
+            0j + a8 * b2 + a9 * b6 + a10 * b10 + a11 * b14,
+            0j + a8 * b3 + a9 * b7 + a10 * b11 + a11 * b15,
+            0j + a12 * b0 + a13 * b4 + a14 * b8 + a15 * b12,
+            0j + a12 * b1 + a13 * b5 + a14 * b9 + a15 * b13,
+            0j + a12 * b2 + a13 * b6 + a14 * b10 + a15 * b14,
+            0j + a12 * b3 + a13 * b7 + a14 * b11 + a15 * b15,
+        )
+    if len(x) == 4:
+        a0, a1, a2, a3 = x
+        b0, b1, b2, b3 = y
+        return (
+            0j + a0 * b0 + a1 * b2,
+            0j + a0 * b1 + a1 * b3,
+            0j + a2 * b0 + a3 * b2,
+            0j + a2 * b1 + a3 * b3,
+        )
+    n = math.isqrt(len(x))
+    raise ValueError(f"matrix product expects 2x2 or 4x4 matrices, got {n}x{n}")
+
+
+def _commutator(x: Sequence[complex], y: Sequence[complex]) -> tuple[complex, ...]:
+    """Flat XY - YX, entry by entry over the two :func:`_product` results."""
+    return tuple(map(operator.sub, _product(x, y), _product(y, x)))
+
+
+def _kron(x: Sequence[complex], y: Sequence[complex]) -> tuple[complex, ...]:
+    """Flat Kronecker product of two flat 2x2 matrices, through :data:`_KRON`."""
+    return tuple([x[i] * y[j] for i, j in _KRON])
 
 
 # Kronecker index table: entry k = 4r + c of left (x) right is
@@ -218,33 +207,25 @@ def tensor_product(left: ComplexMatrix, right: ComplexMatrix) -> ComplexMatrix:
     """Kronecker product of two 2x2 matrices (left factor acts on side A).
 
     Entry (r, c) is left[r // 2, c // 2] * right[r % 2, c % 2].  Plain
-    Python, not a kernel: no CLI command forms more than 4 such products.
+    Python, not a kernel: no CLI command forms more than 0 such products.
     """
     if left.dim != 2 or right.dim != 2:
         raise ValueError(
             f"tensor_product expects two 2x2 matrices, got {left.dim}x{left.dim} "
             f"and {right.dim}x{right.dim}"
         )
-    a, b = left.entries, right.entries
-    return ComplexMatrix(4, [a[i] * b[j] for i, j in _KRON])
-
-
-def _commutator_entries(x: Sequence[complex], y: Sequence[complex]) -> tuple[complex, ...]:
-    """Flat 2x2 XY - YX, each entry spelled out as the two ``@`` products form it."""
-    (x0, x1, x2, x3), (y0, y1, y2, y3) = x, y
-    return (
-        (0j + x0 * y0 + x1 * y2) - (0j + y0 * x0 + y1 * x2),
-        (0j + x0 * y1 + x1 * y3) - (0j + y0 * x1 + y1 * x3),
-        (0j + x2 * y0 + x3 * y2) - (0j + y2 * x0 + y3 * x2),
-        (0j + x2 * y1 + x3 * y3) - (0j + y2 * x1 + y3 * x3),
-    )
+    return ComplexMatrix(4, _kron(left.entries, right.entries))
 
 
 def commutator_matrix(x: ComplexMatrix, y: ComplexMatrix) -> ComplexMatrix:
-    """Matrix commutator [X, Y] = XY - YX."""
-    if isinstance(x, ComplexMatrix) and isinstance(y, ComplexMatrix) and x.dim == y.dim == 2:
-        return ComplexMatrix(2, _commutator_entries(x.entries, y.entries))
-    return (x @ y) - (y @ x)
+    """Matrix commutator [X, Y] = XY - YX of two 2x2 or two 4x4 matrices, by :func:`_product`.
+
+    Raises TypeError for a non-matrix operand, and the ValueError of ``@`` for other sizes.
+    """
+    if not (isinstance(x, ComplexMatrix) and isinstance(y, ComplexMatrix)):
+        raise TypeError("commutator_matrix expects two ComplexMatrix operands")
+    x._require_same_dim(y)
+    return ComplexMatrix(x.dim, _commutator(x.entries, y.entries))
 
 
 def singlet_state() -> tuple[complex, complex, complex, complex]:
@@ -314,15 +295,15 @@ def chsh_operator(cfg: Configuration) -> ComplexMatrix:
 def chsh_squared_identity_deviation(cfg: Configuration) -> float:
     """Max elementwise deviation of B^2 from 4*I - C, C = [A, A'] (x) [B, B'].
 
-    Both sides are assembled independently as 4x4 matrices.  The commutator
+    Both sides are assembled independently as entry tuples.  The commutator
     factors act on different tensor slots, which is what lets C be formed as
     a single Kronecker product; :func:`cross_commutator_residual` reports
     that premise.
     """
-    op = chsh_operator(cfg)
-    squared = (op @ op).entries
+    op = chsh_operator(cfg).entries
+    squared = _product(op, op)
     a, ap, b, bp = map(_spin_entries, cfg.vectors())
-    ca, cb = _commutator_entries(a, ap), _commutator_entries(b, bp)
+    ca, cb = _commutator(a, ap), _commutator(b, bp)
     return max([abs(squared[k] - (_FOUR_I[k] - ca[i] * cb[j])) for k, (i, j) in enumerate(_KRON)])
 
 
@@ -334,13 +315,12 @@ def cross_commutator_residual(cfg: Configuration) -> float:
     is a single product x*y, because the factors 1 and 0 are exact, and IEEE
     complex products commute bit for bit.
     """
-    sa, sap, sb, sbp = (ComplexMatrix(2, _spin_entries(v)) for v in cfg.vectors())
-    a_ops = [tensor_product(s, IDENTITY_2) for s in (sa, sap)]
-    b_ops = [tensor_product(IDENTITY_2, s) for s in (sb, sbp)]
+    a, ap, b, bp = map(_spin_entries, cfg.vectors())
+    b_ops = [_kron(IDENTITY_2.entries, y) for y in (b, bp)]
     residual = 0.0
-    for x in a_ops:
+    for x in (_kron(a, IDENTITY_2.entries), _kron(ap, IDENTITY_2.entries)):
         for y in b_ops:
-            residual = max(residual, commutator_matrix(x, y).max_abs_entry())
+            residual = max(residual, max(map(abs, _commutator(x, y))))
     return residual
 
 

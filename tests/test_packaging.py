@@ -206,6 +206,26 @@ def test_ci_rejects_tracked_build_artefacts():
     step = _step_running(_ci_job()["steps"], "git ls-files")
     assert "exit 1" in step["run"]
     assert "if" not in step
+    # The step's extended regular expression, read with Python's re (the two
+    # agree on this syntax), flags each kind of artefact and no tracked file.
+    (pattern,) = re.findall(r"grep -E '([^']+)'", step["run"])
+    artefacts = [
+        "src/chshbounds/_kernels/_native.cpython-311-x86_64-linux-gnu.so",
+        "src/chshbounds/_kernels/_native.pyd",
+        "build/temp.linux-x86_64-cpython-311/_native.o",
+        "build/lib/chshbounds/__init__.py",
+        "src/chshbounds/__pycache__/quantum.cpython-311.pyc",
+        "tests/__pycache__/conftest.cpython-311-pytest-8.0.0.pyc",
+        "src/chshbounds/quantum.pyc",
+        "src/chshbounds.egg-info/PKG-INFO",
+    ]
+    for path in artefacts:
+        assert re.search(pattern, path), path
+    tracked = subprocess.run(
+        ["git", "ls-files"], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert "src/chshbounds/quantum.py" in tracked
+    assert [path for path in tracked if re.search(pattern, path)] == []
 
 
 def test_a_failing_hypothesis_test_does_not_abort_the_session(tmp_path):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import operator
+import random
 import re
 
 import numpy as np
@@ -118,6 +119,84 @@ def test_tensor_product_requires_2x2():
         tensor_product(ComplexMatrix.identity(4), ComplexMatrix.identity(2))
 
 
+# Random inputs per product in each specification test.
+SPECIFICATION_INPUTS = 10_000
+
+
+def _rand_special_complex(r, nonfinite):
+    """Each part is +-0.0 or a uniform draw, or with probability ``nonfinite``
+    an infinity or a NaN."""
+
+    def part():
+        if r.random() < nonfinite:
+            return r.choice((math.inf, -math.inf, math.nan))
+        return r.choice((0.0, -0.0, r.uniform(-1, 1), r.uniform(-1, 1)))
+
+    return complex(part(), part())
+
+
+def _entry_bits(entries):
+    """Exact bit patterns of both parts of each entry, so 0.0 and -0.0 differ."""
+    return [[x.hex() for x in (z.real, z.imag)] for z in entries]
+
+
+def _kron_spec(a, b):
+    """Entry (r, c) of the Kronecker product is a[r // 2, c // 2] * b[r % 2, c % 2]."""
+    return [a[2 * (r // 2) + c // 2] * b[2 * (r % 2) + c % 2] for r in range(4) for c in range(4)]
+
+
+def _matmul_spec(a, b, n):
+    """Entry (i, j) is 0j + a[i,0]*b[0,j] + ... + a[i,n-1]*b[n-1,j], added left to right."""
+    out = []
+    for i in range(n):
+        for j in range(n):
+            acc = 0j
+            for k in range(n):
+                acc = acc + a[i * n + k] * b[k * n + j]
+            out.append(acc)
+    return out
+
+
+def test_tensor_product_matches_its_specification():
+    """tensor_product forms the Kronecker product in plain Python, sign of
+    zero included; no kernel takes part, so it runs on one backend."""
+    r = random.Random(18)
+    for i in range(SPECIFICATION_INPUTS):
+        nonfinite = (0.0, 0.02, 0.1)[i % 3]
+        a = [_rand_special_complex(r, nonfinite) for _ in range(4)]
+        b = [_rand_special_complex(r, nonfinite) for _ in range(4)]
+        got = tensor_product(ComplexMatrix(2, a), ComplexMatrix(2, b))
+        assert _entry_bits(got.entries) == _entry_bits(_kron_spec(a, b))
+
+
+@pytest.mark.parametrize("n", (2, 4))
+def test_matrix_product_matches_its_specification(n):
+    """ComplexMatrix @ forms the product in plain Python; the straight-line
+    n = 2 and n = 4 bodies of quantum._product must match the
+    specification, sign of zero included."""
+    r = random.Random(19 + n)
+    for i in range(SPECIFICATION_INPUTS):
+        nonfinite = (0.0, 0.01, 0.05)[i % 3]
+        a = [_rand_special_complex(r, nonfinite) for _ in range(n * n)]
+        b = [_rand_special_complex(r, nonfinite) for _ in range(n * n)]
+        got = (ComplexMatrix(n, a) @ ComplexMatrix(n, b)).entries
+        assert _entry_bits(got) == _entry_bits(_matmul_spec(a, b, n))
+
+
+def test_commutator_matrix_raises_the_errors_of_the_matrix_product():
+    # A non-matrix operand on either side is a TypeError; mismatched and
+    # unsupported sizes raise what ``@`` raises for them.
+    for x, y in ((PAULI_X, 3), (2.0, PAULI_X), (E1, PAULI_X)):
+        with pytest.raises(TypeError):
+            commutator_matrix(x, y)
+    with pytest.raises(ValueError, match=re.escape("dimension mismatch: 2 vs 4")):
+        commutator_matrix(PAULI_X, ComplexMatrix.identity(4))
+    three = ComplexMatrix.identity(3)
+    message = "matrix product expects 2x2 or 4x4 matrices, got 3x3"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        commutator_matrix(three, three)
+
+
 def test_singlet_state_is_normalized_and_antisymmetric():
     psi = singlet_state()
     assert abs(sum(abs(c) ** 2 for c in psi) - 1.0) < 1e-15
@@ -217,10 +296,11 @@ def test_cross_commutator_residual_is_exactly_zero():
         assert cross_commutator_residual(cfg) == 0.0, cfg
 
 
-# The operators as sums of matrix objects: four Kronecker products added with
-# ComplexMatrix.__add__ and __sub__, commutators as (x @ y) - (y @ x), and
-# 4I - C formed by ComplexMatrix.identity(4) * 4.0 - C.  The one-pass code
-# in quantum must give these bits.
+# The operators as sums of matrix objects: four Kronecker products added and
+# subtracted entry by entry, commutators as the entrywise difference of
+# x @ y and y @ x, and 4I - C as 4.0 times each entry of
+# ComplexMatrix.identity(4), minus C's.  The one-pass code in quantum must
+# give these bits.
 
 
 def _kron_of_matrices(left: ComplexMatrix, right: ComplexMatrix) -> ComplexMatrix:
@@ -237,16 +317,19 @@ def _kron_of_matrices(left: ComplexMatrix, right: ComplexMatrix) -> ComplexMatri
 def _operators_of_matrices(cfg: Configuration) -> tuple:
     """B, [A, A'], [B, B'], C and the B^2 identity deviation, as matrix sums."""
     sa, sap, sb, sbp = (spin_operator(v) for v in cfg.vectors())
-    b_operator = (
-        _kron_of_matrices(sa, sb)
-        + _kron_of_matrices(sa, sbp)
-        + _kron_of_matrices(sap, sb)
-        - _kron_of_matrices(sap, sbp)
+    terms = (
+        _kron_of_matrices(x, y).entries for x, y in ((sa, sb), (sa, sbp), (sap, sb), (sap, sbp))
     )
-    comm_a, comm_b = (sa @ sap) - (sap @ sa), (sb @ sbp) - (sbp @ sb)
+    b_operator = ComplexMatrix(4, tuple(p + q + r - s for p, q, r, s in zip(*terms)))
+    comm_a, comm_b = (
+        ComplexMatrix(2, tuple(p - q for p, q in zip((x @ y).entries, (y @ x).entries)))
+        for x, y in ((sa, sap), (sb, sbp))
+    )
     c_operator = _kron_of_matrices(comm_a, comm_b)
-    rhs = ComplexMatrix.identity(4) * 4.0 - c_operator
-    deviation = (b_operator @ b_operator).max_abs_difference(rhs)
+    four_i = tuple(4.0 * z for z in ComplexMatrix.identity(4).entries)
+    rhs = tuple(p - q for p, q in zip(four_i, c_operator.entries))
+    squared = (b_operator @ b_operator).entries
+    deviation = max(abs(p - q) for p, q in zip(squared, rhs))
     return b_operator, comm_a, comm_b, c_operator, deviation
 
 
@@ -622,12 +705,17 @@ def test_complex_matrix_built_from_a_list_equals_the_tuple_form():
         (operator.matmul, IDENTITY_2, 3),
         (operator.add, IDENTITY_2, 1),
         (operator.sub, IDENTITY_2, 1.0),
+        (operator.add, IDENTITY_2, IDENTITY_2),
+        (operator.sub, IDENTITY_2, IDENTITY_2),
+        (operator.mul, 2.0, IDENTITY_2),
+        (operator.mul, IDENTITY_2, 2.0),
         (operator.add, IDENTITY_2, E1),
         (operator.add, E1, 1),
         (operator.sub, E1, 1.0),
         (operator.sub, E1, IDENTITY_2),
     ],
-    ids=["matrix@int", "matrix+int", "matrix-float", "matrix+multivector", "multivector+int",
+    ids=["matrix@int", "matrix+int", "matrix-float", "matrix+matrix", "matrix-matrix",
+         "float*matrix", "matrix*float", "matrix+multivector", "multivector+int",
          "multivector-float", "multivector-matrix"],
 )
 def test_binary_operators_reject_other_operands_with_type_error(op, left, right):
