@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import math
 import operator
-import random
 import re
 
 import numpy as np
@@ -117,70 +116,6 @@ def test_tensor_product_matches_numpy():
 def test_tensor_product_requires_2x2():
     with pytest.raises(ValueError):
         tensor_product(ComplexMatrix.identity(4), ComplexMatrix.identity(2))
-
-
-# Random inputs per product in each specification test.
-SPECIFICATION_INPUTS = 10_000
-
-
-def _rand_special_complex(r, nonfinite):
-    """Each part is +-0.0 or a uniform draw, or with probability ``nonfinite``
-    an infinity or a NaN."""
-
-    def part():
-        if r.random() < nonfinite:
-            return r.choice((math.inf, -math.inf, math.nan))
-        return r.choice((0.0, -0.0, r.uniform(-1, 1), r.uniform(-1, 1)))
-
-    return complex(part(), part())
-
-
-def _entry_bits(entries):
-    """Exact bit patterns of both parts of each entry, so 0.0 and -0.0 differ."""
-    return [[x.hex() for x in (z.real, z.imag)] for z in entries]
-
-
-def _kron_spec(a, b):
-    """Entry (r, c) of the Kronecker product is a[r // 2, c // 2] * b[r % 2, c % 2]."""
-    return [a[2 * (r // 2) + c // 2] * b[2 * (r % 2) + c % 2] for r in range(4) for c in range(4)]
-
-
-def _matmul_spec(a, b, n):
-    """Entry (i, j) is 0j + a[i,0]*b[0,j] + ... + a[i,n-1]*b[n-1,j], added left to right."""
-    out = []
-    for i in range(n):
-        for j in range(n):
-            acc = 0j
-            for k in range(n):
-                acc = acc + a[i * n + k] * b[k * n + j]
-            out.append(acc)
-    return out
-
-
-def test_tensor_product_matches_its_specification():
-    """tensor_product forms the Kronecker product in plain Python, sign of
-    zero included; no kernel takes part, so it runs on one backend."""
-    r = random.Random(18)
-    for i in range(SPECIFICATION_INPUTS):
-        nonfinite = (0.0, 0.02, 0.1)[i % 3]
-        a = [_rand_special_complex(r, nonfinite) for _ in range(4)]
-        b = [_rand_special_complex(r, nonfinite) for _ in range(4)]
-        got = tensor_product(ComplexMatrix(2, a), ComplexMatrix(2, b))
-        assert _entry_bits(got.entries) == _entry_bits(_kron_spec(a, b))
-
-
-@pytest.mark.parametrize("n", (2, 4))
-def test_matrix_product_matches_its_specification(n):
-    """ComplexMatrix @ forms the product in plain Python; the straight-line
-    n = 2 and n = 4 bodies of quantum._product must match the
-    specification, sign of zero included."""
-    r = random.Random(19 + n)
-    for i in range(SPECIFICATION_INPUTS):
-        nonfinite = (0.0, 0.01, 0.05)[i % 3]
-        a = [_rand_special_complex(r, nonfinite) for _ in range(n * n)]
-        b = [_rand_special_complex(r, nonfinite) for _ in range(n * n)]
-        got = (ComplexMatrix(n, a) @ ComplexMatrix(n, b)).entries
-        assert _entry_bits(got) == _entry_bits(_matmul_spec(a, b, n))
 
 
 def test_commutator_matrix_raises_the_errors_of_the_matrix_product():
