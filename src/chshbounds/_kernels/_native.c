@@ -99,21 +99,6 @@ static int load_i64(PyObject *obj, long long *out)
     return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
 }
 
-/* Matrix size n and its entry count n*n. */
-static int load_size(PyObject *obj, Py_ssize_t *n, Py_ssize_t *size)
-{
-    *n = PyNumber_AsSsize_t(obj, PyExc_OverflowError);
-    if (*n == -1 && PyErr_Occurred())
-        return -1;
-    /* Bounded so that the byte count of n * n complex entries cannot overflow. */
-    if (*n < 0 || (*n > 0 && (PY_SSIZE_T_MAX / 64) / *n < *n)) {
-        PyErr_Format(PyExc_ValueError, "matrix size %zd is out of range", *n);
-        return -1;
-    }
-    *size = *n * *n;
-    return 0;
-}
-
 /* A list of `count` floats that lie `stride` doubles apart in `values`. */
 static PyObject *float_list(const double *values, Py_ssize_t count, Py_ssize_t stride)
 {
@@ -214,9 +199,21 @@ static int jacobi(cplx *a, Py_ssize_t n)
 
 static PyObject *eigvals_hermitian(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_ssize_t n, size;
-    if (check_nargs("eigvals_hermitian", nargs, 2) < 0 || load_size(args[1], &n, &size) < 0)
+    if (check_nargs("eigvals_hermitian", nargs, 1) < 0)
         return NULL;
+    Py_ssize_t size = PyObject_Length(args[0]);
+    if (size < 0)
+        return NULL;
+    /* n = floor(sqrt(size)): the double estimate can be one off for large sizes,
+     * and the corrections compare by division, so that no product overflows. */
+    Py_ssize_t n = (Py_ssize_t)sqrt((double)size);
+    while (n > 0 && n > size / n)
+        n--;
+    while (n + 1 <= size / (n + 1))
+        n++;
+    if (n * n != size)
+        return PyErr_Format(PyExc_ValueError,
+                            "matrix has %zd entries, which is not a square number", size);
     cplx *a = PyMem_New(cplx, size);
     if (a == NULL)
         return PyErr_NoMemory();

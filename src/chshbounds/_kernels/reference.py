@@ -43,7 +43,6 @@ Conventions shared by both backends:
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from array import array
 from bisect import bisect_right
@@ -117,7 +116,7 @@ def _jacobi_tables(n: int):
     return off_diagonal, diagonal, pivots
 
 
-def eigvals_hermitian(entries, n: int):
+def eigvals_hermitian(entries):
     """Eigenvalues of a flat n x n complex Hermitian matrix, ascending.
 
     The matrix is first scaled by the power of two 2**-e that brings its
@@ -129,22 +128,18 @@ def eigvals_hermitian(entries, n: int):
     declared when the off-diagonal Frobenius mass is zero or below 2.5e-15
     times the Frobenius norm of the matrix; exceeding 100 sweeps raises
     RuntimeError.  A NaN or infinite entry raises ValueError, and so does a
-    negative n or one too large for n*n complex entries to be addressed,
-    before any entry is read (OverflowError beyond the Py_ssize_t range).
+    length that is not a perfect square (n is the integer square root of
+    ``len(entries)``), before any entry is read.
     """
     sqrt, atan2, cos, sin, ldexp = math.sqrt, math.atan2, math.cos, math.sin, math.ldexp
-    # n as the native backend's size check takes it: an index that fits a
-    # Py_ssize_t, with the byte count of n*n complex entries in range too.
-    n = operator.index(n)
-    if not -sys.maxsize - 1 <= n <= sys.maxsize:
-        raise OverflowError("cannot fit 'int' into an index-sized integer")
-    if n < 0 or n * n > sys.maxsize // 64:
-        raise ValueError(f"matrix size {n} is out of range")
-    # The first n*n entries in order, as the native backend reads them, so a
-    # short matrix is an IndexError before any check of the values.  A str,
-    # which complex() would parse, is a TypeError there.
+    size = len(entries)
+    n = math.isqrt(size)
+    if n * n != size:
+        raise ValueError(f"matrix has {size} entries, which is not a square number")
+    # The entries in order, as the native backend reads them.  A str, which
+    # complex() would parse, is a TypeError there.
     a = []
-    for i in range(n * n):
+    for i in range(size):
         z = entries[i]
         if isinstance(z, str):
             raise TypeError(f"matrix entry {i} must be a number, not str")

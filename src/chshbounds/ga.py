@@ -102,8 +102,11 @@ class Multivector(Value):
         )
 
     def norm(self) -> float:
-        """Euclidean norm over the 8 coefficients."""
-        return math.sqrt(sum(c * c for c in self.coefficients))
+        """Euclidean norm over the 8 coefficients, squares summed left to right."""
+        total = 0.0
+        for c in self.coefficients:
+            total += c * c
+        return math.sqrt(total)
 
     def max_abs_difference(self, other: "Multivector") -> float:
         return max(abs(x - y) for x, y in zip(self.coefficients, other.coefficients))

@@ -84,10 +84,11 @@ class LhvModel(Value):
             raise ValueError("model needs at least one hidden state")
         if type(states) is not tuple:
             states = tuple(states)
+        total = 0.0
         for state in states:
             if not isinstance(state, HiddenState):
                 raise TypeError(f"model states must be HiddenState, not {type(state).__name__}")
-        total = sum(s.weight for s in states)
+            total += state.weight
         if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
             raise ValueError(f"state weights must sum to 1, got {total!r}")
         self.__dict__["states"] = states
@@ -248,7 +249,9 @@ def random_model(seed: int, index: int) -> LhvModel:
     stream = rng.CounterStream(rng.derive_seed(seed, index))
     n_states = 1 + stream.below(4)
     raw_weights = [0.05 + stream.u01() for _ in range(n_states)]
-    total = sum(raw_weights)
+    total = 0.0
+    for weight in raw_weights:
+        total += weight
     states = []
     for i in range(n_states):
         responses = tuple(2.0 * stream.u01() - 1.0 for _ in range(4))

@@ -228,7 +228,7 @@ def test_eigvals_match_numpy_oracle():
     for n in (2, 3, 4):
         for _ in range(100):
             h = _rand_hermitian(r, n)
-            got = reference.eigvals_hermitian(h, n)
+            got = reference.eigvals_hermitian(h)
             assert list(got) == sorted(got)
             expected = np.linalg.eigvalsh(np.array(h).reshape(n, n))
             worst = max(worst, float(np.max(np.abs(np.array(got) - expected))))
@@ -240,13 +240,13 @@ def test_eigvals_backends_agree(native):
     for i in range(PARITY_INPUTS):
         n = 1 + i % 4
         h = _rand_hermitian(r, n)
-        assert _bits(native.eigvals_hermitian(h, n)) == _bits(reference.eigvals_hermitian(h, n))
+        assert _bits(native.eigvals_hermitian(h)) == _bits(reference.eigvals_hermitian(h))
     # The spectral path of the quantum track: B and B^dagger B.
     for cfg in (random_configuration(5, i) for i in range(200)):
         op = quantum.chsh_operator(cfg)
         for m in (op, op.dagger() @ op):
-            got = native.eigvals_hermitian(m.entries, 4)
-            assert _bits(got) == _bits(reference.eigvals_hermitian(m.entries, 4))
+            got = native.eigvals_hermitian(m.entries)
+            assert _bits(got) == _bits(reference.eigvals_hermitian(m.entries))
 
 
 def test_eigvals_diagonal_and_degenerate(native):
@@ -254,7 +254,7 @@ def test_eigvals_diagonal_and_degenerate(native):
     for i, x in enumerate((3.0, -1.0, 3.0, 0.5)):
         diag[4 * i + i] = complex(x)
     for backend in (reference, native):
-        assert list(backend.eigvals_hermitian(diag, 4)) == [-1.0, 0.5, 3.0, 3.0]
+        assert list(backend.eigvals_hermitian(diag)) == [-1.0, 0.5, 3.0, 3.0]
 
 
 def test_eigvals_reports_non_convergence(native):
@@ -262,7 +262,7 @@ def test_eigvals_reports_non_convergence(native):
     skew = [0j, 1 + 0j, 0j, 0j]
     for backend in (reference, native):
         with pytest.raises(RuntimeError, match="within 100 sweeps"):
-            backend.eigvals_hermitian(skew, 2)
+            backend.eigvals_hermitian(skew)
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -280,39 +280,79 @@ _NAN, _INF = float("nan"), float("inf")
 def test_eigvals_rejects_non_finite_entries(native, entries):
     for backend in (reference, native):
         with pytest.raises(ValueError, match="NaN or infinite"):
-            backend.eigvals_hermitian(entries, 2)
+            backend.eigvals_hermitian(entries)
 
 
-def test_eigvals_reads_the_first_n_squared_entries(native):
-    for backend in (reference, native):
-        with pytest.raises(IndexError):
-            backend.eigvals_hermitian([complex(_NAN, 0.0), 0j, 0j], 2)
-        # Entries past n*n are ignored, even a non-finite one.
-        got = backend.eigvals_hermitian([2 + 0j, 1j, -1j, 0j, complex(_INF, 0.0)], 2)
-        assert _bits(got) == _bits(backend.eigvals_hermitian([2 + 0j, 1j, -1j, 0j], 2))
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# Entries that neither backend may read as a finite complex number.
+_BAD_ENTRIES = st.sampled_from([None, "1", _NAN, _INF, -_INF, complex(_NAN, 1.0), 10**400])
 
 
-@pytest.mark.parametrize(
-    "n, error",
-    [
-        (-1, ValueError),
-        (-2, ValueError),
-        (2**40, ValueError),  # n*n entries would overflow a byte count
-        (2**63, OverflowError),  # beyond Py_ssize_t
-        (200, IndexError),  # in range, but only 4 entries
-    ],
-)
-def test_eigvals_checks_the_size_before_any_work_on_both_backends(native, monkeypatch, n, error):
-    """Both backends refuse a bad n with the same error type, before reading
-    an entry or, on python, building the Jacobi tables for it."""
+@st.composite
+def _eigvals_arguments(draw):
+    """A Hermitian matrix of side 0-4, perhaps with one entry replaced by a
+    bad one, or a list whose length (2-20) is not a perfect square."""
+    if draw(st.integers(0, 3)) == 0:
+        # The length alone decides: even a bad entry is never read.
+        length = draw(st.integers(2, 20).filter(lambda k: math.isqrt(k) ** 2 != k))
+        entries = st.one_of(st.just(1j), _BAD_ENTRIES)
+        return draw(st.lists(entries, min_size=length, max_size=length))
+    n = draw(st.integers(0, 4))
+    h = [0j] * (n * n)
+    for i in range(n):
+        h[i * n + i] = complex(draw(_FLOATS), 0.0)
+        for j in range(i + 1, n):
+            z = complex(draw(_FLOATS), draw(_FLOATS))
+            h[i * n + j], h[j * n + i] = z, z.conjugate()
+    if n and draw(st.booleans()):
+        h[draw(st.integers(0, n * n - 1))] = draw(_BAD_ENTRIES)
+    return h
+
+
+def _eigvals_outcome(backend, entries):
+    """The bits of the eigenvalues, or the type of the error raised."""
+    try:
+        return _bits(backend.eigvals_hermitian(entries))
+    except Exception as exc:  # the type is what the backends must agree on
+        return type(exc)
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None)
+@given(_eigvals_arguments())
+def test_eigvals_backends_agree_on_any_entries(native, entries):
+    """Same bits or the same error type on both backends, whatever the
+    length, the scale of the entries or the kind of a bad entry."""
+    assert _eigvals_outcome(native, entries) == _eigvals_outcome(reference, entries)
+
+
+class _Unread:
+    """A sequence of a given length whose entries must not be read."""
+
+    def __init__(self, length):
+        self.length = length
+
+    def __len__(self):
+        return self.length
+
+    def __getitem__(self, index):
+        raise AssertionError(f"entry {index} was read")
+
+
+@pytest.mark.parametrize("length", [2, 3, 5, 15, 17, 2**62 - 1, sys.maxsize])
+def test_eigvals_checks_the_length_before_any_work_on_both_backends(native, monkeypatch, length):
+    """A length that is not a perfect square is refused with the same
+    ValueError on both backends, before an entry is read or, on python, the
+    Jacobi tables are built.  The two large lengths check that the C square
+    root does not overflow."""
 
     def no_tables(n):
         raise AssertionError(f"Jacobi tables built for n = {n}")
 
     monkeypatch.setattr(reference, "_jacobi_tables", no_tables)
+    message = f"matrix has {length} entries, which is not a square number"
     for backend in (reference, native):
-        with pytest.raises(error):
-            backend.eigvals_hermitian([0j] * 4, n)
+        with pytest.raises(ValueError, match=message):
+            backend.eigvals_hermitian(_Unread(length))
 
 
 def _cum_weights(weights):
@@ -585,13 +625,12 @@ def test_draw_threshold_agrees_with_the_float_comparison(c):
             assert ((x >> 11) * 2.0**-53 < c) == (x < t)
 
 
-# Wrong arity, a too-short sequence and a non-number, per kernel.  Each row
-# is keyed by the number in its test id, so that removing a row renames no
-# other test.
-_C4, _C3 = [0j] * 4, [0j] * 3
+# Wrong arity, a too-short sequence or one that is no sequence, and a
+# non-number, per kernel.  Each row is keyed by the number in its test id,
+# so that removing a row renames no other test.
 BAD_CALLS = {
     "rng_u01": {2: (1, 2, 3), 3: (0, 1.5)},
-    "eigvals_hermitian": {18: (_C4,), 19: (_C4, 2, 1e-14), 20: (_C3, 2), 21: ([object()] * 4, 2)},
+    "eigvals_hermitian": {18: (), 19: ([0j] * 4, 2), 20: (None,), 21: ([object()] * 4,)},
     "lhv_mc_sums": {
         22: ([1.0], [1.0] * 4, 0, 0),
         23: ([0.5, 1.0], [1.0] * 4, 0, 0, 100),
@@ -624,7 +663,7 @@ def test_bad_arguments_raise_on_both_backends(native, name, args):
     [
         ("lhv_mc_sums", ([1.0], [1j, 1.0, 1.0, 1.0], 0, 0, 5), TypeError),  # a complex
         ("lhv_mc_sums", ([10**400], [1.0] * 4, 0, 0, 3), OverflowError),  # beyond a float
-        ("eigvals_hermitian", (["1", "0", "0", "1"], 2), TypeError),  # complex() parses a str
+        ("eigvals_hermitian", (["1", "0", "0", "1"],), TypeError),  # complex() parses a str
     ],
 )
 def test_entries_are_read_as_numbers_on_both_backends(native, name, args, error):

@@ -1,5 +1,6 @@
-"""Packaging metadata and the CI workflow, read as text."""
+"""Packaging metadata, the CI workflow and the sources, read as text."""
 
+import ast
 import json
 import re
 import subprocess
@@ -43,44 +44,76 @@ def test_readme_names_the_kernels():
     assert tuple(re.findall(r"`(\w+)`", match.group(2))) == _kernels.KERNEL_NAMES
 
 
+def _builtin_sum_calls(node, function: str, found: list) -> None:
+    """Append the enclosing function's name for each ``sum(...)`` call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+            if child.func.id == "sum":
+                found.append(function)
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _builtin_sum_calls(child, child.name, found)
+        else:
+            _builtin_sum_calls(child, function, found)
+
+
+def test_sources_make_no_builtin_sum_call():
+    # From CPython 3.12, builtin sum() of floats is compensated (gh-100425),
+    # so it returns other bits than on 3.10 and 3.11.  Sums are written as
+    # left-to-right loops instead.  The one exception is operator_norm's
+    # complex sum: it only tests whether every entry is finite, and no bit
+    # of it reaches a result.
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        calls = []
+        _builtin_sum_calls(ast.parse(path.read_text(encoding="utf-8")), "<module>", calls)
+        found += [(path.relative_to(ROOT).as_posix(), function) for function in calls]
+    assert found == [("src/chshbounds/quantum.py", "operator_norm")]
+
+
 def _count_products(monkeypatch, argv: list) -> tuple:
-    """Kronecker and matrix products that ``cli.main(argv)`` forms."""
-    counts = {"kron": 0, "matmul": 0}
+    """4x4 and 2x2 matrix products and Kronecker products that ``cli.main(argv)``
+    forms, counted at ``quantum._product`` and ``quantum._kron``, which form them all."""
+    counts = {"4x4": 0, "2x2": 0, "kron": 0}
+    product, kron = quantum._product, quantum._kron
 
-    def counting(kind, function):
-        def wrapper(*args):
-            counts[kind] += 1
-            return function(*args)
+    def counting_product(x, y):
+        counts["4x4" if len(x) == 16 else "2x2"] += 1
+        return product(x, y)
 
-        return wrapper
+    def counting_kron(x, y):
+        counts["kron"] += 1
+        return kron(x, y)
 
-    monkeypatch.setattr(quantum, "tensor_product", counting("kron", quantum.tensor_product))
-    monkeypatch.setattr(
-        quantum.ComplexMatrix, "__matmul__", counting("matmul", quantum.ComplexMatrix.__matmul__)
-    )
+    monkeypatch.setattr(quantum, "_product", counting_product)
+    monkeypatch.setattr(quantum, "_kron", counting_kron)
     assert cli.main(argv) == 0
     monkeypatch.undo()
-    return counts["kron"], counts["matmul"]
+    return counts["4x4"], counts["2x2"], counts["kron"]
 
 
 def test_docs_quote_the_product_counts(monkeypatch, capsys):
     # verify --track all forms the most products of any command; the README
     # and the two docstrings that justify plain-Python products quote it.
-    kron, matmul = _count_products(
-        monkeypatch, ["verify", "--track", "all", "--canonical", "--seed", "7"]
-    )
+    counts = _count_products(monkeypatch, ["verify", "--track", "all", "--canonical", "--seed", "7"])
     readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
-    match = re.search(r"forms more than (\d+) Kronecker products or (\d+) matrix products", readme)
+    match = re.search(
+        r"forms more than (\d+) 4×4 matrix products, (\d+) 2×2 matrix products"
+        r" or (\d+) Kronecker products",
+        readme,
+    )
     assert match is not None, "README.md has no product-count sentence"
-    assert (int(match.group(1)), int(match.group(2))) == (kron, matmul)
-    for function, count in ((quantum.tensor_product, kron), (quantum.ComplexMatrix, matmul)):
-        doc = " ".join(function.__doc__.split())
-        quoted = re.search(r"forms more than (\d+) (?:such )?products", doc)
-        assert quoted is not None, f"{function.__name__} quotes no product count"
-        assert int(quoted.group(1)) == count
+    assert tuple(map(int, match.groups())) == counts
+    doc = " ".join(quantum.ComplexMatrix.__doc__.split())
+    quoted = re.search(r"forms more than (\d+) 4x4 and (\d+) 2x2 products", doc)
+    assert quoted is not None, "ComplexMatrix quotes no product count"
+    assert tuple(map(int, quoted.groups())) == counts[:2]
+    doc = " ".join(quantum.tensor_product.__doc__.split())
+    quoted = re.search(r"forms more than (\d+) such products", doc)
+    assert quoted is not None, "tensor_product quotes no product count"
+    assert int(quoted.group(1)) == counts[2]
     optimize = ["optimize", "--track", "quantum", "--restarts", "2"]
-    assert _count_products(monkeypatch, optimize) == (0, 0)
-    assert _count_products(monkeypatch, ["sweep", "--steps", "11"]) == (0, 0)
+    assert _count_products(monkeypatch, optimize) == (0, 0, 0)
+    assert _count_products(monkeypatch, ["sweep", "--steps", "11"]) == (0, 0, 0)
     capsys.readouterr()
 
 

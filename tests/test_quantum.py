@@ -352,6 +352,45 @@ def test_operator_norms_match_closed_forms(backend):
         assert abs(operator_norm(product) - 4.0 * sines) < 1e-12
 
 
+def _norms_and_ga_product(cfg: Configuration) -> tuple:
+    """||B||, ||[A,A'] (x) [B,B']|| and ||[a,a']|| * ||[b,b']|| with the ga commutator."""
+    c_operator = tensor_product(
+        commutator_matrix(spin_operator(cfg.a), spin_operator(cfg.a_prime)),
+        commutator_matrix(spin_operator(cfg.b), spin_operator(cfg.b_prime)),
+    )
+    ga_product = 1.0
+    for u, v in ((cfg.a, cfg.a_prime), (cfg.b, cfg.b_prime)):
+        ga_product *= commutator(Multivector.from_vector(u), Multivector.from_vector(v)).norm()
+    return operator_norm(chsh_operator(cfg)), operator_norm(c_operator), ga_product
+
+
+def test_quantum_and_ga_tracks_meet_in_the_commutator_norms():
+    # In G3, ||[a,a']|| = 2|a x a'|, and ||[A,A'] (x) [B,B']|| = 4|a x a'||b x b'|,
+    # so the ga commutators give ||C|| and Landau's ||B|| = 2 sqrt(1 + ||C|| / 4).
+    parallel, perpendicular = [], []
+    for i in range(500):
+        u, v, w = (random_unit_vector(72, 3 * i + k) for k in range(3))
+        sign = 1.0 if i % 2 else -1.0
+        parallel.append(Configuration(u, tuple(sign * x for x in u), v, w))
+        parallel.append(Configuration(v, w, u, tuple(sign * x for x in u)))
+        perpendicular.append(
+            Configuration(u, normalized(cross(u, v)), w, normalized(cross(w, v)))
+        )
+    groups = [
+        ([random_configuration(71, i) for i in range(2000)], None),
+        (parallel, (0.0, 2.0)),  # a = +-a' or b = +-b': ||C|| = 0 and ||B|| = 2
+        (perpendicular, (4.0, TSIRELSON_BOUND)),  # a ⊥ a' and b ⊥ b'
+    ]
+    for configurations, expected in groups:
+        for cfg in configurations:
+            norm_b, norm_c, ga_product = _norms_and_ga_product(cfg)
+            assert abs(norm_c - ga_product) <= 1e-13, cfg
+            assert abs(norm_b - 2.0 * math.sqrt(1.0 + ga_product / 4.0)) <= 1e-13, cfg
+            if expected is not None:
+                assert abs(norm_c - expected[0]) <= 1e-13, cfg
+                assert abs(norm_b - expected[1]) <= 1e-13, cfg
+
+
 def _random_rotation(seed: int, index: int) -> tuple:
     """Rows of a uniformly random rotation: a Haar-random first row u, then
     w along u x v for a second random v, then w x u."""
@@ -451,7 +490,7 @@ def test_eigvals_are_scale_free(backend, exponent):
     s = rng.CounterStream(70 + exponent)
     for _ in range(40):
         h = _random_hermitian(s, 10.0**exponent)
-        got = _kernels.eigvals_hermitian(tuple(complex(x) for x in h.reshape(-1)), 4)
+        got = _kernels.eigvals_hermitian(tuple(complex(x) for x in h.reshape(-1)))
         expected = np.linalg.eigvalsh(h)
         radius = np.max(np.abs(expected))
         assert np.max(np.abs(np.array(got) - expected)) <= 1e-14 * radius
@@ -518,7 +557,7 @@ def test_eigvals_bits_are_pinned(backend):
             commutator_matrix(spin_operator(cfg.b), spin_operator(cfg.b_prime)),
         )
         for m in (b_operator, c_operator, b_operator.dagger() @ b_operator):
-            got.append(" ".join(x.hex() for x in _kernels.eigvals_hermitian(m.entries, 4)))
+            got.append(" ".join(x.hex() for x in _kernels.eigvals_hermitian(m.entries)))
     assert got == PINNED_EIGVALS
 
 
