@@ -4,7 +4,10 @@ Report output is deterministic down to the byte: floats are written with 17
 significant digits (enough to round-trip an IEEE double exactly), negative
 zero is normalized away, keys are sorted, and every writer appends a single
 trailing newline.  Running the same seeded command twice must produce
-identical files.  Key order is resolved once per key set per writer call.
+identical files.  Within one writer call, a dict's line heads (``{`` or ``,``,
+newline, indent, quoted key) are resolved once per key set and depth, a list's
+once per depth, and ``format_float`` forms each exact float's text once.  NaN,
+infinity and non-string keys are never cached, so they always raise.
 """
 
 from __future__ import annotations
@@ -118,54 +121,66 @@ def _quote(text: str) -> str:
     return '"' + text.translate(_STRING_ESCAPES) + '"'
 
 
-def _write_json(value: object, indent: int, pieces: list[str], keys: dict) -> None:
+def _write_json(value: object, depth: int, pieces: list[str], heads: dict, texts: dict) -> None:
     if isinstance(value, dict):
-        key_tuple = tuple(value)
-        order = keys.get(key_tuple)
-        if order is None:
-            for key in key_tuple:
+        keys = tuple(value)
+        entry = heads.get((keys, depth))
+        if entry is None:
+            for key in keys:
                 if not isinstance(key, str):
                     raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            order = keys[key_tuple] = [(_quote(key) + ": ", key) for key in sorted(key_tuple)]
-        _write_entries("{}", [(prefix, value[key]) for prefix, key in order], indent, pieces, keys)
+            inner = "\n" + "  " * (depth + 1)
+            ranked = enumerate(sorted(keys))
+            order = [(("," if i else "{") + inner + _quote(key) + ": ", key) for i, key in ranked]
+            # An empty dict has no heads; its close alone prints "{}".
+            heads[keys, depth] = entry = (order, "\n" + "  " * depth + "}" if keys else "{}")
+        order, close = entry
+        for head, key in order:
+            item = value[key]
+            if type(item) is float:
+                text = texts.get(item)
+                if text is None:
+                    text = texts[item] = format_float(item)
+                pieces.append(head + text)
+            else:
+                pieces.append(head)
+                _write_json(item, depth + 1, pieces, heads, texts)
+        pieces.append(close)
     elif isinstance(value, (list, tuple)):
-        _write_entries("[]", [("", item) for item in value], indent, pieces, keys)
+        if not value:
+            pieces.append("[]")
+            return
+        entry = heads.get(depth)  # an int key: a list's heads depend on its depth alone
+        if entry is None:
+            inner = "\n" + "  " * (depth + 1)
+            heads[depth] = entry = ("[" + inner, "," + inner, "\n" + "  " * depth + "]")
+        head, rest, close = entry
+        for item in value:
+            pieces.append(head)
+            _write_json(item, depth + 1, pieces, heads, texts)
+            head = rest
+        pieces.append(close)
     elif isinstance(value, str):
         pieces.append(_quote(value))
     elif value is None:
         pieces.append("null")
+    elif type(value) is float:
+        text = texts.get(value)
+        if text is None:
+            text = texts[value] = format_float(value)
+        pieces.append(text)
     else:
         pieces.append(_scalar(value))
-
-
-def _write_entries(
-    brackets: str, entries: list, indent: int, pieces: list[str], keys: dict
-) -> None:
-    """(prefix, value) entries one per line, a level deeper; an empty container stays inline."""
-    if not entries:
-        pieces.append(brackets)
-        return
-    inner = "\n" + "  " * (indent + 1)
-    separator = brackets[0]
-    for prefix, item in entries:
-        if type(item) is float:
-            pieces.append(separator + inner + prefix + format_float(item))
-        else:
-            pieces.append(separator + inner + prefix)
-            _write_json(item, indent + 1, pieces, keys)
-        separator = ","
-    pieces.append("\n" + "  " * indent + brackets[1])
 
 
 def canonical_json(value: object) -> str:
     """Deterministic JSON text: sorted keys, 2-space indent, trailing newline.
 
     Containers are ``dict`` (string keys only), ``list`` and ``tuple``; other
-    mapping or sequence types are rejected like any unknown value.  Key order
-    is resolved once per key set (keys in insertion order) per call.
+    mapping or sequence types are rejected like any unknown value.
     """
     pieces: list[str] = []
-    _write_json(value, 0, pieces, {})
+    _write_json(value, 0, pieces, {}, {})
     pieces.append("\n")
     return "".join(pieces)
 
@@ -174,15 +189,20 @@ def reports_to_json(reports: Sequence[BoundReport]) -> str:
     return canonical_json({"reports": [r.as_mapping() for r in reports]})
 
 
-def _csv_cell(value: object) -> str:
-    if type(value) is float:
-        return format_float(value)
-    return value if isinstance(value, str) else _scalar(value)
-
-
 def _csv_table(columns: Sequence[str], rows) -> str:
+    texts: dict[float, str] = {}
     lines = [",".join(columns)]
-    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
+    for row in rows:
+        cells = []
+        for value in row:
+            if type(value) is float:
+                text = texts.get(value)
+                if text is None:
+                    text = texts[value] = format_float(value)
+            else:
+                text = value if isinstance(value, str) else _scalar(value)
+            cells.append(text)
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 

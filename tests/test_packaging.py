@@ -179,14 +179,21 @@ def test_ci_compares_both_backends_and_times_the_python_kernels():
         compared["run"]
     )
     # One entry per backend prints the elapsed time of the CLI import (the
-    # start-up every command pays), of the 32-restart search and of the
-    # 10,001-step sweep, so the native sweep's cost shows too.
+    # start-up every command pays), of the 32-restart search, of the
+    # 10,001-step sweep as JSON and as CSV and of the canonical reports, so
+    # the native sweep's and the report writers' cost show too.
     timed = _step_running(steps, "time PYTHONPATH=src python -m chshbounds.cli optimize")
     assert timed["if"] == "matrix.python-version == '3.11'"
     assert 'TIMEFORMAT="import chshbounds.cli: %R s"' in timed["run"]
     assert 'time PYTHONPATH=src python -c "import chshbounds.cli"' in timed["run"]
     assert "optimize --track quantum --restarts 32 > /dev/null" in timed["run"]
-    assert "chshbounds.cli sweep --steps 10001 > /dev/null" in timed["run"]
+    for command in (
+        "sweep --steps 10001",
+        "sweep --steps 10001 --format csv",
+        "verify --track all --canonical --seed 7",
+    ):
+        assert f'TIMEFORMAT="{command}: %R s"' in timed["run"]
+        assert f"time PYTHONPATH=src python -m chshbounds.cli {command} > /dev/null" in timed["run"]
 
 
 def test_ci_compares_certify_output_on_both_backends():
@@ -280,3 +287,41 @@ def test_a_failing_hypothesis_test_does_not_abort_the_session(tmp_path):
     run = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout.splitlines()[-1]
+
+
+def _interpreters(*pythons: str) -> subprocess.CompletedProcess:
+    command = [sys.executable, str(ROOT / "tools" / "interpreters.py")]
+    for python in pythons:
+        command += ["--python", python]
+    return subprocess.run(command, capture_output=True, text=True, timeout=300)
+
+
+def test_interpreters_tool_hashes_eight_outputs_per_interpreter():
+    done = _interpreters(sys.executable, sys.executable)
+    assert done.returncode == 0, done.stderr
+    lines = [line.split("  ") for line in done.stdout.splitlines()]
+    labels = [
+        "verify --track all --canonical --seed 7",
+        "verify --track all --canonical --seed 7 --format csv",
+        "sweep --steps 10001",
+        "sweep --steps 10001 --format csv",
+        "optimize --track quantum --restarts 32",
+        "optimize --track ga --restarts 32",
+        "optimize --track classical",
+        "perfbench/certify.py",
+    ]
+    assert [label for _, _, label in lines] == labels * 2
+    assert {python for _, python, _ in lines} == {sys.executable}
+    assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest, _, _ in lines)
+    assert [digest for digest, _, _ in lines[:8]] == [digest for digest, _, _ in lines[8:]]
+    assert len({digest for digest, _, _ in lines}) == 8
+
+
+def test_interpreters_tool_fails_when_an_interpreter_prints_other_bytes(tmp_path):
+    # An "interpreter" that prints one line whatever it is asked to run.
+    other = tmp_path / "other-python"
+    other.write_text("#!/bin/sh\necho other\n", encoding="utf-8")
+    other.chmod(0o755)
+    done = _interpreters(sys.executable, str(other))
+    assert done.returncode == 1
+    assert done.stderr.count(f"{other}: ") == 8 and "differs from" in done.stderr

@@ -2,13 +2,15 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chshbounds.reporting import (
     ATTAINMENT_TOLERANCE,
     MARGIN_TOLERANCE,
+    REPORT_COLUMNS,
     BoundReport,
+    _quote,
     canonical_json,
     format_float,
     reports_to_csv,
@@ -125,6 +127,103 @@ def test_canonical_json_shared_key_sets_are_pinned():
         "]\n"
     )
     assert canonical_json(payload) == expected
+
+
+def _spec_text(value, depth=0):
+    """The canonical JSON text of ``value`` by its definition, with no caching."""
+    inner = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict):
+        if any(not isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be strings")
+        entries = [
+            inner + _quote(key) + ": " + _spec_text(value[key], depth + 1) for key in sorted(value)
+        ]
+        return "{" + ",".join(entries) + "\n" + "  " * depth + "}" if entries else "{}"
+    if isinstance(value, (list, tuple)):
+        entries = [inner + _spec_text(item, depth + 1) for item in value]
+        return "[" + ",".join(entries) + "\n" + "  " * depth + "]" if entries else "[]"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    return _spec_cell(value)
+
+
+def _spec_cell(value):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value) if isinstance(value, int) else format_float(value)
+
+
+def _reversed_insertion(value):
+    """The same value with every dict's keys inserted in reverse order."""
+    if isinstance(value, dict):
+        return {key: _reversed_insertion(value[key]) for key in reversed(list(value))}
+    if isinstance(value, list):
+        return [_reversed_insertion(item) for item in value]
+    return value
+
+
+# 1, 1.0 and True compare (and hash) equal; so do 0.0 and -0.0.
+_SCALARS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1, True, False, 2.5, 7, None, "1", 'q"\\\n']),
+    st.builds(_Float, st.sampled_from([0.1, -0.0, 1.0, 2.5])),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.integers(-3, 3),
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["a", "b", "c", "é"]), children, max_size=3),
+    max_leaves=10,
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_TREES, st.lists(st.tuples(_SCALARS, _SCALARS, _SCALARS), max_size=4))
+def test_writer_caches_match_a_spec_encoder(tree, rows):
+    # The tree again a level and two levels deeper, with its dicts' keys in
+    # the other insertion order: every key set it holds meets the head cache
+    # at several depths, and every float the text cache more than once.
+    payload = [tree, {"a": _reversed_insertion(tree), "b": [tree]}]
+    assert canonical_json(payload) == _spec_text(payload) + "\n"
+    # The same scalars as CSV cells: the float bounds repeat on every row and
+    # the other cells mix floats with ints and bools that compare equal.
+    floats = [x for row in rows for x in row if type(x) is float] or [0.5]
+    points = [(floats[i % len(floats)], -floats[-1 - i % len(floats)]) for i in range(4)]
+    expected = ["theta_rad,classical_bound,qm_value,tsirelson_bound"]
+    expected += [",".join(_spec_cell(x) for x in (t, floats[0], v, 2.0)) for t, v in points]
+    assert sweep_to_csv(points, floats[0], 2.0) == "\n".join(expected) + "\n"
+    reports = [
+        BoundReport(str(i), value=value, bound=bound, inputs={}, seed=seed)
+        for i, (value, bound, seed) in enumerate(rows)
+        if all(isinstance(x, (int, float)) for x in (value, bound)) and type(seed) is int
+    ]
+    lines = [",".join(REPORT_COLUMNS)]
+    lines += [",".join(_spec_cell(getattr(r, name)) for name in REPORT_COLUMNS) for r in reports]
+    assert reports_to_csv(reports) == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_writers_raise_on_a_non_finite_float_after_cached_ones(bad):
+    rows = [{"x": 0.5, "y": -0.0}, {"y": 0.0, "x": 0.5}, {"x": 0.5, "y": bad}]
+    for payload in (rows, [0.5, 0.5, bad], {"a": [0.5, {"x": 0.5, "y": bad}]}):
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_json(payload)
+    with pytest.raises(ValueError, match="non-finite"):
+        canonical_json([bad, bad])
+    with pytest.raises(ValueError, match="non-finite"):
+        sweep_to_csv([(0.5, 2.5), (0.5, 2.5), (0.5, bad)], 2.0, 2.5)
+    with pytest.raises(ValueError, match="non-finite"):
+        reports_to_csv([_report(2.0), _report(2.0, bound=bad)])
+
+
+def test_writer_raises_on_a_non_string_key_after_its_key_set_was_written():
+    payload = {"rows": [{"a": 1.5, "b": [{"a": 1.5}]}, {"a": 1.5, "b": [{"a": 1.5, 1: 1.5}]}]}
+    with pytest.raises(TypeError, match="keys must be strings"):
+        canonical_json(payload)
 
 
 def _report(value, bound=2.0, details=None):

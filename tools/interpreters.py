@@ -1,0 +1,80 @@
+"""Check that every given Python interpreter prints the same report bytes.
+
+Runs the commands below under each interpreter, on the pure-Python kernels
+(``CHSHBOUNDS_BACKEND=python``) and with this checkout's ``src`` on the path,
+and prints one sha256 of the standard output per command per interpreter.
+None of the commands reads a config file, so an interpreter needs only the
+standard library.  ``perfbench/certify.py`` reads 2,000 configurations
+``random_configuration(5, i)``, written once by the first interpreter.
+
+Exit status: 0 when every output equals the first interpreter's, 1 when any
+differs, 2 when a command fails.
+
+Usage: python3 tools/interpreters.py --python PATH [--python PATH ...]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMANDS = (
+    "verify --track all --canonical --seed 7",
+    "verify --track all --canonical --seed 7 --format csv",
+    "sweep --steps 10001",
+    "sweep --steps 10001 --format csv",
+    "optimize --track quantum --restarts 32",
+    "optimize --track ga --restarts 32",
+    "optimize --track classical",
+)
+CERTIFY = "perfbench/certify.py"
+VECTORS = (
+    "from chshbounds.geometry import random_configuration\n"
+    "for i in range(2000):\n"
+    "    vectors = random_configuration(5, i).vectors()\n"
+    "    print(' '.join('%.17g' % x for v in vectors for x in v))\n"
+)
+
+
+def run(python: str, arguments: tuple[str, ...]) -> bytes:
+    env = dict(os.environ, CHSHBOUNDS_BACKEND="python", PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run((python,) + arguments, cwd=ROOT, env=env, capture_output=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr.decode(errors="replace"))
+        print(f"{python} {' '.join(arguments)}: exit status {done.returncode}", file=sys.stderr)
+        raise SystemExit(2)
+    return done.stdout
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--python", action="append", required=True, metavar="PATH", help="an interpreter to run"
+    )
+    pythons = parser.parse_args(argv).python
+    differs = False
+    first = None
+    with tempfile.TemporaryDirectory() as scratch:
+        vectors = Path(scratch, "vectors.txt")
+        vectors.write_bytes(run(pythons[0], ("-c", VECTORS)))
+        checked = [(label, ("-m", "chshbounds.cli", *label.split())) for label in COMMANDS]
+        checked.append((CERTIFY, (str(ROOT / CERTIFY), str(vectors))))
+        for python in pythons:
+            digests = [hashlib.sha256(run(python, args)).hexdigest() for _, args in checked]
+            first = first or digests
+            for digest, expected, (label, _) in zip(digests, first, checked):
+                print(f"{digest}  {python}  {label}", flush=True)
+                if digest != expected:
+                    differs = True
+                    print(f"{python}: {label} differs from {pythons[0]}", file=sys.stderr)
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
