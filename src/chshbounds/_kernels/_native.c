@@ -55,11 +55,10 @@ static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t expected)
     return -1;
 }
 
-/* Converts the first `count` items of `obj` to doubles in `reals` or, when
- * `reals` is NULL, to complex numbers in `complexes`.  A conversion may run
- * Python code that shrinks a list, so the size is checked for every item. */
-static int load_items(PyObject *obj, Py_ssize_t count, const char *what, double *reals,
-                      cplx *complexes)
+/* Converts the first `count` items of `obj` to doubles in `reals`.  A
+ * conversion may run Python code that shrinks a list, so the size is checked
+ * for every item. */
+static int load_items(PyObject *obj, Py_ssize_t count, const char *what, double *reals)
 {
     PyObject *seq = PySequence_Fast(obj, "kernel arguments must be sequences");
     if (seq == NULL)
@@ -68,22 +67,55 @@ static int load_items(PyObject *obj, Py_ssize_t count, const char *what, double 
     for (; i < count && i < PySequence_Fast_GET_SIZE(seq); i++) {
         PyObject *item = PySequence_Fast_GET_ITEM(seq, i);
         Py_INCREF(item);
-        Py_complex z = {0.0, 0.0};
-        if (reals != NULL)
-            z.real = reals[i] = PyFloat_AsDouble(item);
-        else
-            z = PyComplex_AsCComplex(item);
+        reals[i] = PyFloat_AsDouble(item);
         Py_DECREF(item);
-        if (z.real == -1.0 && PyErr_Occurred())
+        if (reals[i] == -1.0 && PyErr_Occurred())
             break;
-        if (reals == NULL)
-            complexes[i] = (cplx){z.real, z.imag};
     }
     if (i < count && !PyErr_Occurred())
         PyErr_Format(PyExc_IndexError, "%s has %zd items, expected at least %zd", what,
                      PySequence_Fast_GET_SIZE(seq), count);
     Py_DECREF(seq);
     return i < count ? -1 : 0;
+}
+
+/* The `size` entries of `obj` as complex numbers, read one at a time as the
+ * reference reads entries[i], into a buffer that grows with the entries read:
+ * a length that no real sequence has fails where the reference fails, at its
+ * first entry that cannot be read, and not on one huge allocation.  Returns
+ * NULL with an exception set on failure. */
+static cplx *load_entries(PyObject *obj, Py_ssize_t size)
+{
+    Py_ssize_t capacity = size < 16 ? size : 16;
+    cplx *a = PyMem_New(cplx, capacity);
+    if (a == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    for (Py_ssize_t i = 0; i < size; i++) {
+        if (i == capacity) {
+            capacity = capacity < size - capacity ? 2 * capacity : size;
+            cplx *grown = a;
+            if (PyMem_Resize(grown, cplx, capacity) == NULL) {
+                PyMem_Free(a);
+                PyErr_NoMemory();
+                return NULL;
+            }
+            a = grown;
+        }
+        PyObject *item = PySequence_GetItem(obj, i);
+        Py_complex z = {-1.0, 0.0};
+        if (item != NULL) {
+            z = PyComplex_AsCComplex(item);
+            Py_DECREF(item);
+        }
+        if (z.real == -1.0 && PyErr_Occurred()) {
+            PyMem_Free(a);
+            return NULL;
+        }
+        a[i] = (cplx){z.real, z.imag};
+    }
+    return a;
 }
 
 /* An int reduced modulo 2**64, as the reference's `& _MASK64` does. */
@@ -214,13 +246,9 @@ static PyObject *eigvals_hermitian(PyObject *self, PyObject *const *args, Py_ssi
     if (n * n != size)
         return PyErr_Format(PyExc_ValueError,
                             "matrix has %zd entries, which is not a square number", size);
-    cplx *a = PyMem_New(cplx, size);
+    cplx *a = load_entries(args[0], size);
     if (a == NULL)
-        return PyErr_NoMemory();
-    if (load_items(args[0], size, "entries", NULL, a) < 0) {
-        PyMem_Free(a);
         return NULL;
-    }
     int e = prescale(a, size);
     if (jacobi(a, n) < 0) {
         PyMem_Free(a);
@@ -273,8 +301,8 @@ static PyObject *lhv_mc_sums(PyObject *self, PyObject *const *args, Py_ssize_t n
         return PyErr_NoMemory();
     double *pr = cw + nstates;
     PyObject *result = NULL;
-    if (load_items(args[0], nstates, "cum_weights", cw, NULL) == 0
-        && load_items(args[1], 4 * nstates, "products", pr, NULL) == 0
+    if (load_items(args[0], nstates, "cum_weights", cw) == 0
+        && load_items(args[1], 4 * nstates, "products", pr) == 0
         && check_nondecreasing(cw, nstates) == 0) {
         double sums[8] = {0.0};
         for (long long i = start; i < stop; i++) {

@@ -24,13 +24,15 @@ entries, and per pivot its three entries and its column and row pairs).
 finalizer runs over the whole chunk in C.  It then picks each draw's state
 by bisection over integer thresholds that give the same comparisons as the
 float variates.  One route rule: a guide table for fewer than 255 states;
-per-state counts where a table exists and every product is -1, 0 or 1.
+a bit-plane tally where a table exists and every product is -1, 0 or 1.
 The table, indexed by the draw's top byte, picks a chunk's states in one
 ``bytes.translate``; only draws whose byte a weight threshold splits are
 bisected.  The states' table rows are added in index order, as the plain
-loop does, except under per-state counts: every partial sum is then an
-exact integer, and the sums formed from the number of picks of each state
-have the same bits.
+loop does, except under the tally: a second ``translate`` maps each pick to
+its state's sign byte, and ``int.bit_count`` counts each bit plane of the
+chunk read as one int, so no Python step or branch runs per draw.  Every
+partial sum is then an exact integer, and the sums formed from the counts
+of +1 and -1 products have the same bits.
 
 Conventions shared by both backends:
 
@@ -46,8 +48,8 @@ import math
 import sys
 from array import array
 from bisect import bisect_right
-from collections import Counter
 from functools import lru_cache, partial
+from itertools import product
 
 BACKEND_NAME = "python"
 
@@ -65,6 +67,17 @@ _MC_LANES = 1024
 # Guide-table entry of a top byte whose draws a threshold splits; no state
 # index reaches it, since a table is built only for fewer states.
 _SPLIT = 255
+
+# Sign byte of a row of lhv_mc_sums' table (four products, then their
+# squares) whose products are all -1, 1 or zero: bit c is set when product c
+# is 1, bit c + 4 when it is -1.  -0.0 equals 0.0 as a key, and a row with
+# any other product, NaN included, has no entry.
+_SIGN_BYTES = {
+    (p1, p2, p3, p4, p1 * p1, p2 * p2, p3 * p3, p4 * p4): s1 | s2 << 1 | s3 << 2 | s4 << 3
+    for (p1, s1), (p2, s2), (p3, s3), (p4, s4) in product(
+        ((1.0, 0x01), (0.0, 0x00), (-1.0, 0x10)), repeat=4
+    )
+}
 
 # Jacobi stopping rule: off-diagonal Frobenius mass below _JACOBI_RTOL times
 # the Frobenius norm of the matrix, at most _JACOBI_MAX_SWEEPS sweeps.  Every
@@ -297,23 +310,36 @@ def _state_picks(thresholds, guide, seed: int, start: int, stop: int):
         yield picks
 
 
-def _counted_sums(table, chunks):
-    """The eight sums of ``lhv_mc_sums`` from the number of picks of each
-    state, for a ``table`` of -1, 1 and zero products.
+@lru_cache(maxsize=8)
+def _bit_planes(length: int) -> tuple[int, ...]:
+    """The eight masks of bit b (b = 0 .. 7) of every byte of ``length``
+    little-endian bytes read as one int."""
+    ones = int.from_bytes(b"\x01" * length, "little")
+    return tuple(ones << b for b in range(8))
 
-    Every partial sum of the in-order loop is then an exact integer (there
-    are at most 2**53 terms), so any order of addition gives the same bits;
-    a sum that starts at +0.0 never ends at -0.0, and neither does
-    ``float`` of an int.  No float is summed here: builtin ``sum`` is
+
+def _counted_sums(signs: bytes, chunks):
+    """The eight sums of ``lhv_mc_sums`` from the number of picks of each
+    sign, for states whose products are all -1, 1 or zero.
+
+    ``signs`` is the 256-byte ``translate`` table from each state to its
+    sign byte (``_SIGN_BYTES``).  Each chunk of picks goes through it in one
+    ``translate`` and is read as one int; bit plane c counts the picks whose
+    product c is 1, plane c + 4 those whose product c is -1, and
+    ``bit_count`` counts a plane without a per-draw step or branch.  Every
+    partial sum of the in-order loop is then an exact integer (there are at
+    most 2**53 terms), so sum c is plus_c - minus_c and its sum of squares
+    plus_c + minus_c, with the same bits; a sum that starts at +0.0 never
+    ends at -0.0, and neither does ``float`` of an int.  No float is summed here: builtin ``sum`` is
     compensated on floats from Python 3.12.
     """
-    counts = Counter()
+    counts = [0] * 8
     for picks in chunks:
-        counts.update(picks)
-    sums = [0] * 8
-    for k, count in counts.items():
-        for c, value in enumerate(table[k]):
-            sums[c] += count * int(value)
+        bits = int.from_bytes(picks.translate(signs), "little")
+        planes = _bit_planes(len(picks))
+        counts = [n + (bits & plane).bit_count() for n, plane in zip(counts, planes)]
+    plus, minus = counts[:4], counts[4:]
+    sums = [p - m for p, m in zip(plus, minus)] + [p + m for p, m in zip(plus, minus)]
     return tuple(map(float, sums))
 
 
@@ -340,13 +366,14 @@ def lhv_mc_sums(cum_weights, products, seed: int, start: int, stop: int):
     lanes of one int.  Each draw's state is the one that bisection over the
     integer thresholds of ``_draw_threshold`` picks; those agree with every
     comparison of ``rng_u01`` against a weight.  The route rule: a guide
-    table for fewer than 255 states; per-state counts where a table exists
+    table for fewer than 255 states; a bit-plane tally where a table exists
     and every product is -1, 0 or 1.  The table, indexed by the draw's top
     byte, gives the state of most draws without a search (``_guide_table``,
     ``_state_picks``).  The loop then adds each state's products and
     squares, read from a table built once per call, into eight running sums
-    in index order.  Per-state counts (``_counted_sums``, at most 2**53
-    draws) replace that loop with the same bits.
+    in index order.  The bit-plane tally (``_counted_sums``, at most 2**53
+    draws) replaces that loop with the same bits: it counts, per product,
+    the picks of states where it is 1 and where it is -1.
     Draw indices are 64-bit signed integers, as in the native kernel: a
     ``start`` or ``stop`` outside [-2**63, 2**63) raises ``OverflowError``
     before any draw.  Weights and products are read as floats once per
@@ -377,12 +404,14 @@ def lhv_mc_sums(cum_weights, products, seed: int, start: int, stop: int):
             raise ValueError(f"cum_weights is not nondecreasing at index {k}")
     guide = _guide_table(thresholds)
     chunks = _state_picks(thresholds, guide, seed, start, stop)
-    if (
-        guide is not None
-        and stop - start <= 2**53
-        and all(p in (-1.0, 0.0, 1.0) for row in table for p in row[:4])
-    ):
-        return _counted_sums(table, chunks)
+    if guide is not None and stop - start <= 2**53:
+        try:
+            # A row with another product gets None, and bytes() stops there.
+            signs = bytes(map(_SIGN_BYTES.get, table))
+        except TypeError:
+            pass
+        else:
+            return _counted_sums(signs.ljust(256, b"\0"), chunks)
     s1 = s2 = s3 = s4 = 0.0
     q1 = q2 = q3 = q4 = 0.0
     for picks in chunks:

@@ -4,6 +4,7 @@ The ``native`` fixture (conftest.py) builds the C module with setup.py, so
 these tests run wherever a C compiler is installed.
 """
 
+import bisect
 import math
 import os
 import random
@@ -355,6 +356,33 @@ def test_eigvals_checks_the_length_before_any_work_on_both_backends(native, monk
             backend.eigvals_hermitian(_Unread(length))
 
 
+class _Unreadable:
+    """A sequence of 2**62 entries, a perfect square too large to allocate,
+    of which only the first ``readable`` can be read."""
+
+    def __init__(self, readable):
+        self.readable = readable
+
+    def __len__(self):
+        return 2**62
+
+    def __getitem__(self, index):
+        if index < self.readable:
+            return 1.0
+        raise IndexError(f"entry {index} cannot be read")
+
+
+@pytest.mark.parametrize("readable", [0, 1, 16, 40])
+def test_eigvals_reads_the_entries_before_allocating_the_matrix_on_both_backends(
+    native, readable
+):
+    """Both backends read the entries in order before they hold n*n of them,
+    so both raise the first unreadable entry's IndexError, not MemoryError."""
+    for backend in (reference, native):
+        with pytest.raises(IndexError, match=f"entry {readable} cannot be read"):
+            backend.eigvals_hermitian(_Unreadable(readable))
+
+
 def _cum_weights(weights):
     """Running sums of the normalised weights, as the LHV track forms them."""
     total = sum(weights)
@@ -430,18 +458,25 @@ def test_lhv_mc_sums_bitwise_identical(native):
         assert _bits(got) == _bits(reference.lhv_mc_sums(cum_weights, products, seed, start, stop))
 
 
-def _linear_search_sums(cum_weights, products, seed, start, stop):
-    """lhv_mc_sums written as its specification: rng_u01 per draw, a linear
-    inverse-CDF search, and the squares formed in the loop."""
+def _in_order_sums(products, states):
+    """The eight sums of lhv_mc_sums over the picked ``states``, in order,
+    with the squares formed in the loop."""
     sums = [0.0] * 8
-    for i in range(start, stop):
-        u = reference.rng_u01(seed, i)
-        k = next((j for j, c in enumerate(cum_weights) if u < c), len(cum_weights) - 1)
+    for k in states:
         for c in range(4):
             p = products[4 * k + c]
             sums[c] += p
             sums[4 + c] += p * p
     return tuple(sums)
+
+
+def _linear_search_sums(cum_weights, products, seed, start, stop):
+    """lhv_mc_sums written as its specification: rng_u01 per draw and a
+    linear inverse-CDF search."""
+    last = len(cum_weights) - 1
+    us = (reference.rng_u01(seed, i) for i in range(start, stop))
+    states = (next((j for j, c in enumerate(cum_weights) if u < c), last) for u in us)
+    return _in_order_sums(products, states)
 
 
 def test_lhv_mc_sums_matches_its_specification():
@@ -505,6 +540,55 @@ def test_lhv_mc_sums_pick_routes_and_summation_rules(native, n_states, layout, g
             got = _bits(reference.lhv_mc_sums(*args))
             assert got == _bits(_linear_search_sums(*args))
             assert got == _bits(native.lhv_mc_sums(*args))
+
+
+@st.composite
+def _counted_arguments(draw):
+    """A mixture that takes the bit-plane tally: 1-254 states, some of zero
+    weight (ties in cum_weights), products -1, -0.0, 0.0 and 1; a seed, and
+    a start a that is not a multiple of the chunk length, with two spans
+    [a, b) and [b, c) of 0-5,000 draws in all, whose last chunks are short."""
+    n_states = draw(st.integers(1, 254))
+    weights = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=n_states, max_size=n_states
+        )
+    )
+    weights[-1] = weights[-1] or 1.0
+    signs = st.sampled_from((-1.0, -0.0, 0.0, 1.0))
+    products = draw(st.lists(signs, min_size=4 * n_states, max_size=4 * n_states))
+    lanes = reference._MC_LANES
+    a = lanes * draw(st.integers(0, 1000)) + draw(st.integers(1, lanes - 1))
+    b = a + draw(st.integers(0, 5000))
+    c = b + draw(st.integers(0, 5000 - (b - a)))
+    return _cum_weights(weights), products, draw(st.integers(0, 2**64 - 1)), a, b, c
+
+
+def _bisection_sums(cum_weights, products, seed, start, stop):
+    """lhv_mc_sums as an in-order float loop over the state that bisection
+    of the draw thresholds picks."""
+    thresholds = [reference._draw_threshold(w) for w in cum_weights]
+    last = len(thresholds) - 1
+    states = (
+        min(bisect.bisect_right(thresholds, reference.rng_u64(seed, i)), last)
+        for i in range(start, stop)
+    )
+    return _in_order_sums(products, states)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_counted_arguments())
+def test_bit_plane_tally_matches_its_specification(native, arguments):
+    """The bit-plane tally of -1, 1 and zero products gives the bits of the
+    in-order loop and of the native kernel, and its sums over [a, b) and
+    [b, c) add up exactly to its sums over [a, c)."""
+    cum_weights, products, seed, a, b, c = arguments
+    got = reference.lhv_mc_sums(cum_weights, products, seed, a, c)
+    assert _bits(got) == _bits(_bisection_sums(cum_weights, products, seed, a, c))
+    assert _bits(got) == _bits(native.lhv_mc_sums(cum_weights, products, seed, a, c))
+    first = reference.lhv_mc_sums(cum_weights, products, seed, a, b)
+    second = reference.lhv_mc_sums(cum_weights, products, seed, b, c)
+    assert _bits(got) == _bits(x + y for x, y in zip(first, second))
 
 
 def test_guide_table_on_top_byte_boundaries():

@@ -179,13 +179,25 @@ def test_ci_compares_both_backends_and_times_the_python_kernels():
         compared["run"]
     )
     # One entry per backend prints the elapsed time of the CLI import (the
-    # start-up every command pays), of the 32-restart search, of the
-    # 10,001-step sweep as JSON and as CSV and of the canonical reports, so
-    # the native sweep's and the report writers' cost show too.
+    # start-up every command pays), of the four Monte Carlo verifications
+    # (two of them on routes no benchmark workload runs), of the 32-restart
+    # search, of the 10,001-step sweep as JSON and as CSV and of the
+    # canonical reports, so the native sweep's and the report writers' cost
+    # show too.
     timed = _step_running(steps, "time PYTHONPATH=src python -m chshbounds.cli optimize")
     assert timed["if"] == "matrix.python-version == '3.11'"
     assert 'TIMEFORMAT="import chshbounds.cli: %R s"' in timed["run"]
     assert 'time PYTHONPATH=src python -c "import chshbounds.cli"' in timed["run"]
+    assert "four Monte Carlo verifications" in timed["name"]
+    lines = timed["run"].splitlines()
+    loop = lines.index("for config in mc_mixture mc_strategies mc_split_bytes mc_many_states; do")
+    verify = "verify --config tests/golden/$config.yaml --samples 1000000"
+    assert lines[loop + 1].strip() == f'TIMEFORMAT="{verify}: %R s"'
+    assert lines[loop + 2].strip() == (
+        'time PYTHONPATH=src python -m chshbounds.cli verify --config "tests/golden/$config.yaml"'
+        " --samples 1000000 > /dev/null"
+    )
+    assert lines[loop + 3].strip() == "done"
     assert "optimize --track quantum --restarts 32 > /dev/null" in timed["run"]
     for command in (
         "sweep --steps 10001",
@@ -296,7 +308,7 @@ def _interpreters(*pythons: str) -> subprocess.CompletedProcess:
     return subprocess.run(command, capture_output=True, text=True, timeout=300)
 
 
-def test_interpreters_tool_hashes_eight_outputs_per_interpreter():
+def test_interpreters_tool_hashes_nine_outputs_per_interpreter():
     done = _interpreters(sys.executable, sys.executable)
     assert done.returncode == 0, done.stderr
     lines = [line.split("  ") for line in done.stdout.splitlines()]
@@ -309,12 +321,13 @@ def test_interpreters_tool_hashes_eight_outputs_per_interpreter():
         "optimize --track ga --restarts 32",
         "optimize --track classical",
         "perfbench/certify.py",
+        "lhv_mc_sums",
     ]
     assert [label for _, _, label in lines] == labels * 2
     assert {python for _, python, _ in lines} == {sys.executable}
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest, _, _ in lines)
-    assert [digest for digest, _, _ in lines[:8]] == [digest for digest, _, _ in lines[8:]]
-    assert len({digest for digest, _, _ in lines}) == 8
+    assert [digest for digest, _, _ in lines[:9]] == [digest for digest, _, _ in lines[9:]]
+    assert len({digest for digest, _, _ in lines}) == 9
 
 
 def test_interpreters_tool_fails_when_an_interpreter_prints_other_bytes(tmp_path):
@@ -324,4 +337,4 @@ def test_interpreters_tool_fails_when_an_interpreter_prints_other_bytes(tmp_path
     other.chmod(0o755)
     done = _interpreters(sys.executable, str(other))
     assert done.returncode == 1
-    assert done.stderr.count(f"{other}: ") == 8 and "differs from" in done.stderr
+    assert done.stderr.count(f"{other}: ") == 9 and "differs from" in done.stderr

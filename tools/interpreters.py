@@ -5,7 +5,11 @@ Runs the commands below under each interpreter, on the pure-Python kernels
 and prints one sha256 of the standard output per command per interpreter.
 None of the commands reads a config file, so an interpreter needs only the
 standard library.  ``perfbench/certify.py`` reads 2,000 configurations
-``random_configuration(5, i)``, written once by the first interpreter.
+``random_configuration(5, i)``, written once by the first interpreter.  No
+command samples (``verify --track all`` draws no Monte Carlo sample), so the
+``MONTE_CARLO`` program prints the Monte Carlo kernel's sums on its three
+routes: a 16-state mixture of +-1 products (bit-plane tally), one of
+non-integer products (in-order loop), and 300 states (bisection only).
 
 Exit status: 0 when every output equals the first interpreter's, 1 when any
 differs, 2 when a command fails.
@@ -41,6 +45,25 @@ VECTORS = (
     "    print(' '.join('%.17g' % x for v in vectors for x in v))\n"
 )
 
+MONTE_CARLO = (
+    "from chshbounds._kernels import lhv_mc_sums\n"
+    "mixtures = (\n"
+    "    (16, lambda k, c: (-1.0, 1.0)[k >> c & 1]),\n"
+    "    (16, lambda k, c: (4 * k + c + 1) / 37 - 1),\n"
+    "    (300, lambda k, c: (-1.0, 0.0, 1.0)[(k + c) % 3]),\n"
+    ")\n"
+    "for n, product in mixtures:\n"
+    "    total = sum(k % 5 + 1 for k in range(n))\n"
+    "    cum_weights, acc = [], 0.0\n"
+    "    for k in range(n):\n"
+    "        acc += (k % 5 + 1) / total\n"
+    "        cum_weights.append(acc)\n"
+    "    products = [product(k, c) for k in range(n) for c in range(4)]\n"
+    "    for start in (0, 4096 * 3 + 17, 2**40 + 5):\n"
+    "        sums = lhv_mc_sums(cum_weights, products, 7, start, start + 10000)\n"
+    "        print(' '.join(x.hex() for x in sums))\n"
+)
+
 
 def run(python: str, arguments: tuple[str, ...]) -> bytes:
     env = dict(os.environ, CHSHBOUNDS_BACKEND="python", PYTHONPATH=str(ROOT / "src"))
@@ -65,6 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         vectors.write_bytes(run(pythons[0], ("-c", VECTORS)))
         checked = [(label, ("-m", "chshbounds.cli", *label.split())) for label in COMMANDS]
         checked.append((CERTIFY, (str(ROOT / CERTIFY), str(vectors))))
+        checked.append(("lhv_mc_sums", ("-c", MONTE_CARLO)))
         for python in pythons:
             digests = [hashlib.sha256(run(python, args)).hexdigest() for _, args in checked]
             first = first or digests
