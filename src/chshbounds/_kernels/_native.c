@@ -55,67 +55,50 @@ static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t expected)
     return -1;
 }
 
-/* Converts the first `count` items of `obj` to doubles in `reals`.  A
- * conversion may run Python code that shrinks a list, so the size is checked
- * for every item. */
-static int load_items(PyObject *obj, Py_ssize_t count, const char *what, double *reals)
+/* The first `count` items of `obj`, read one at a time as the reference reads
+ * obj[i], as doubles or, when `as_complex`, as complex numbers (two doubles
+ * each), into a buffer that grows with the items read: a length that no real
+ * sequence has fails where the reference fails, at its first item that cannot
+ * be read, and not on one huge allocation.  Returns NULL with an exception set
+ * on failure. */
+static double *load_items(PyObject *obj, Py_ssize_t count, int as_complex)
 {
-    PyObject *seq = PySequence_Fast(obj, "kernel arguments must be sequences");
-    if (seq == NULL)
-        return -1;
-    Py_ssize_t i = 0;
-    for (; i < count && i < PySequence_Fast_GET_SIZE(seq); i++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(seq, i);
-        Py_INCREF(item);
-        reals[i] = PyFloat_AsDouble(item);
-        Py_DECREF(item);
-        if (reals[i] == -1.0 && PyErr_Occurred())
-            break;
-    }
-    if (i < count && !PyErr_Occurred())
-        PyErr_Format(PyExc_IndexError, "%s has %zd items, expected at least %zd", what,
-                     PySequence_Fast_GET_SIZE(seq), count);
-    Py_DECREF(seq);
-    return i < count ? -1 : 0;
-}
-
-/* The `size` entries of `obj` as complex numbers, read one at a time as the
- * reference reads entries[i], into a buffer that grows with the entries read:
- * a length that no real sequence has fails where the reference fails, at its
- * first entry that cannot be read, and not on one huge allocation.  Returns
- * NULL with an exception set on failure. */
-static cplx *load_entries(PyObject *obj, Py_ssize_t size)
-{
-    Py_ssize_t capacity = size < 16 ? size : 16;
-    cplx *a = PyMem_New(cplx, capacity);
-    if (a == NULL) {
+    Py_ssize_t width = as_complex ? 2 : 1;
+    Py_ssize_t capacity = count < 16 ? count : 16;
+    double *x = PyMem_New(double, width * capacity);
+    if (x == NULL) {
         PyErr_NoMemory();
         return NULL;
     }
-    for (Py_ssize_t i = 0; i < size; i++) {
+    for (Py_ssize_t i = 0; i < count; i++) {
         if (i == capacity) {
-            capacity = capacity < size - capacity ? 2 * capacity : size;
-            cplx *grown = a;
-            if (PyMem_Resize(grown, cplx, capacity) == NULL) {
-                PyMem_Free(a);
+            capacity = capacity < count - capacity ? 2 * capacity : count;
+            double *grown = x;
+            if (PyMem_Resize(grown, double, width * capacity) == NULL) {
+                PyMem_Free(x);
                 PyErr_NoMemory();
                 return NULL;
             }
-            a = grown;
+            x = grown;
         }
         PyObject *item = PySequence_GetItem(obj, i);
-        Py_complex z = {-1.0, 0.0};
+        x[width * i] = -1.0;
         if (item != NULL) {
-            z = PyComplex_AsCComplex(item);
+            if (as_complex) {
+                Py_complex z = PyComplex_AsCComplex(item);
+                x[2 * i] = z.real;
+                x[2 * i + 1] = z.imag;
+            } else {
+                x[i] = PyFloat_AsDouble(item);
+            }
             Py_DECREF(item);
         }
-        if (z.real == -1.0 && PyErr_Occurred()) {
-            PyMem_Free(a);
+        if (x[width * i] == -1.0 && PyErr_Occurred()) {
+            PyMem_Free(x);
             return NULL;
         }
-        a[i] = (cplx){z.real, z.imag};
     }
-    return a;
+    return x;
 }
 
 /* An int reduced modulo 2**64, as the reference's `& _MASK64` does. */
@@ -246,7 +229,7 @@ static PyObject *eigvals_hermitian(PyObject *self, PyObject *const *args, Py_ssi
     if (n * n != size)
         return PyErr_Format(PyExc_ValueError,
                             "matrix has %zd entries, which is not a square number", size);
-    cplx *a = load_entries(args[0], size);
+    cplx *a = (cplx *)load_items(args[0], size, 1);
     if (a == NULL)
         return NULL;
     int e = prescale(a, size);
@@ -296,14 +279,12 @@ static PyObject *lhv_mc_sums(PyObject *self, PyObject *const *args, Py_ssize_t n
         PyErr_SetString(PyExc_IndexError, "cum_weights is empty");
     if (nstates <= 0)
         return NULL;
-    double *cw = PyMem_New(double, 5 * nstates);
-    if (cw == NULL)
-        return PyErr_NoMemory();
-    double *pr = cw + nstates;
+    /* Once the weights are read, nstates items are in memory, so 4 * nstates
+     * cannot overflow. */
+    double *cw = load_items(args[0], nstates, 0);
+    double *pr = cw == NULL ? NULL : load_items(args[1], 4 * nstates, 0);
     PyObject *result = NULL;
-    if (load_items(args[0], nstates, "cum_weights", cw) == 0
-        && load_items(args[1], 4 * nstates, "products", pr) == 0
-        && check_nondecreasing(cw, nstates) == 0) {
+    if (pr != NULL && check_nondecreasing(cw, nstates) == 0) {
         double sums[8] = {0.0};
         for (long long i = start; i < stop; i++) {
             /* The uint64 wrap of a negative index matches the reference's mask. */
@@ -323,6 +304,7 @@ static PyObject *lhv_mc_sums(PyObject *self, PyObject *const *args, Py_ssize_t n
                                sums[5], sums[6], sums[7]);
     }
     PyMem_Free(cw);
+    PyMem_Free(pr);
     return result;
 }
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._version import __version__
 from .geometry import (
@@ -67,11 +67,11 @@ from .lhv import (
 from .optimize import (
     DEFAULT_RESTARTS,
     OptimizationResult,
+    _coplanar_rows,
     _require_restarts,
     maximize_classical,
     maximize_ga,
     maximize_quantum,
-    sweep_coplanar_family,
 )
 from .quantum import (
     TSIRELSON_BOUND,
@@ -86,8 +86,7 @@ from .reporting import (
     canonical_json,
     reports_to_csv,
     reports_to_json,
-    sweep_to_csv,
-    sweep_to_json,
+    sweep_chunks,
     violation_exit_code,
 )
 from .vector_values import (
@@ -270,12 +269,21 @@ def _pick(flag_value, config: dict, key: str, default):
     return default
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(chunks: Iterable[str], path: str | None) -> None:
+    """Write the chunks in turn to ``path``, or to stdout when it is None.
+
+    The file is opened once the first chunk is formed, so an error raised
+    while forming it leaves no file behind.
+    """
+    chunks = iter(chunks)
+    first = next(chunks)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(first)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.write(first)
+            fh.writelines(chunks)
 
 
 def _classical_reports(
@@ -394,7 +402,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         reports.extend(_ga_reports(cfg, cfg_echo, coefficients, seed))
 
     text = reports_to_json(reports) if out_format == "json" else reports_to_csv(reports)
-    _emit(text, out_path)
+    _emit([text], out_path)
     if args.paper:
         for report in reports:
             print(f"{report.track}: {_REFERENCE_LINES[report.track]}", file=sys.stderr)
@@ -426,14 +434,13 @@ def _run_optimize(args: argparse.Namespace) -> int:
         result = maximize_ga(restarts=args.restarts, seed=args.seed)
     # The best value is judged by the same margin rules as a verify report.
     verdict = BoundReport(result.track, result.best_value, result.bound, inputs={}, seed=args.seed)
-    _emit(canonical_json(_optimization_mapping(result, verdict)), args.out)
+    _emit([canonical_json(_optimization_mapping(result, verdict))], args.out)
     return violation_exit_code([verdict])
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    points = sweep_coplanar_family(args.steps)
-    write = sweep_to_json if args.format == "json" else sweep_to_csv
-    _emit(write(points, CLASSICAL_BOUND, TSIRELSON_BOUND), args.out)
+    points = _coplanar_rows(args.steps)
+    _emit(sweep_chunks(points, CLASSICAL_BOUND, TSIRELSON_BOUND, args.format), args.out)
     return 0
 
 

@@ -270,13 +270,16 @@ def sweep_coplanar_family(steps: int) -> list[tuple[float, float]]:
     follows the closed form 2*sqrt(2)*|sin(theta + pi/4)|, giving 2 at the
     endpoints and the 2*sqrt(2) peak at theta = pi/4.
     """
+    return list(_coplanar_rows(steps))
+
+
+def _coplanar_rows(steps: int):
+    """The pairs of :func:`sweep_coplanar_family`, one at a time; ``steps`` is
+    checked when the first pair is drawn."""
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     a, a_prime = planar_vector(0.0), planar_vector(0.5 * math.pi)
-    rows = []
     for i in range(steps):
         theta = math.pi * i / (steps - 1)
-        value = _chsh_value_from_vectors(a, a_prime, planar_vector(theta), planar_vector(-theta))
-        rows.append((theta, value))
-    return rows
-
+        b, b_prime = planar_vector(theta), planar_vector(-theta)
+        yield theta, _chsh_value_from_vectors(a, a_prime, b, b_prime)

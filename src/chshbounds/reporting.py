@@ -4,16 +4,21 @@ Report output is deterministic down to the byte: floats are written with 17
 significant digits (enough to round-trip an IEEE double exactly), negative
 zero is normalized away, keys are sorted, and every writer appends a single
 trailing newline.  Running the same seeded command twice must produce
-identical files.  Within one writer call, a dict's line heads (``{`` or ``,``,
-newline, indent, quoted key) are resolved once per key set and depth, a list's
-once per depth, and ``format_float`` forms each exact float's text once.  NaN,
-infinity and non-string keys are never cached, so they always raise.
+identical files.  The table writers form their text in chunks of
+``CHUNK_ROWS`` rows, as the rows are drawn, so the CLI writes a sweep of any
+length from one chunk's memory; ``sweep_to_json``, ``sweep_to_csv`` and
+``reports_to_csv`` join the same chunks into one string, and ``canonical_json``
+is one chunk.  Within one writer call, a dict's line heads (``{`` or ``,``,
+newline, indent, quoted key) are resolved once per key set and depth and a
+list's once per depth; within one chunk, ``format_float`` forms each exact
+float's text once.  NaN, infinity and non-string keys are never cached, so they
+always raise.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._value import Value
 from ._version import __version__
@@ -26,6 +31,7 @@ __all__ = [
     "canonical_json",
     "reports_to_json",
     "reports_to_csv",
+    "sweep_chunks",
     "sweep_to_json",
     "sweep_to_csv",
     "violation_exit_code",
@@ -35,6 +41,10 @@ __all__ = [
 ATTAINMENT_TOLERANCE = 1e-6
 # Margins below this are genuine violations (numerical noise allowance).
 MARGIN_TOLERANCE = -1e-9
+
+# Rows per chunk of table text: the float-text cache is cleared at each chunk,
+# the line heads are kept.
+CHUNK_ROWS = 256
 
 SWEEP_COLUMNS = ("theta_rad", "classical_bound", "qm_value", "tsirelson_bound")
 REPORT_COLUMNS = ("track", "value", "bound", "margin", "attained", "seed", "version")
@@ -189,10 +199,31 @@ def reports_to_json(reports: Sequence[BoundReport]) -> str:
     return canonical_json({"reports": [r.as_mapping() for r in reports]})
 
 
-def _csv_table(columns: Sequence[str], rows) -> str:
+def _json_table(name: str, columns: Sequence[str], rows: Iterable) -> Iterator[str]:
+    """``canonical_json({name: [dict(zip(columns, row)) for row in rows]})`` in
+    chunks of ``CHUNK_ROWS`` rows, the last one closing the text."""
+    heads: dict = {}
+    texts: dict[float, str] = {}
+    pieces = ["{\n  " + _quote(name) + ": "]
+    head = "[\n    "
+    count = 0
+    for count, row in enumerate(rows, 1):
+        pieces.append(head)
+        _write_json(dict(zip(columns, row)), 2, pieces, heads, texts)
+        head = ",\n    "
+        if count % CHUNK_ROWS == 0:
+            yield "".join(pieces)
+            pieces.clear()
+            texts.clear()
+    pieces.append("\n  ]\n}\n" if count else "[]\n}\n")
+    yield "".join(pieces)
+
+
+def _csv_table(columns: Sequence[str], rows: Iterable) -> Iterator[str]:
+    """The header line, then one line per row, in chunks of ``CHUNK_ROWS`` rows."""
     texts: dict[float, str] = {}
     lines = [",".join(columns)]
-    for row in rows:
+    for count, row in enumerate(rows, 1):
         cells = []
         for value in row:
             if type(value) is float:
@@ -203,26 +234,36 @@ def _csv_table(columns: Sequence[str], rows) -> str:
                 text = value if isinstance(value, str) else _scalar(value)
             cells.append(text)
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        if count % CHUNK_ROWS == 0:
+            yield "\n".join(lines) + "\n"
+            lines.clear()
+            texts.clear()
+    if lines:
+        yield "\n".join(lines) + "\n"
 
 
 def reports_to_csv(reports: Sequence[BoundReport]) -> str:
     rows = ([getattr(r, column) for column in REPORT_COLUMNS] for r in reports)
-    return _csv_table(REPORT_COLUMNS, rows)
+    return "".join(_csv_table(REPORT_COLUMNS, rows))
 
 
-def sweep_rows(points: Sequence[tuple[float, float]], classical: float, tsirelson: float):
-    for theta, value in points:
-        yield theta, classical, value, tsirelson
+def sweep_chunks(
+    points: Iterable[tuple[float, float]], classical: float, tsirelson: float, out_format: str
+) -> Iterator[str]:
+    """The sweep table as ``"json"`` or ``"csv"`` text, in chunks of
+    ``CHUNK_ROWS`` rows; each chunk is formed as its points are drawn."""
+    rows = ((theta, classical, value, tsirelson) for theta, value in points)
+    if out_format == "json":
+        return _json_table("sweep", SWEEP_COLUMNS, rows)
+    return _csv_table(SWEEP_COLUMNS, rows)
 
 
 def sweep_to_json(points: Sequence[tuple[float, float]], classical: float, tsirelson: float) -> str:
-    rows = [dict(zip(SWEEP_COLUMNS, row)) for row in sweep_rows(points, classical, tsirelson)]
-    return canonical_json({"sweep": rows})
+    return "".join(sweep_chunks(points, classical, tsirelson, "json"))
 
 
 def sweep_to_csv(points: Sequence[tuple[float, float]], classical: float, tsirelson: float) -> str:
-    return _csv_table(SWEEP_COLUMNS, sweep_rows(points, classical, tsirelson))
+    return "".join(sweep_chunks(points, classical, tsirelson, "csv"))
 
 
 def violation_exit_code(reports: Sequence[BoundReport]) -> int:

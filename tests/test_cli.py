@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 import yaml
@@ -574,6 +575,43 @@ def test_sweep_rejects_single_step(capsys):
     code, _, err = run_cli(capsys, "sweep", "--steps", "1")
     assert code == 2
     assert "steps must be >= 2" in err
+
+
+def test_sweep_rejects_single_step_before_creating_the_output_file(capsys, tmp_path):
+    out = tmp_path / "sweep.json"
+    code, stdout, err = run_cli(capsys, "sweep", "--steps", "1", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "steps must be >= 2" in err
+    assert not out.exists()
+
+
+def test_sweep_unwritable_output_path(capsys, tmp_path):
+    out = tmp_path / "missing-dir" / "sweep.json"
+    code, stdout, err = run_cli(capsys, "sweep", "--steps", "11", "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("chshbounds: error: ")
+
+
+def test_sweep_memory_does_not_grow_with_steps(tmp_path):
+    """The table is written a chunk at a time as its rows are computed, so
+    the peak traced memory of a sweep is the same at 1,001 and 10,001 steps
+    (building the whole table first made it about 10 times larger)."""
+    out = str(tmp_path / "sweep")
+
+    def peak(steps, out_format):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert cli.main(["sweep", "--steps", str(steps), "--format", out_format, "--out", out]) == 0
+        return tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        for out_format in ("json", "csv"):
+            peak(11, out_format)  # fills the caches a first call makes
+            small, large = peak(1_001, out_format), peak(10_001, out_format)
+            assert large < 1.5 * small, (out_format, small, large)
+    finally:
+        tracemalloc.stop()
 
 
 def test_bad_track_choice_is_a_usage_error(capsys):

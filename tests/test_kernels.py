@@ -357,14 +357,15 @@ def test_eigvals_checks_the_length_before_any_work_on_both_backends(native, monk
 
 
 class _Unreadable:
-    """A sequence of 2**62 entries, a perfect square too large to allocate,
-    of which only the first ``readable`` can be read."""
+    """A sequence of ``length`` entries, by default 2**62, a perfect square too
+    large to allocate, of which only the first ``readable`` can be read."""
 
-    def __init__(self, readable):
+    def __init__(self, readable, length=2**62):
         self.readable = readable
+        self.length = length
 
     def __len__(self):
-        return 2**62
+        return self.length
 
     def __getitem__(self, index):
         if index < self.readable:
@@ -655,6 +656,19 @@ def test_lhv_mc_sums_rejects_indices_beyond_int64(native):
     for start, stop in [(2**63 - 3, 2**63 - 1), (-(2**63), -(2**63) + 2)]:
         got = native.lhv_mc_sums(*args, start, stop)
         assert _bits(got) == _bits(reference.lhv_mc_sums(*args, start, stop))
+
+
+def test_lhv_mc_sums_reads_the_items_before_sizing_its_buffers_on_both_backends(native):
+    """Neither backend allocates for the 2**40 weights or products a length
+    promises: both read the items one at a time, so weights that cannot be
+    read raise IndexError, not MemoryError, and products past the last one
+    the states need are never read."""
+    for backend in (reference, native):
+        with pytest.raises(IndexError):
+            backend.lhv_mc_sums(_Unreadable(0, 2**40), [1.0] * 4, 3, 0, 10)
+    products = _Unreadable(4, 2**40)
+    got = native.lhv_mc_sums([1.0], products, 3, 0, 10)
+    assert _bits(got) == _bits(reference.lhv_mc_sums([1.0], products, 3, 0, 10))
 
 
 @pytest.mark.parametrize(

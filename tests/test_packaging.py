@@ -206,6 +206,20 @@ def test_ci_compares_both_backends_and_times_the_python_kernels():
     ):
         assert f'TIMEFORMAT="{command}: %R s"' in timed["run"]
         assert f"time PYTHONPATH=src python -m chshbounds.cli {command} > /dev/null" in timed["run"]
+    # Then the peak RSS of a 100,001-step sweep as JSON and as CSV, which a
+    # launcher reads from its child's rusage.
+    assert "peak RSS of two long sweeps" in timed["name"]
+    loop = lines.index("for format in json csv; do")
+    launcher = lines[loop + 1].strip()
+    assert launcher.startswith('PYTHONPATH=src python -c "import resource, subprocess, sys;')
+    assert launcher.endswith('" "$format"')
+    for part in (
+        "'sweep', '--steps', '100001', '--format', sys.argv[1]]",
+        "stdout=subprocess.DEVNULL, check=True",
+        "resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024",
+    ):
+        assert part in launcher
+    assert lines[loop + 2].strip() == "done"
 
 
 def test_ci_compares_certify_output_on_both_backends():

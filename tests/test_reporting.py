@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from chshbounds.reporting import (
     ATTAINMENT_TOLERANCE,
+    CHUNK_ROWS,
     MARGIN_TOLERANCE,
     REPORT_COLUMNS,
+    SWEEP_COLUMNS,
     BoundReport,
     _quote,
     canonical_json,
     format_float,
     reports_to_csv,
     reports_to_json,
+    sweep_chunks,
     sweep_to_csv,
     sweep_to_json,
     violation_exit_code,
@@ -292,6 +295,9 @@ def test_reports_to_csv_schema():
     assert text.endswith("\n")
 
 
+SQRT8 = 2.8284271247461903
+
+
 def test_sweep_csv_schema():
     points = [(0.0, 2.0), (math.pi / 4, 2.8284271247461903)]
     text = sweep_to_csv(points, 2.0, 2.8284271247461903)
@@ -299,6 +305,42 @@ def test_sweep_csv_schema():
     assert lines[0] == "theta_rad,classical_bound,qm_value,tsirelson_bound"
     assert len(lines) == 3
     assert lines[1] == "0,2,2,2.8284271247461903"
+
+
+@pytest.mark.parametrize(
+    "count", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]
+)
+def test_sweep_chunks_hold_chunk_rows_each_and_join_to_the_whole_table(count):
+    # Thetas and values that repeat across chunks, -0.0 among them, so the
+    # text cache cleared at each chunk boundary is met again after it.
+    points = [((i % 5) / 7 if i % 11 else -0.0, 2.0 + (i % 3) / 9) for i in range(count)]
+    rows = [(theta, 2.0, value, SQRT8) for theta, value in points]
+    json_text = _spec_text({"sweep": [dict(zip(SWEEP_COLUMNS, row)) for row in rows]}) + "\n"
+    csv_text = "\n".join(
+        [",".join(SWEEP_COLUMNS)] + [",".join(map(_spec_cell, row)) for row in rows]
+    ) + "\n"
+    full, rest = divmod(count, CHUNK_ROWS)
+    for out_format, text, whole in (
+        ("json", json_text, sweep_to_json(points, 2.0, SQRT8)),
+        ("csv", csv_text, sweep_to_csv(points, 2.0, SQRT8)),
+    ):
+        drawn = []
+        chunks = []
+        for chunk in sweep_chunks((drawn.append(p) or p for p in points), 2.0, SQRT8, out_format):
+            chunks.append(chunk)
+            # Each chunk is formed from the points drawn since the one before.
+            assert len(drawn) == min(len(chunks) * CHUNK_ROWS, count)
+        assert "".join(chunks) == whole == text
+        # A JSON table ends in a chunk that closes it, with or without rows; a
+        # CSV table in its last row, or in its header when it has none.
+        if out_format == "json":
+            rows_per_chunk = [chunk.count('"theta_rad"') for chunk in chunks]
+            expected = [CHUNK_ROWS] * full + [rest]
+        else:
+            rows_per_chunk = [chunk.count("\n") for chunk in chunks]
+            rows_per_chunk[0] -= 1  # the header line
+            expected = [CHUNK_ROWS] * full + ([rest] if rest or not full else [])
+        assert rows_per_chunk == expected
 
 
 def test_sweep_json_matches_csv_content():
