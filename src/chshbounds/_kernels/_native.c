@@ -1,10 +1,11 @@
 /* Native compute kernels: the three kernels of chshbounds._kernels.reference,
  * with the same signatures and the same floating-point operations in the same
- * order, so that each returns the same bits.  Complex arithmetic is CPython
- * 3.11's, spelled out: a product is (ar*br - ai*bi, ar*bi + ai*br), and a float
- * operand of a complex product is first promoted to (x, 0.0).  So both backends
- * give bit-identical values on one machine.  setup.py disables FMA contraction
- * and sin/cos fusion, which would change last bits.  Change the reference too.
+ * order, so that both backends give bit-identical values on one machine.  The
+ * Jacobi eigensolver does no complex arithmetic on either side: an entry is a
+ * (re, im) pair of doubles, and each rotation is written out in float products
+ * and sums, so CPython's complex semantics (3.14's C99 Annex G mixed-mode rules
+ * included) cannot move its bits.  setup.py disables FMA contraction and
+ * sin/cos fusion, which would change last bits.  Change the reference too.
  * Matrix and Kronecker products and the singlet contraction are plain Python in
  * chshbounds.quantum: no CLI command runs enough of them for a copy here to pay
  * for itself. */
@@ -23,15 +24,6 @@
 #define MIX_MULT_1 0xBF58476D1CE4E5B9ULL
 #define MIX_MULT_2 0x94D049BB133111EBULL
 #define INV_2_53 (1.0 / 9007199254740992.0)
-
-typedef struct { double re, im; } cplx;
-
-static inline cplx c_add(cplx a, cplx b) { return (cplx){a.re + b.re, a.im + b.im}; }
-
-static inline cplx c_mul(cplx a, cplx b)
-{
-    return (cplx){a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
-}
 
 static inline uint64_t raw64(uint64_t seed, uint64_t index)
 {
@@ -137,36 +129,45 @@ static PyObject *rng_u01(PyObject *self, PyObject *const *args, Py_ssize_t nargs
     return PyFloat_FromDouble(u01(seed, index));
 }
 
-/* Scales the `size` entries of a by the power of two 2**-e that brings the
- * largest real or imaginary part into [0.5, 1), and returns e.  A NaN fails
- * the `>` tests and is skipped; a zero or non-finite matrix is left unscaled,
- * and jacobi rejects the latter. */
-static int prescale(cplx *a, Py_ssize_t size)
+/* Scales the `count` doubles of a by the power of two 2**-e that brings the
+ * largest into [0.5, 1), and returns e.  A NaN fails the `>` test and is skipped;
+ * a zero or non-finite matrix is left unscaled, and jacobi rejects the latter. */
+static int prescale(double *a, Py_ssize_t count)
 {
     double biggest = 0.0;
     int e = 0;
-    for (Py_ssize_t i = 0; i < size; i++) {
-        if (fabs(a[i].re) > biggest)
-            biggest = fabs(a[i].re);
-        if (fabs(a[i].im) > biggest)
-            biggest = fabs(a[i].im);
-    }
+    for (Py_ssize_t i = 0; i < count; i++)
+        if (fabs(a[i]) > biggest)
+            biggest = fabs(a[i]);
     if (isfinite(biggest))
         frexp(biggest, &e);
-    for (Py_ssize_t i = 0; e != 0 && i < size; i++)
-        a[i] = (cplx){ldexp(a[i].re, -e), ldexp(a[i].im, -e)};
+    for (Py_ssize_t i = 0; e != 0 && i < count; i++)
+        a[i] = ldexp(a[i], -e);
     return e;
 }
 
-/* Cyclic Jacobi sweeps over the prescaled a (n x n, row-major); returns 0 on
- * convergence.  Returns -1 with ValueError when an entry is NaN or infinite,
- * which after the prescale is exactly when the Frobenius sum is, and with
- * RuntimeError after JACOBI_MAX_SWEEPS sweeps. */
-static int jacobi(cplx *a, Py_ssize_t n)
+/* The pair (x, y) of entries becomes (c*x + s*r, c*r - s*x), where r is y times
+ * the phase (pr, pi), in float parts.  With -pi for pi this is the conjugate
+ * phase, bit for bit: (-pi)*v is -(pi*v), and u - (-w) is u + w. */
+static inline void rotate(double *x, double *y, double c, double s, double pr, double pi)
+{
+    double rr = pr * y[0] - pi * y[1], ri = pr * y[1] + pi * y[0];
+    double xr = x[0], xi = x[1];
+    x[0] = c * xr + s * rr;
+    x[1] = c * xi + s * ri;
+    y[0] = c * rr - s * xr;
+    y[1] = c * ri - s * xi;
+}
+
+/* Cyclic Jacobi sweeps over the prescaled a (n x n, row-major, entry i at
+ * a[2i] + a[2i+1]j); returns 0 on convergence.  Returns -1 with ValueError when
+ * an entry is NaN or infinite, which after the prescale is exactly when the
+ * Frobenius sum is, and with RuntimeError after JACOBI_MAX_SWEEPS sweeps. */
+static int jacobi(double *a, Py_ssize_t n)
 {
     double norm2 = 0.0;
-    for (Py_ssize_t i = 0; i < n * n; i++)
-        norm2 += a[i].re * a[i].re + a[i].im * a[i].im;
+    for (Py_ssize_t i = 0; i < 2 * n * n; i += 2)
+        norm2 += a[i] * a[i] + a[i + 1] * a[i + 1];
     if (!isfinite(norm2)) {
         PyErr_SetString(PyExc_ValueError, "matrix has a NaN or infinite entry");
         return -1;
@@ -174,10 +175,9 @@ static int jacobi(cplx *a, Py_ssize_t n)
     double tol = JACOBI_RTOL * sqrt(norm2);
     for (int sweep = 0;; sweep++) {
         double off = 0.0;
-        for (Py_ssize_t p = 0; p < n; p++)
-            for (Py_ssize_t q = 0; q < n; q++)
-                if (p != q)
-                    off += a[p * n + q].re * a[p * n + q].re + a[p * n + q].im * a[p * n + q].im;
+        for (Py_ssize_t i = 0; i < n * n; i++) /* the diagonal is i = k * (n + 1) */
+            if (i % (n + 1) != 0)
+                off += a[2 * i] * a[2 * i] + a[2 * i + 1] * a[2 * i + 1];
         if (off == 0.0 || sqrt(off) < tol)
             return 0;
         if (sweep == JACOBI_MAX_SWEEPS) {
@@ -188,26 +188,16 @@ static int jacobi(cplx *a, Py_ssize_t n)
         }
         for (Py_ssize_t p = 0; p < n - 1; p++)
             for (Py_ssize_t q = p + 1; q < n; q++) {
-                cplx apq = a[p * n + q];
-                double g = sqrt(apq.re * apq.re + apq.im * apq.im);
+                double x = a[2 * (p * n + q)], y = a[2 * (p * n + q) + 1];
+                double g = sqrt(x * x + y * y);
                 if (g == 0.0)
                     continue;
-                double theta = 0.5 * atan2(2.0 * g, a[p * n + p].re - a[q * n + q].re);
-                /* The float factors c, s and -s, promoted to complex. */
-                cplx c = {cos(theta), 0.0}, s = {sin(theta), 0.0}, neg_s = {-s.re, 0.0};
-                cplx phase = {apq.re / g, apq.im / g}, phase_conj = {phase.re, -phase.im};
-                for (Py_ssize_t k = 0; k < n; k++) {
-                    cplx akp = a[k * n + p];
-                    cplx rot = c_mul(phase_conj, a[k * n + q]);
-                    a[k * n + p] = c_add(c_mul(c, akp), c_mul(s, rot));
-                    a[k * n + q] = c_add(c_mul(neg_s, akp), c_mul(c, rot));
-                }
-                for (Py_ssize_t k = 0; k < n; k++) {
-                    cplx apk = a[p * n + k];
-                    cplx rot = c_mul(phase, a[q * n + k]);
-                    a[p * n + k] = c_add(c_mul(c, apk), c_mul(s, rot));
-                    a[q * n + k] = c_add(c_mul(neg_s, apk), c_mul(c, rot));
-                }
+                double theta = 0.5 * atan2(2.0 * g, a[2 * (p * n + p)] - a[2 * (q * n + q)]);
+                double c = cos(theta), s = sin(theta), pr = x / g, pi = y / g;
+                for (Py_ssize_t k = 0; k < n; k++)
+                    rotate(&a[2 * (k * n + p)], &a[2 * (k * n + q)], c, s, pr, -pi);
+                for (Py_ssize_t k = 0; k < n; k++)
+                    rotate(&a[2 * (p * n + k)], &a[2 * (q * n + k)], c, s, pr, pi);
             }
     }
 }
@@ -229,10 +219,10 @@ static PyObject *eigvals_hermitian(PyObject *self, PyObject *const *args, Py_ssi
     if (n * n != size)
         return PyErr_Format(PyExc_ValueError,
                             "matrix has %zd entries, which is not a square number", size);
-    cplx *a = (cplx *)load_items(args[0], size, 1);
+    double *a = load_items(args[0], size, 1);
     if (a == NULL)
         return NULL;
-    int e = prescale(a, size);
+    int e = prescale(a, 2 * size);
     if (jacobi(a, n) < 0) {
         PyMem_Free(a);
         return NULL;
@@ -240,13 +230,13 @@ static PyObject *eigvals_hermitian(PyObject *self, PyObject *const *args, Py_ssi
     PyObject *result = NULL;
     /* The diagonal scaled back; the reference's math.ldexp raises on overflow. */
     for (Py_ssize_t i = 0; i < n && !PyErr_Occurred(); i++) {
-        double x = a[i * (n + 1)].re;
-        a[i * (n + 1)].re = ldexp(x, e);
-        if (isinf(a[i * (n + 1)].re) && isfinite(x))
+        double x = a[2 * i * (n + 1)];
+        a[2 * i * (n + 1)] = ldexp(x, e);
+        if (isinf(a[2 * i * (n + 1)]) && isfinite(x))
             PyErr_SetString(PyExc_OverflowError, "math range error");
     }
     if (!PyErr_Occurred())
-        result = float_list(&a[0].re, n, 2 * (n + 1)); /* real parts of the diagonal */
+        result = float_list(a, n, 2 * (n + 1)); /* real parts of the diagonal */
     /* Python's own sort, so that ties (0.0 and -0.0) keep the reference order. */
     if (result != NULL && PyList_Sort(result) < 0)
         Py_CLEAR(result);

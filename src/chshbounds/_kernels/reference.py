@@ -37,9 +37,11 @@ of +1 and -1 products have the same bits.
 Conventions shared by both backends:
 
 * matrices are flat row-major sequences of complex numbers;
-* complex magnitudes are computed as sqrt(re*re + im*im) and complex/real
-  division is done componentwise, because library ``abs``/``/`` semantics
-  differ between C and CPython at the bit level.
+* the Jacobi eigensolver does no complex arithmetic: it splits each entry
+  into its real and imaginary parts as it reads it, and writes magnitudes,
+  phases and rotations out in float operations.  So neither library
+  ``abs``/``/`` nor CPython's complex semantics, 3.14's C99 Annex G
+  mixed real/complex rules included, can move its bits.
 """
 
 from __future__ import annotations
@@ -149,29 +151,32 @@ def eigvals_hermitian(entries):
     n = math.isqrt(size)
     if n * n != size:
         raise ValueError(f"matrix has {size} entries, which is not a square number")
-    # The entries in order, as the native backend reads them.  A str, which
-    # complex() would parse, is a TypeError there.
-    a = []
+    # The entries in order, as the native backend reads them, split into
+    # real and imaginary parts.  A str, which complex() would parse, is a
+    # TypeError there.  The `>` tests, as in the native backend, skip a NaN.
+    re, im = [], []
+    biggest = 0.0
     for i in range(size):
         z = entries[i]
         if isinstance(z, str):
             raise TypeError(f"matrix entry {i} must be a number, not str")
-        a.append(complex(z))
-    biggest = 0.0
-    for z in a:
-        # Written as `>` tests, as in the native backend, so a NaN is skipped.
-        if abs(z.real) > biggest:
-            biggest = abs(z.real)
-        if abs(z.imag) > biggest:
-            biggest = abs(z.imag)
+        z = complex(z)
+        re.append(z.real)
+        im.append(z.imag)
+        x, y = abs(z.real), abs(z.imag)
+        if x > biggest:
+            biggest = x
+        if y > biggest:
+            biggest = y
     # frexp(0.0) gives exponent 0; a non-finite matrix is left unscaled, and
     # its Frobenius sum below is then non-finite, as no other matrix's is.
     exponent = math.frexp(biggest)[1] if biggest < math.inf else 0
     if exponent:
-        a = [complex(ldexp(z.real, -exponent), ldexp(z.imag, -exponent)) for z in a]
+        re = [ldexp(x, -exponent) for x in re]
+        im = [ldexp(y, -exponent) for y in im]
     norm2 = 0.0
-    for z in a:
-        norm2 += z.real * z.real + z.imag * z.imag
+    for x, y in zip(re, im):
+        norm2 += x * x + y * y
     if not math.isfinite(norm2):
         raise ValueError("matrix has a NaN or infinite entry")
     tol = _JACOBI_RTOL * sqrt(norm2)
@@ -179,38 +184,42 @@ def eigvals_hermitian(entries):
     for sweep in range(_JACOBI_MAX_SWEEPS + 1):
         off = 0.0
         for i in off_diagonal:
-            z = a[i]
-            off += z.real * z.real + z.imag * z.imag
+            x, y = re[i], im[i]
+            off += x * x + y * y
         if off == 0.0 or sqrt(off) < tol:
-            return sorted(ldexp(a[i].real, exponent) for i in diagonal)
+            return sorted(ldexp(re[i], exponent) for i in diagonal)
         if sweep == _JACOBI_MAX_SWEEPS:
             raise RuntimeError(
                 "jacobi eigensolver failed to converge within %d sweeps" % _JACOBI_MAX_SWEEPS
             )
         for pq, pp, qq, column_pairs, row_pairs in pivots:
-            apq = a[pq]
-            g = sqrt(apq.real * apq.real + apq.imag * apq.imag)
+            x, y = re[pq], im[pq]
+            g = sqrt(x * x + y * y)
             if g == 0.0:
                 continue
-            theta = 0.5 * atan2(2.0 * g, a[pp].real - a[qq].real)
-            # The float factors c, s and -s, promoted to complex as the
-            # native backend does.
-            sin_theta = sin(theta)
-            c = complex(cos(theta), 0.0)
-            s = complex(sin_theta, 0.0)
-            neg_s = complex(-sin_theta, 0.0)
-            phase = complex(apq.real / g, apq.imag / g)
-            phase_conj = phase.conjugate()
+            theta = 0.5 * atan2(2.0 * g, re[pp] - re[qq])
+            c, s = cos(theta), sin(theta)
+            # Each pair (x, y) becomes (c*x + s*r, c*r - s*x), r being y times
+            # the phase a_pq / g on the rows and its conjugate on the columns.
+            pr, pi = x / g, y / g
             for kp, kq in column_pairs:
-                akp = a[kp]
-                rot = phase_conj * a[kq]
-                a[kp] = c * akp + s * rot
-                a[kq] = neg_s * akp + c * rot
+                xr, xi = re[kp], im[kp]
+                yr, yi = re[kq], im[kq]
+                rr = pr * yr + pi * yi
+                ri = pr * yi - pi * yr
+                re[kp] = c * xr + s * rr
+                im[kp] = c * xi + s * ri
+                re[kq] = c * rr - s * xr
+                im[kq] = c * ri - s * xi
             for pk, qk in row_pairs:
-                apk = a[pk]
-                rot = phase * a[qk]
-                a[pk] = c * apk + s * rot
-                a[qk] = neg_s * apk + c * rot
+                xr, xi = re[pk], im[pk]
+                yr, yi = re[qk], im[qk]
+                rr = pr * yr - pi * yi
+                ri = pr * yi + pi * yr
+                re[pk] = c * xr + s * rr
+                im[pk] = c * xi + s * ri
+                re[qk] = c * rr - s * xr
+                im[qk] = c * ri - s * xi
     raise AssertionError("unreachable")
 
 
@@ -384,9 +393,10 @@ def lhv_mc_sums(cum_weights, products, seed: int, start: int, stop: int):
         raise OverflowError(f"start {start} or stop {stop} is outside [-2**63, 2**63)")
     if not cum_weights:
         raise IndexError("cum_weights is empty")
-    # ldexp(x, 0) is x as a float, -0.0 included; unlike float() it parses no str.
+    # ldexp(x, 0) is x as a float, -0.0 included; unlike float() it parses no
+    # str.  Weights are read by index up to len(), as the native kernel does.
     ldexp = math.ldexp
-    weights = [ldexp(w, 0) for w in cum_weights]
+    weights = [ldexp(cum_weights[i], 0) for i in range(len(cum_weights))]
     thresholds = tuple(map(_draw_threshold, weights))
     table = []
     for base in range(0, 4 * len(thresholds), 4):

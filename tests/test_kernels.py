@@ -671,6 +671,18 @@ def test_lhv_mc_sums_reads_the_items_before_sizing_its_buffers_on_both_backends(
     assert _bits(got) == _bits(reference.lhv_mc_sums([1.0], products, 3, 0, 10))
 
 
+@pytest.mark.parametrize("length", [3, 2**40])
+def test_lhv_mc_sums_reads_every_weight_that_the_length_promises_on_both_backends(
+    native, length
+):
+    """Both backends read the weights by index up to len(cum_weights), so a
+    sequence whose length overstates its two readable weights raises the
+    IndexError of its third, rather than giving sums over two states."""
+    for backend in (reference, native):
+        with pytest.raises(IndexError, match="entry 2 cannot be read"):
+            backend.lhv_mc_sums(_Unreadable(2, length), [1.0] * 12, 3, 0, 10)
+
+
 @pytest.mark.parametrize(
     "lanes", [1, reference._MC_LANES - 1, reference._MC_LANES, reference._MC_LANES + 1]
 )

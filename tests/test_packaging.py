@@ -3,11 +3,13 @@
 import ast
 import json
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import pytest
 import yaml
 
 from chshbounds import __version__, _kernels, cli, quantum
@@ -342,6 +344,23 @@ def test_interpreters_tool_hashes_nine_outputs_per_interpreter():
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest, _, _ in lines)
     assert [digest for digest, _, _ in lines[:9]] == [digest for digest, _, _ in lines[9:]]
     assert len({digest for digest, _, _ in lines}) == 9
+
+
+def test_interpreters_tool_builds_the_native_backend_per_interpreter():
+    """With --native the tool compiles _native.c for the interpreter with gcc
+    and hashes the same nine outputs on it: they equal the pure-Python ones."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler (gcc) on PATH")
+    command = [sys.executable, str(ROOT / "tools" / "interpreters.py"), "--native"]
+    done = subprocess.run(
+        command + ["--python", sys.executable], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [line.split("  ") for line in done.stdout.splitlines()]
+    assert len(lines) == 18
+    python, native = lines[:9], lines[9:]
+    assert [label + " [native]" for _, _, label in python] == [label for _, _, label in native]
+    assert [digest for digest, _, _ in python] == [digest for digest, _, _ in native]
 
 
 def test_interpreters_tool_fails_when_an_interpreter_prints_other_bytes(tmp_path):

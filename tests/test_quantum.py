@@ -561,6 +561,27 @@ def test_eigvals_bits_are_pinned(backend):
     assert got == PINNED_EIGVALS
 
 
+# sha256 of the eigenvalues of B, C and B-dagger B for the first 500
+# configurations of stream 501, one matrix per line as float.hex joined by
+# spaces; recorded from the Jacobi loop that rotated Python complex numbers.
+EIGVALS_500_SHA256 = "c41fa33a348743b52169ceadd94dac4eeb4ee22ea7c85adeb9d381d3a450e90d"
+
+
+def test_eigvals_bits_of_500_configurations_are_pinned(backend):
+    digest = hashlib.sha256()
+    for i in range(500):
+        cfg = random_configuration(501, i)
+        b_operator = chsh_operator(cfg)
+        c_operator = tensor_product(
+            commutator_matrix(spin_operator(cfg.a), spin_operator(cfg.a_prime)),
+            commutator_matrix(spin_operator(cfg.b), spin_operator(cfg.b_prime)),
+        )
+        for m in (b_operator, c_operator, b_operator.dagger() @ b_operator):
+            line = " ".join(x.hex() for x in _kernels.eigvals_hermitian(m.entries))
+            digest.update(f"{line}\n".encode("ascii"))
+    assert digest.hexdigest() == EIGVALS_500_SHA256
+
+
 # sha256 of the seven quantities perfbench/certify.py prints, as float.hex,
 # over random_configuration(7, i) for i < 200; recorded before the run-time
 # guards of chsh_squared_identity_deviation and singlet_correlation went.

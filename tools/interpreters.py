@@ -11,17 +11,26 @@ command samples (``verify --track all`` draws no Monte Carlo sample), so the
 routes: a 16-state mixture of +-1 products (bit-plane tally), one of
 non-integer products (in-order loop), and 300 states (bisection only).
 
+With ``--native``, each interpreter also gets its own build of ``_native.c``:
+``gcc`` with the include flags of ``pythonX.Y-config --includes`` (found next
+to the interpreter) and ``setup.py``'s ``_STRICT_FP_FLAGS`` compiles it into a
+temporary copy of ``src``, and the same outputs are hashed again with
+``CHSHBOUNDS_BACKEND=native``, labelled ``[native]``.  They too must equal the
+first interpreter's pure-Python outputs.  No setuptools is needed.
+
 Exit status: 0 when every output equals the first interpreter's, 1 when any
 differs, 2 when a command fails.
 
-Usage: python3 tools/interpreters.py --python PATH [--python PATH ...]
+Usage: python3 tools/interpreters.py [--native] --python PATH [--python PATH ...]
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -65,14 +74,55 @@ MONTE_CARLO = (
 )
 
 
-def run(python: str, arguments: tuple[str, ...]) -> bytes:
-    env = dict(os.environ, CHSHBOUNDS_BACKEND="python", PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run((python,) + arguments, cwd=ROOT, env=env, capture_output=True)
+INTERPRETER = (
+    "import os, sys, sysconfig\n"
+    "print('%d.%d' % sys.version_info[:2])\n"
+    "print(os.path.realpath(sys.executable))\n"
+    "print(sysconfig.get_config_var('EXT_SUFFIX'))\n"
+)
+
+
+def checked_output(command: list[str], env: dict[str, str] | None = None) -> bytes:
+    """The standard output of ``command``; on failure, its standard error and exit 2."""
+    try:
+        done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True)
+    except OSError as exc:
+        print(f"{command[0]}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     if done.returncode != 0:
         sys.stderr.write(done.stderr.decode(errors="replace"))
-        print(f"{python} {' '.join(arguments)}: exit status {done.returncode}", file=sys.stderr)
+        print(f"{' '.join(command)}: exit status {done.returncode}", file=sys.stderr)
         raise SystemExit(2)
     return done.stdout
+
+
+def run(python: str, arguments: tuple[str, ...], src: Path, backend: str) -> bytes:
+    env = dict(os.environ, CHSHBOUNDS_BACKEND=backend, PYTHONPATH=str(src))
+    return checked_output([python, *arguments], env)
+
+
+def strict_fp_flags() -> list[str]:
+    """``_STRICT_FP_FLAGS`` of setup.py, read without running it."""
+    for node in ast.parse((ROOT / "setup.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and "_STRICT_FP_FLAGS" in [
+            getattr(target, "id", None) for target in node.targets
+        ]:
+            return ast.literal_eval(node.value)
+    raise SystemExit("setup.py assigns no _STRICT_FP_FLAGS")
+
+
+def build_native(python: str, src: Path) -> Path:
+    """Copy this checkout's ``src`` into the new directory ``src`` and
+    compile ``_native.c`` there for ``python``; returns ``src``."""
+    version, executable, suffix = checked_output([python, "-c", INTERPRETER]).decode().split()
+    config = Path(executable).with_name(f"python{version}-config")
+    includes = checked_output([str(config), "--includes"]).decode().split()
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    kernels = src / "chshbounds" / "_kernels"
+    source, module = kernels / "_native.c", kernels / f"_native{suffix}"
+    flags = ["-shared", "-fPIC", "-O2", *includes, *strict_fp_flags()]
+    checked_output(["gcc", *flags, str(source), "-o", str(module)])
+    return src
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -80,23 +130,37 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--python", action="append", required=True, metavar="PATH", help="an interpreter to run"
     )
-    pythons = parser.parse_args(argv).python
+    parser.add_argument(
+        "--native", action="store_true", help="also build and hash the native backend"
+    )
+    options = parser.parse_args(argv)
+    pythons = options.python
     differs = False
     first = None
     with tempfile.TemporaryDirectory() as scratch:
         vectors = Path(scratch, "vectors.txt")
-        vectors.write_bytes(run(pythons[0], ("-c", VECTORS)))
+        vectors.write_bytes(run(pythons[0], ("-c", VECTORS), ROOT / "src", "python"))
         checked = [(label, ("-m", "chshbounds.cli", *label.split())) for label in COMMANDS]
         checked.append((CERTIFY, (str(ROOT / CERTIFY), str(vectors))))
         checked.append(("lhv_mc_sums", ("-c", MONTE_CARLO)))
-        for python in pythons:
-            digests = [hashlib.sha256(run(python, args)).hexdigest() for _, args in checked]
-            first = first or digests
-            for digest, expected, (label, _) in zip(digests, first, checked):
-                print(f"{digest}  {python}  {label}", flush=True)
-                if digest != expected:
-                    differs = True
-                    print(f"{python}: {label} differs from {pythons[0]}", file=sys.stderr)
+        for number, python in enumerate(pythons):
+            backends = [("python", ROOT / "src", "")]
+            if options.native:
+                backends.append(
+                    ("native", build_native(python, Path(scratch, f"src{number}")), " [native]")
+                )
+            for backend, src, suffix in backends:
+                outputs = (run(python, args, src, backend) for _, args in checked)
+                digests = [hashlib.sha256(output).hexdigest() for output in outputs]
+                first = first or digests
+                for digest, expected, (label, _) in zip(digests, first, checked):
+                    print(f"{digest}  {python}  {label}{suffix}", flush=True)
+                    if digest != expected:
+                        differs = True
+                        print(
+                            f"{python}: {label}{suffix} differs from {pythons[0]}",
+                            file=sys.stderr,
+                        )
     return 1 if differs else 0
 
 
