@@ -317,8 +317,8 @@ def test_a_failing_hypothesis_test_does_not_abort_the_session(tmp_path):
     assert "1 failed, 1 passed" in run.stdout.splitlines()[-1]
 
 
-def _interpreters(*pythons: str) -> subprocess.CompletedProcess:
-    command = [sys.executable, str(ROOT / "tools" / "interpreters.py")]
+def _interpreters(*pythons: str, native: bool = False) -> subprocess.CompletedProcess:
+    command = [sys.executable, str(ROOT / "tools" / "interpreters.py")] + ["--native"] * native
     for python in pythons:
         command += ["--python", python]
     return subprocess.run(command, capture_output=True, text=True, timeout=300)
@@ -351,10 +351,7 @@ def test_interpreters_tool_builds_the_native_backend_per_interpreter():
     and hashes the same nine outputs on it: they equal the pure-Python ones."""
     if shutil.which("gcc") is None:
         pytest.skip("no C compiler (gcc) on PATH")
-    command = [sys.executable, str(ROOT / "tools" / "interpreters.py"), "--native"]
-    done = subprocess.run(
-        command + ["--python", sys.executable], capture_output=True, text=True, timeout=300
-    )
+    done = _interpreters(sys.executable, native=True)
     assert done.returncode == 0, done.stderr
     lines = [line.split("  ") for line in done.stdout.splitlines()]
     assert len(lines) == 18
