@@ -84,22 +84,37 @@ def test_optimize_32_restarts_digest(track, backend, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == OPTIMIZE_32_SHA256[track]
 
 
-# sha256 of `verify --config` on the python kernel's two pick routes beyond
-# the golden files' 16 states: 70 states with non-integer responses and 69
-# split top bytes (a guide table), and 256 states of weight 2**-8 with +/-1
-# responses (bisection alone).  Both were recorded while the 70-state
-# mixture was still bisected alone, so the two routes are pinned to each
-# other.
+# sha256 of `verify --config`, keyed by (config, --samples or None for the
+# config's own count).  At their own counts, the python kernel's two pick
+# routes beyond the golden files' 16 states: 70 states with non-integer
+# responses and 69 split top bytes (a guide table), and 256 states of weight
+# 2**-8 with +/-1 responses (bisection alone).  Both were recorded while the
+# 70-state mixture was still bisected alone, so the two routes are pinned to
+# each other.  At 10^6 samples, the two golden mixtures (non-integer products
+# summed in index order, +/-1 products tallied by bit planes) and the same
+# two routes, where the golden files hold a few thousand samples.
 MC_ROUTE_SHA256 = {
-    "mc_split_bytes": "9ad5e5308612f38fac814b810240d524b08ad1f1d4f2718a9e6af542b5d474c1",
-    "mc_many_states": "510dac5f60724dd2f670eddf9548f7ec94aa7b4a2431c8b3d93e68aebe8925c2",
+    ("mc_split_bytes", None): "9ad5e5308612f38fac814b810240d524b08ad1f1d4f2718a9e6af542b5d474c1",
+    ("mc_many_states", None): "510dac5f60724dd2f670eddf9548f7ec94aa7b4a2431c8b3d93e68aebe8925c2",
+    ("mc_mixture", 1000000): "15388b2c7e3e7ac54015e62b895692f39ae853cd1076a593476cfeb5ff6aa8f6",
+    ("mc_strategies", 1000000): "3be1c1aa16354e359f6ba85a98d0537e571b2a366e27578843309835c7e7dfb4",
+    ("mc_split_bytes", 1000000): "787169b0f989c2e2b52a3144ebdaf27aaf1596c3f5a566d92c1b255fcec1979e",
+    ("mc_many_states", 1000000): "f8c87709e052fe37a992bba2c4be58117e105d0c1d6fee40a4a110969079cf35",
 }
 
 
-@pytest.mark.parametrize("config", sorted(MC_ROUTE_SHA256))
+@pytest.mark.parametrize(
+    "config, samples",
+    [
+        pytest.param(config, samples, id=config if samples is None else f"{config}-{samples}")
+        for config, samples in MC_ROUTE_SHA256
+    ],
+)
 @pytest.mark.parametrize("backend", ["python", "native"], indirect=True)
-def test_mc_route_digest(config, backend, tmp_path):
+def test_mc_route_digest(config, samples, backend, tmp_path):
     out = tmp_path / f"{config}.json"
     argv = ["verify", "--config", str(GOLDEN / f"{config}.yaml"), "--out", str(out)]
+    if samples is not None:
+        argv += ["--samples", str(samples)]
     assert cli.main(argv) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == MC_ROUTE_SHA256[config]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MC_ROUTE_SHA256[config, samples]
