@@ -4,15 +4,12 @@ Report output is deterministic down to the byte: floats are written with 17
 significant digits (enough to round-trip an IEEE double exactly), negative
 zero is normalized away, keys are sorted, and every writer appends a single
 trailing newline.  Running the same seeded command twice must produce
-identical files.  The table writers form their text in chunks of
+identical files.  ``sweep_chunks`` forms the sweep table in chunks of
 ``CHUNK_ROWS`` rows, as the rows are drawn, so the CLI writes a sweep of any
-length from one chunk's memory; ``sweep_to_json``, ``sweep_to_csv`` and
-``reports_to_csv`` join the same chunks into one string, and ``canonical_json``
-is one chunk.  Within one writer call, a dict's line heads (``{`` or ``,``,
-newline, indent, quoted key) are resolved once per key set and depth and a
-list's once per depth; within one chunk, ``format_float`` forms each exact
-float's text once.  NaN, infinity and non-string keys are never cached, so they
-always raise.
+length from one chunk's memory; ``sweep_to_json`` and ``sweep_to_csv`` join
+the chunks into one string.  Each sweep table's row text is formed once, with
+its two bounds, when the first row is written, and every row fills in its
+theta and value.
 """
 
 from __future__ import annotations
@@ -42,8 +39,7 @@ ATTAINMENT_TOLERANCE = 1e-6
 # Margins below this are genuine violations (numerical noise allowance).
 MARGIN_TOLERANCE = -1e-9
 
-# Rows per chunk of table text: the float-text cache is cleared at each chunk,
-# the line heads are kept.
+# Rows per chunk of sweep text: a chunk is written before the next is formed.
 CHUNK_ROWS = 256
 
 SWEEP_COLUMNS = ("theta_rad", "classical_bound", "qm_value", "tsirelson_bound")
@@ -112,12 +108,12 @@ def format_float(x: float) -> str:
 
 def _scalar(value: object) -> str:
     """Canonical text of a bool, int or float; JSON values and CSV cells share it."""
+    if isinstance(value, float):
+        return format_float(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return format_float(value)
     raise TypeError(f"cannot serialize {type(value).__name__} as a report value")
 
 
@@ -131,54 +127,36 @@ def _quote(text: str) -> str:
     return '"' + text.translate(_STRING_ESCAPES) + '"'
 
 
-def _write_json(value: object, depth: int, pieces: list[str], heads: dict, texts: dict) -> None:
+def _write_json(value: object, depth: int, pieces: list[str]) -> None:
     if isinstance(value, dict):
-        keys = tuple(value)
-        entry = heads.get((keys, depth))
-        if entry is None:
-            for key in keys:
-                if not isinstance(key, str):
-                    raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            inner = "\n" + "  " * (depth + 1)
-            ranked = enumerate(sorted(keys))
-            order = [(("," if i else "{") + inner + _quote(key) + ": ", key) for i, key in ranked]
-            # An empty dict has no heads; its close alone prints "{}".
-            heads[keys, depth] = entry = (order, "\n" + "  " * depth + "}" if keys else "{}")
-        order, close = entry
-        for head, key in order:
-            item = value[key]
-            if type(item) is float:
-                text = texts.get(item)
-                if text is None:
-                    text = texts[item] = format_float(item)
-                pieces.append(head + text)
-            else:
-                pieces.append(head)
-                _write_json(item, depth + 1, pieces, heads, texts)
-        pieces.append(close)
+        if not value:
+            pieces.append("{}")
+            return
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        inner = "\n" + "  " * (depth + 1)
+        head = "{"
+        for key in sorted(value):
+            pieces.append(head + inner + _quote(key) + ": ")
+            _write_json(value[key], depth + 1, pieces)
+            head = ","
+        pieces.append("\n" + "  " * depth + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             pieces.append("[]")
             return
-        entry = heads.get(depth)  # an int key: a list's heads depend on its depth alone
-        if entry is None:
-            inner = "\n" + "  " * (depth + 1)
-            heads[depth] = entry = ("[" + inner, "," + inner, "\n" + "  " * depth + "]")
-        head, rest, close = entry
+        inner = "\n" + "  " * (depth + 1)
+        head = "["
         for item in value:
-            pieces.append(head)
-            _write_json(item, depth + 1, pieces, heads, texts)
-            head = rest
-        pieces.append(close)
+            pieces.append(head + inner)
+            _write_json(item, depth + 1, pieces)
+            head = ","
+        pieces.append("\n" + "  " * depth + "]")
     elif isinstance(value, str):
         pieces.append(_quote(value))
     elif value is None:
         pieces.append("null")
-    elif type(value) is float:
-        text = texts.get(value)
-        if text is None:
-            text = texts[value] = format_float(value)
-        pieces.append(text)
     else:
         pieces.append(_scalar(value))
 
@@ -190,7 +168,7 @@ def canonical_json(value: object) -> str:
     mapping or sequence types are rejected like any unknown value.
     """
     pieces: list[str] = []
-    _write_json(value, 0, pieces, {}, {})
+    _write_json(value, 0, pieces)
     pieces.append("\n")
     return "".join(pieces)
 
@@ -199,63 +177,60 @@ def reports_to_json(reports: Sequence[BoundReport]) -> str:
     return canonical_json({"reports": [r.as_mapping() for r in reports]})
 
 
-def _json_table(name: str, columns: Sequence[str], rows: Iterable) -> Iterator[str]:
-    """``canonical_json({name: [dict(zip(columns, row)) for row in rows]})`` in
-    chunks of ``CHUNK_ROWS`` rows, the last one closing the text."""
-    heads: dict = {}
-    texts: dict[float, str] = {}
-    pieces = ["{\n  " + _quote(name) + ": "]
-    head = "[\n    "
-    count = 0
-    for count, row in enumerate(rows, 1):
-        pieces.append(head)
-        _write_json(dict(zip(columns, row)), 2, pieces, heads, texts)
-        head = ",\n    "
-        if count % CHUNK_ROWS == 0:
-            yield "".join(pieces)
-            pieces.clear()
-            texts.clear()
-    pieces.append("\n  ]\n}\n" if count else "[]\n}\n")
-    yield "".join(pieces)
-
-
-def _csv_table(columns: Sequence[str], rows: Iterable) -> Iterator[str]:
-    """The header line, then one line per row, in chunks of ``CHUNK_ROWS`` rows."""
-    texts: dict[float, str] = {}
-    lines = [",".join(columns)]
-    for count, row in enumerate(rows, 1):
-        cells = []
-        for value in row:
-            if type(value) is float:
-                text = texts.get(value)
-                if text is None:
-                    text = texts[value] = format_float(value)
-            else:
-                text = value if isinstance(value, str) else _scalar(value)
-            cells.append(text)
-        lines.append(",".join(cells))
-        if count % CHUNK_ROWS == 0:
-            yield "\n".join(lines) + "\n"
-            lines.clear()
-            texts.clear()
-    if lines:
-        yield "\n".join(lines) + "\n"
-
-
 def reports_to_csv(reports: Sequence[BoundReport]) -> str:
-    rows = ([getattr(r, column) for column in REPORT_COLUMNS] for r in reports)
-    return "".join(_csv_table(REPORT_COLUMNS, rows))
+    lines = [",".join(REPORT_COLUMNS)]
+    for r in reports:
+        cells = (getattr(r, column) for column in REPORT_COLUMNS)
+        lines.append(",".join(c if isinstance(c, str) else _scalar(c) for c in cells))
+    return "\n".join(lines) + "\n"
 
 
 def sweep_chunks(
     points: Iterable[tuple[float, float]], classical: float, tsirelson: float, out_format: str
 ) -> Iterator[str]:
     """The sweep table as ``"json"`` or ``"csv"`` text, in chunks of
-    ``CHUNK_ROWS`` rows; each chunk is formed as its points are drawn."""
-    rows = ((theta, classical, value, tsirelson) for theta, value in points)
+    ``CHUNK_ROWS`` rows; each chunk is formed as its points are drawn.  Any
+    other format raises ``ValueError``."""
     if out_format == "json":
-        return _json_table("sweep", SWEEP_COLUMNS, rows)
-    return _csv_table(SWEEP_COLUMNS, rows)
+        return _json_sweep(iter(points), classical, tsirelson)
+    if out_format == "csv":
+        return _csv_sweep(iter(points), classical, tsirelson)
+    raise ValueError(f"unknown sweep format {out_format!r}: expected 'json' or 'csv'")
+
+
+def _json_sweep(points: Iterator, classical: float, tsirelson: float) -> Iterator[str]:
+    """``canonical_json({"sweep": [dict(zip(SWEEP_COLUMNS, row)) ...]})``, the
+    last chunk closing the text."""
+    pieces = ['{\n  "sweep": ']
+    head = "[\n    "
+    count = 0
+    for count, (theta, value) in enumerate(points, 1):
+        if count == 1:
+            row: list[str] = []
+            _write_json(dict(zip(SWEEP_COLUMNS, ("%s", classical, "%s", tsirelson))), 2, row)
+            template = "".join(row).replace('"%s"', "%s")
+        # Sorted keys put qm_value before theta_rad.
+        pieces.append(head + template % (_scalar(value), _scalar(theta)))
+        head = ",\n    "
+        if count % CHUNK_ROWS == 0:
+            yield "".join(pieces)
+            pieces.clear()
+    pieces.append("\n  ]\n}\n" if count else "[]\n}\n")
+    yield "".join(pieces)
+
+
+def _csv_sweep(points: Iterator, classical: float, tsirelson: float) -> Iterator[str]:
+    """The header line, then one line per row."""
+    lines = [",".join(SWEEP_COLUMNS)]
+    for count, (theta, value) in enumerate(points, 1):
+        if count == 1:
+            template = "%s," + _scalar(classical) + ",%s," + _scalar(tsirelson)
+        lines.append(template % (_scalar(theta), _scalar(value)))
+        if count % CHUNK_ROWS == 0:
+            yield "\n".join(lines) + "\n"
+            lines.clear()
+    if lines:
+        yield "\n".join(lines) + "\n"
 
 
 def sweep_to_json(points: Sequence[tuple[float, float]], classical: float, tsirelson: float) -> str:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import operator
+import random
 import re
 
 import numpy as np
@@ -45,6 +46,7 @@ from chshbounds.vector_values import (
     chsh_vector_value,
     vector_bound_expression,
 )
+from test_kernels import PARITY_INPUTS, _matmul_spec, _matrix_bits, _product, _rand_complex
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -132,6 +134,40 @@ def test_commutator_matrix_raises_the_errors_of_the_matrix_product():
         commutator_matrix(three, three)
 
 
+def _rand_matrix(r, n):
+    return [_rand_complex(r) for _ in range(n * n)]
+
+
+def test_matrix_product_matches_numpy():
+    """n = 2 and n = 4: the specification's bits, and numpy's values to
+    within rounding.  Any other size is refused."""
+    r = random.Random(11)
+    for i in range(PARITY_INPUTS):
+        n = 2 + 2 * (i % 2)
+        a = _rand_matrix(r, n)
+        b = _rand_matrix(r, n)
+        got = _product(a, b, n)
+        assert _matrix_bits(got) == _matrix_bits(_matmul_spec(a, b, n))
+        if i < 120:
+            expected = np.array(a).reshape(n, n) @ np.array(b).reshape(n, n)
+            assert np.max(np.abs(np.array(got).reshape(n, n) - expected)) < 1e-14
+    for n in (1, 3):
+        m = quantum.ComplexMatrix.identity(n)
+        with pytest.raises(ValueError, match=f"expects 2x2 or 4x4 matrices, got {n}x{n}"):
+            m @ m
+
+
+def test_matrix_expectation_matches_numpy():
+    r = random.Random(12)
+    for i in range(400):
+        n = 1 + i % 4
+        m = _rand_matrix(r, n)
+        psi = [_rand_complex(r) for _ in range(n)]
+        p = np.array(psi)
+        expected = p.conj() @ (np.array(m).reshape(n, n) @ p)
+        assert abs(quantum.ComplexMatrix(n, tuple(m)).expectation(psi) - expected) < 1e-14
+
+
 def test_singlet_state_is_normalized_and_antisymmetric():
     psi = singlet_state()
     assert abs(sum(abs(c) ** 2 for c in psi) - 1.0) < 1e-15
@@ -195,6 +231,46 @@ def test_correlation_matches_the_pipeline_on_axes_and_scaled_inputs():
     pairs += [(a, directions[s.below(len(directions))]) for a in directions]
     for a, b in pairs:
         _assert_real_part_of_oracle(a, b)
+
+
+def _rand_direction(r):
+    """A unit vector; a third lie on a coordinate axis and a third in the xy-plane."""
+    theta, z = r.uniform(0, 2 * math.pi), r.uniform(-1, 1)
+    rho = math.sqrt(1 - z * z)
+    axis = [0.0, 0.0, 0.0]
+    axis[r.randrange(3)] = r.choice((1.0, -1.0))
+    planar = (math.cos(theta), math.sin(theta), 0.0)
+    return r.choice((tuple(axis), planar, (rho * planar[0], rho * planar[1], z)))
+
+
+def _singlet_oracle(a, b):
+    """The unfused pipeline: the full Kronecker product, then the quadratic form."""
+    joint = quantum.tensor_product(quantum.spin_operator(a), quantum.spin_operator(b))
+    return joint.expectation(quantum.singlet_state())
+
+
+def _exact_zero_directions():
+    """Signed axes and planar diagonals, whose spin matrices hold exact zeros."""
+    h = math.sqrt(0.5)
+    axes = [tuple(s if i == k else 0.0 for i in range(3)) for k in range(3) for s in (1.0, -1.0)]
+    diagonals = [
+        tuple(u if i == p else (v if i == q else 0.0) for i in range(3))
+        for p, q in ((0, 1), (0, 2), (1, 2))
+        for u in (h, -h)
+        for v in (h, -h)
+    ]
+    return axes + diagonals
+
+
+def test_singlet_pipeline_identical():
+    """The real-arithmetic singlet correlation matches the real part of the
+    unfused Kronecker-product pipeline up to the sign of a zero (``==``)."""
+    r = random.Random(15)
+    special = _exact_zero_directions()
+    pairs = [(_rand_direction(r), _rand_direction(r)) for _ in range(PARITY_INPUTS)]
+    pairs += [(a, b) for a in special for b in special]
+    for a, b in pairs:
+        assert quantum._correlation_from_vectors(a, b) == _singlet_oracle(a, b).real
 
 
 def test_singlet_correlation_axis_cases():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chshbounds import reporting
 from chshbounds.reporting import (
     ATTAINMENT_TOLERANCE,
     CHUNK_ROWS,
@@ -188,8 +189,8 @@ _TREES = st.recursive(
 @given(_TREES, st.lists(st.tuples(_SCALARS, _SCALARS, _SCALARS), max_size=4))
 def test_writer_caches_match_a_spec_encoder(tree, rows):
     # The tree again a level and two levels deeper, with its dicts' keys in
-    # the other insertion order: every key set it holds meets the head cache
-    # at several depths, and every float the text cache more than once.
+    # the other insertion order: every key set it holds is written at several
+    # depths, and every float more than once.
     payload = [tree, {"a": _reversed_insertion(tree), "b": [tree]}]
     assert canonical_json(payload) == _spec_text(payload) + "\n"
     # The same scalars as CSV cells: the float bounds repeat on every row and
@@ -311,8 +312,7 @@ def test_sweep_csv_schema():
     "count", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]
 )
 def test_sweep_chunks_hold_chunk_rows_each_and_join_to_the_whole_table(count):
-    # Thetas and values that repeat across chunks, -0.0 among them, so the
-    # text cache cleared at each chunk boundary is met again after it.
+    # Thetas and values that repeat across chunks, -0.0 among them.
     points = [((i % 5) / 7 if i % 11 else -0.0, 2.0 + (i % 3) / 9) for i in range(count)]
     rows = [(theta, 2.0, value, SQRT8) for theta, value in points]
     json_text = _spec_text({"sweep": [dict(zip(SWEEP_COLUMNS, row)) for row in rows]}) + "\n"
@@ -352,3 +352,86 @@ def test_sweep_json_matches_csv_content():
     assert row["qm_value"] == 2.5
     assert row["classical_bound"] == 2
     assert row["tsirelson_bound"] == 2.8284271247461903
+
+
+def test_sweep_chunks_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="'xml'"):
+        sweep_chunks([(0.0, 2.0)], 2.0, SQRT8, "xml")
+
+
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 1001])
+def test_sweep_formats_each_cell_once_from_one_row_template_per_table(monkeypatch, count):
+    # Every theta and value distinct from each other and from the bounds, so
+    # no float's text could be reused.
+    points = [((i + 0.5) / 2048, 3 + (i + 0.5) / 2048) for i in range(count)]
+    calls = {"format_float": 0, "_write_json": 0}
+    format_float_, write_json = reporting.format_float, reporting._write_json
+    open_writes = []
+
+    def counted_format_float(x):
+        calls["format_float"] += 1
+        return format_float_(x)
+
+    def counted_write_json(*args):
+        calls["_write_json"] += not open_writes  # the outermost call only
+        open_writes.append(args)
+        try:
+            write_json(*args)
+        finally:
+            open_writes.pop()
+
+    monkeypatch.setattr(reporting, "format_float", counted_format_float)
+    monkeypatch.setattr(reporting, "_write_json", counted_write_json)
+    for out_format in ("json", "csv"):
+        calls.update(format_float=0, _write_json=0)
+        "".join(sweep_chunks(points, 2.0, SQRT8, out_format))
+        # Two cells a row, and the two bounds once when the first row is written.
+        assert calls["format_float"] == 2 * count + (2 if count else 0)
+        assert calls["_write_json"] <= 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+def test_sweep_raises_on_a_non_finite_cell_at_its_row(bad, out_format):
+    at = CHUNK_ROWS + 3  # past the first chunk, after its floats were written
+    for cell in (0, 1):
+        points = [(0.5, 2.5) if i != at else ((bad, 2.5) if cell == 0 else (0.5, bad))
+                  for i in range(2 * CHUNK_ROWS)]
+        drawn = []
+        chunks = sweep_chunks((drawn.append(p) or p for p in points), 2.0, SQRT8, out_format)
+        assert next(chunks).count("2.5") == CHUNK_ROWS
+        with pytest.raises(ValueError, match="non-finite"):
+            next(chunks)
+        assert len(drawn) == at + 1
+    # With both cells bad, JSON meets qm_value first and CSV theta_rad.
+    text = {"json": "nan", "csv": "inf"}[out_format]
+    with pytest.raises(ValueError, match=f"non-finite float {text}"):
+        "".join(sweep_chunks([(math.inf, math.nan)], 2.0, SQRT8, out_format))
+
+
+def test_sweep_cells_print_negative_zero_ints_and_bools_as_scalars():
+    points = [(-0.0, -0.0), (0, True), (1, False), (True, 7), (-0.0, 2**64)]
+    json_text = sweep_to_json(points, 2.0, SQRT8)
+    assert json_text.startswith(
+        '{\n  "sweep": [\n    {\n      "classical_bound": 2,\n      "qm_value": 0,\n'
+        '      "theta_rad": 0,\n      "tsirelson_bound": 2.8284271247461903\n    },\n'
+    )
+    rows = [dict(zip(SWEEP_COLUMNS, (theta, 2.0, value, SQRT8))) for theta, value in points]
+    assert json_text == _spec_text({"sweep": rows}) + "\n"
+    assert sweep_to_csv(points, 2.0, SQRT8).splitlines()[1:] == [
+        "0,2,0,2.8284271247461903",
+        "0,2,true,2.8284271247461903",
+        "1,2,false,2.8284271247461903",
+        "true,2,7,2.8284271247461903",
+        "0,2,18446744073709551616,2.8284271247461903",
+    ]
+    # A cell that is not a float, an int or a bool is refused in both formats.
+    for bad in ("0.5", None, [0.5]):
+        for write in (sweep_to_json, sweep_to_csv):
+            with pytest.raises(TypeError, match="as a report value"):
+                write([(0.5, 2.0), (0.5, bad)], 2.0, SQRT8)
+
+
+def test_sweep_of_no_rows_formats_no_bound():
+    assert sweep_to_json([], math.nan, math.inf) == '{\n  "sweep": []\n}\n'
+    assert sweep_to_csv([], math.nan, math.inf) == ",".join(SWEEP_COLUMNS) + "\n"
