@@ -7,14 +7,9 @@ falls back to the pure-Python kernels when it is not built.
 from setuptools import Extension, setup
 
 # The native backend must match the pure-Python kernels bit for bit, so the
-# compiler may not fuse libm calls (gcc otherwise combines cos+sin into
-# glibc's sincos, which can differ in the last ulp) or contract
-# multiply-adds into FMA.
-_STRICT_FP_FLAGS = [
-    "-fno-builtin-sin",
-    "-fno-builtin-cos",
-    "-ffp-contract=off",
-]
+# compiler may not contract multiply-adds into FMA.  The kernels call no libm
+# function, so no libm call can be fused either.
+_STRICT_FP_FLAGS = ["-ffp-contract=off"]
 # Start every function on a cache-line boundary, so a kernel's speed does not
 # shift with where the linker happens to place it after an unrelated edit.
 _ALIGN_FLAGS = ["-falign-functions=64"]

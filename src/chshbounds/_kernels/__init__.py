@@ -1,11 +1,12 @@
 """Kernel backend selection.
 
-Two interchangeable backends implement the hot numerical loops: a C
-extension built from ``_native.c`` (``native``) and a pure-Python reference
-(``python``).  The native backend is preferred when it is built; set the
-environment variable ``CHSHBOUNDS_BACKEND`` to ``python`` or ``native``
-before import to force a choice.  Both produce bit-identical results, so the
-selection affects speed only.
+Two interchangeable backends implement the two hot numerical loops, the
+uniform random stream and Monte Carlo accumulation: a C extension built from
+``_native.c`` (``native``) and a pure-Python reference (``python``).  The
+native backend is preferred when it is built; set the environment variable
+``CHSHBOUNDS_BACKEND`` to ``python`` or ``native`` before import to force a
+choice.  Both produce bit-identical results, so the selection affects speed
+only.
 
 Only a native module that is not built falls back to ``python``; a built
 module that fails to import, or that lacks a kernel (a stale build), raises
@@ -18,7 +19,6 @@ import importlib
 import os
 
 KERNEL_NAMES = (
-    "eigvals_hermitian",
     "rng_u01",
     "lhv_mc_sums",
 )

@@ -1,24 +1,22 @@
 """Pure-Python compute kernels.
 
-Reference implementations of the package's three kernels: the cyclic Jacobi
-eigensolver, the uniform counter-based random stream, and the Monte Carlo
-accumulator.  The 64-bit draw ``rng_u64`` here is not a kernel: ``rng``
-calls it directly on both backends, once per derived seed or
-``CounterStream.u64``, too rarely for a C copy to pay for itself.  Matrix
-and Kronecker products and the singlet contraction are plain Python in
-``quantum``; no CLI command runs enough of them for a C copy to pay for
-itself either.  The optional C extension ``chshbounds._kernels._native``
-(``_native.c``) implements the three kernels with the same signatures.  The
-contract between the two is identical results: on the same machine both
-backends return the same bits and raise the same error types.
-Floating-point operations that reach a result must happen in the same order
-on both sides, except where every partial sum is an exact integer, which
-any order reaches; everything else (how a state is searched for, how a loop
-is organised) may differ.  Keep the two files in sync.
+Reference implementations of the package's two kernels: the uniform
+counter-based random stream and the Monte Carlo accumulator.  The 64-bit
+draw ``rng_u64`` here is not a kernel: ``rng`` calls it directly on both
+backends, once per derived seed or ``CounterStream.u64``, too rarely for a C
+copy to pay for itself.  Matrix and Kronecker products, the singlet
+contraction and operator norms are plain Python in ``quantum``; no CLI
+command runs enough of them for a C copy to pay for itself either.  The
+optional C extension ``chshbounds._kernels._native`` (``_native.c``)
+implements the two kernels with the same signatures.  The contract between
+the two is identical results: on the same machine both backends return the
+same bits and raise the same error types.  Floating-point operations that
+reach a result must happen in the same order on both sides, except where
+every partial sum is an exact integer, which any order reaches; everything
+else (how a state is searched for, how a loop is organised) may differ.
+Keep the two files in sync.
 
 Loop organisation in this file, chosen for interpreter speed:
-``eigvals_hermitian`` walks index tables built once per n (the off-diagonal
-entries, and per pivot its three entries and its column and row pairs).
 ``lhv_mc_sums`` mixes up to 1024 SplitMix64 draws at once, each in its own
 128-bit lane of one Python int, so that every integer operation of the
 finalizer runs over the whole chunk in C.  It then picks each draw's state
@@ -33,15 +31,6 @@ its state's sign byte, and ``int.bit_count`` counts each bit plane of the
 chunk read as one int, so no Python step or branch runs per draw.  Every
 partial sum is then an exact integer, and the sums formed from the counts
 of +1 and -1 products have the same bits.
-
-Conventions shared by both backends:
-
-* matrices are flat row-major sequences of complex numbers;
-* the Jacobi eigensolver does no complex arithmetic: it splits each entry
-  into its real and imaginary parts as it reads it, and writes magnitudes,
-  phases and rotations out in float operations.  So neither library
-  ``abs``/``/`` nor CPython's complex semantics, 3.14's C99 Annex G
-  mixed real/complex rules included, can move its bits.
 """
 
 from __future__ import annotations
@@ -81,13 +70,6 @@ _SIGN_BYTES = {
     )
 }
 
-# Jacobi stopping rule: off-diagonal Frobenius mass below _JACOBI_RTOL times
-# the Frobenius norm of the matrix, at most _JACOBI_MAX_SWEEPS sweeps.  Every
-# CHSH operator has Frobenius norm 4, so on those this is an absolute 1e-14.
-# The native backend uses the same values.
-_JACOBI_RTOL = 2.5e-15
-_JACOBI_MAX_SWEEPS = 100
-
 
 def rng_u64(seed: int, index: int) -> int:
     """Return draw ``index`` of the stream ``seed`` as a 64-bit integer.
@@ -104,123 +86,6 @@ def rng_u64(seed: int, index: int) -> int:
 def rng_u01(seed: int, index: int) -> float:
     """Return draw ``index`` of the stream ``seed``, uniform on [0, 1)."""
     return (rng_u64(seed, index) >> 11) * _INV_2_53
-
-
-@lru_cache(maxsize=8)
-def _jacobi_tables(n: int):
-    """Flat indices of the cyclic Jacobi sweep over an n x n matrix.
-
-    Returns the off-diagonal entries in row-major order, the diagonal, and
-    per pivot (p, q), in sweep order: the indices of a_pq, a_pp and a_qq,
-    then the (k, p), (k, q) pairs of the column update and the (p, k),
-    (q, k) pairs of the row update, for k = 0 .. n-1.
-    """
-    off_diagonal = tuple(p * n + q for p in range(n) for q in range(n) if p != q)
-    diagonal = tuple(i * n + i for i in range(n))
-    pivots = tuple(
-        (
-            p * n + q,
-            p * n + p,
-            q * n + q,
-            tuple((k * n + p, k * n + q) for k in range(n)),
-            tuple((p * n + k, q * n + k) for k in range(n)),
-        )
-        for p in range(n - 1)
-        for q in range(p + 1, n)
-    )
-    return off_diagonal, diagonal, pivots
-
-
-def eigvals_hermitian(entries):
-    """Eigenvalues of a flat n x n complex Hermitian matrix, ascending.
-
-    The matrix is first scaled by the power of two 2**-e that brings its
-    largest real or imaginary part into [0.5, 1), so that no square
-    overflows or underflows; the eigenvalues are scaled back by 2**e.  Both
-    scalings are exact.  Cyclic Jacobi rotations follow: each pivot (p, q)
-    is phase-reduced to a real off-diagonal entry and annihilated by a plane
-    rotation with tan(2*theta) = 2|a_pq| / (a_pp - a_qq).  Convergence is
-    declared when the off-diagonal Frobenius mass is zero or below 2.5e-15
-    times the Frobenius norm of the matrix; exceeding 100 sweeps raises
-    RuntimeError.  A NaN or infinite entry raises ValueError, and so does a
-    length that is not a perfect square (n is the integer square root of
-    ``len(entries)``), before any entry is read.
-    """
-    sqrt, atan2, cos, sin, ldexp = math.sqrt, math.atan2, math.cos, math.sin, math.ldexp
-    size = len(entries)
-    n = math.isqrt(size)
-    if n * n != size:
-        raise ValueError(f"matrix has {size} entries, which is not a square number")
-    # The entries in order, as the native backend reads them, split into
-    # real and imaginary parts.  A str, which complex() would parse, is a
-    # TypeError there.  The `>` tests, as in the native backend, skip a NaN.
-    re, im = [], []
-    biggest = 0.0
-    for i in range(size):
-        z = entries[i]
-        if isinstance(z, str):
-            raise TypeError(f"matrix entry {i} must be a number, not str")
-        z = complex(z)
-        re.append(z.real)
-        im.append(z.imag)
-        x, y = abs(z.real), abs(z.imag)
-        if x > biggest:
-            biggest = x
-        if y > biggest:
-            biggest = y
-    # frexp(0.0) gives exponent 0; a non-finite matrix is left unscaled, and
-    # its Frobenius sum below is then non-finite, as no other matrix's is.
-    exponent = math.frexp(biggest)[1] if biggest < math.inf else 0
-    if exponent:
-        re = [ldexp(x, -exponent) for x in re]
-        im = [ldexp(y, -exponent) for y in im]
-    norm2 = 0.0
-    for x, y in zip(re, im):
-        norm2 += x * x + y * y
-    if not math.isfinite(norm2):
-        raise ValueError("matrix has a NaN or infinite entry")
-    tol = _JACOBI_RTOL * sqrt(norm2)
-    off_diagonal, diagonal, pivots = _jacobi_tables(n)
-    for sweep in range(_JACOBI_MAX_SWEEPS + 1):
-        off = 0.0
-        for i in off_diagonal:
-            x, y = re[i], im[i]
-            off += x * x + y * y
-        if off == 0.0 or sqrt(off) < tol:
-            return sorted(ldexp(re[i], exponent) for i in diagonal)
-        if sweep == _JACOBI_MAX_SWEEPS:
-            raise RuntimeError(
-                "jacobi eigensolver failed to converge within %d sweeps" % _JACOBI_MAX_SWEEPS
-            )
-        for pq, pp, qq, column_pairs, row_pairs in pivots:
-            x, y = re[pq], im[pq]
-            g = sqrt(x * x + y * y)
-            if g == 0.0:
-                continue
-            theta = 0.5 * atan2(2.0 * g, re[pp] - re[qq])
-            c, s = cos(theta), sin(theta)
-            # Each pair (x, y) becomes (c*x + s*r, c*r - s*x), r being y times
-            # the phase a_pq / g on the rows and its conjugate on the columns.
-            pr, pi = x / g, y / g
-            for kp, kq in column_pairs:
-                xr, xi = re[kp], im[kp]
-                yr, yi = re[kq], im[kq]
-                rr = pr * yr + pi * yi
-                ri = pr * yi - pi * yr
-                re[kp] = c * xr + s * rr
-                im[kp] = c * xi + s * ri
-                re[kq] = c * rr - s * xr
-                im[kq] = c * ri - s * xi
-            for pk, qk in row_pairs:
-                xr, xi = re[pk], im[pk]
-                yr, yi = re[qk], im[qk]
-                rr = pr * yr - pi * yi
-                ri = pr * yi + pi * yr
-                re[pk] = c * xr + s * rr
-                im[pk] = c * xi + s * ri
-                re[qk] = c * rr - s * xr
-                im[qk] = c * ri - s * xi
-    raise AssertionError("unreachable")
 
 
 @lru_cache(maxsize=8)

@@ -22,7 +22,6 @@ import math
 import operator
 from typing import Sequence
 
-from . import _kernels
 from ._value import Value
 from .geometry import UNIT_GATE_TOLERANCE, Configuration, Vec3, dot, require_unit
 
@@ -55,7 +54,7 @@ class ComplexMatrix(Value):
     ``entries`` is stored as a tuple whatever sequence is passed, so that
     equality, hashing and :meth:`is_hermitian` compare like with like.  The
     matrix product ``@`` (2x2 and 4x4 only) is plain Python, not a kernel: no
-    CLI command forms more than 9 4x4 and 4 2x2 products; ``@`` wraps :func:`_product`.
+    CLI command forms more than 11 4x4 and 4 2x2 products; ``@`` wraps :func:`_product`.
     """
 
     _fields = ("dim", "entries")
@@ -166,6 +165,9 @@ def _kron(x: Sequence[complex], y: Sequence[complex]) -> tuple[complex, ...]:
 # left[i] * right[j], i = 2(r // 2) + c // 2 and j = 2(r % 2) + c % 2.
 _KRON = tuple((2 * (r // 2) + c // 2, 2 * (r % 2) + c % 2) for r in range(4) for c in range(4))
 _FOUR_I = tuple(4.0 * z for z in ComplexMatrix.identity(4).entries)  # as identity(4) * 4.0
+# operator_norm's tolerance on the entries of (M^2 - alpha I)^2 - beta I after
+# its prescale: over twice the rounding bound derived in its docstring.
+_SQUARE_TOLERANCE = 2.0**-37
 _TRANSPOSITIONS: dict[int, tuple[int, ...]] = {}
 
 
@@ -324,36 +326,93 @@ def cross_commutator_residual(cfg: Configuration) -> float:
     return residual
 
 
-def operator_norm(m: ComplexMatrix) -> float:
-    """Spectral norm of an exactly Hermitian matrix: its largest absolute eigenvalue.
+def _traceless_part(x: Sequence[complex], n: int) -> tuple[float, list[complex]]:
+    """The mean t of the real diagonal of a flat n x n matrix X, summed left to
+    right, and X - t*I; each imaginary part is kept."""
+    diagonal = range(0, n * n, n + 1)
+    mean = 0.0
+    for i in diagonal:
+        mean += x[i].real
+    mean /= n
+    shifted = list(x)
+    for i in diagonal:
+        shifted[i] = complex(x[i].real - mean, x[i].imag)
+    return mean, shifted
 
-    The Jacobi eigensolver prescales by a power of two, so the norm is
-    accurate from 1e-300 to 1e300.  The operators of the CHSH argument, B and
-    C = [A, A'] (x) [B, B'], are Hermitian bit for bit, because IEEE complex
-    products commute and conjugation distributes over them exactly.
-    Raises TypeError naming the first entry that is not a number, ValueError
-    naming the first non-finite entry or for a matrix that is not exactly
-    Hermitian, and RuntimeError if the eigensolver fails to converge.
+
+def operator_norm(m: ComplexMatrix) -> float:
+    """Spectral norm of an exactly Hermitian 2x2 or 4x4 matrix, from its square.
+
+    With S = M @ M, alpha = tr S / n and K = S - alpha*I, the norm is
+    sqrt(alpha + sqrt(beta)) whenever K @ K = beta*I.  That holds exactly
+    when M^2 has at most two eigenvalues, each of multiplicity n/2: K then
+    has the eigenvalues +-sqrt(beta), so the largest eigenvalue of M^2,
+    which is ||M||^2, is alpha + sqrt(beta).  Every 2x2 Hermitian matrix
+    qualifies (K is traceless, so K^2 = -det(K) I).  So do the CHSH operator
+    B, whose square is 4I - C, and C = [A, A'] (x) [B, B'], whose square is
+    16 |a x a'|^2 |b x b'|^2 I (Landau, Phys. Lett. A 120, 54, 1987).  They
+    are Hermitian bit for bit, because IEEE complex products commute and
+    conjugation distributes over them exactly.
+
+    The matrix is first scaled by the power of two 2**-e that brings its
+    largest real or imaginary part into [0.5, 1), and the norm is scaled
+    back by 2**e.  Both scalings are exact, so the norm is accurate from
+    1e-300 to 1e300.
+
+    Rounding tolerance.  After the prescale every part is below 1, so every
+    |m_ij| < sqrt(2).  In exact arithmetic |S_ij|, alpha and |K_ij| are then
+    below 2n <= 8, and |(K @ K)_ij| below 4 * 8 * 8 = 256.  Products of
+    exactly Hermitian matrices are exactly Hermitian, with real diagonals,
+    for the reason above.  Each entry of ``_product`` is a complex inner
+    product of length n <= 4, within sqrt(2) * gamma_6 < 8.5u of the sum of
+    its terms' moduli, with u = 2**-53 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, section 3.6).  So, entry by entry
+    and in modulus, the computed S is within 68u of S, alpha within 93u and
+    K within 170u; K @ K is within 4 * 2 * 170u * 8 + 8.5u * 256 < 13,100u,
+    and beta, the mean of its diagonal, within 13,900u.  Every entry of the
+    computed K @ K - beta*I is then within 27,100u of its exact value, which
+    is 0 on a matrix that qualifies.  The tolerance 2**-37 = 65,536u is over
+    twice that.  A matrix that only nearly qualifies passes too; its norm is
+    then off by at most 2e-5 relative, where on B and C the error is
+    rounding.
+
+    Raises TypeError naming the first entry that is not a number, and
+    ValueError naming the first non-finite entry, for a matrix that is not
+    exactly Hermitian, for a size other than 2x2 and 4x4, and for a matrix
+    whose square has other eigenvalues.
     """
-    # A finite sum has no infinite or NaN term: only a failing matrix is searched.
-    total = sum(m.entries) if all([type(z) is complex for z in m.entries]) else math.nan
-    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
-        for index, z in enumerate(m.entries):
-            try:
-                finite = math.isfinite(z.real) and math.isfinite(z.imag)
-            except AttributeError:
-                raise TypeError(
-                    f"matrix entry ({index // m.dim}, {index % m.dim}) must be a number,"
-                    f" not {type(z).__name__}"
-                ) from None
-            if not finite:
-                raise ValueError(
-                    f"matrix entry ({index // m.dim}, {index % m.dim}) is not finite: {z!r}"
-                )
+    n = m.dim
+    if n not in (2, 4):
+        raise ValueError(f"operator_norm expects a 2x2 or 4x4 matrix, got {n}x{n}")
+    isfinite = math.isfinite
+    biggest = 0.0
+    for index, z in enumerate(m.entries):
+        try:
+            x, y = z.real, z.imag
+        except AttributeError:
+            raise TypeError(
+                f"matrix entry ({index // n}, {index % n}) must be a number,"
+                f" not {type(z).__name__}"
+            ) from None
+        if not (isfinite(x) and isfinite(y)):
+            raise ValueError(f"matrix entry ({index // n}, {index % n}) is not finite: {z!r}")
+        biggest = max(biggest, abs(x), abs(y))
     if not m.is_hermitian():
         raise ValueError("operator_norm expects an exactly Hermitian matrix")
-    eigs = _kernels.eigvals_hermitian(m.entries)
-    return max(abs(eigs[0]), abs(eigs[-1]))
+    # frexp(0.0) gives exponent 0: the zero matrix is left unscaled.
+    exponent = math.frexp(biggest)[1]
+    ldexp = math.ldexp
+    scaled = [complex(ldexp(z.real, -exponent), ldexp(z.imag, -exponent)) for z in m.entries]
+    alpha, k = _traceless_part(_product(scaled, scaled), n)
+    beta, residual = _traceless_part(_product(k, k), n)
+    deviation = max(map(abs, residual))
+    if not deviation <= _SQUARE_TOLERANCE:
+        raise ValueError(
+            "operator_norm needs a matrix whose square has at most two eigenvalues, each of"
+            f" multiplicity {n // 2}: (M^2 - alpha I)^2 deviates from beta I by {deviation:.3g}"
+            " after the prescale"
+        )
+    return ldexp(math.sqrt(alpha + math.sqrt(beta)), exponent)
 
 
 def _chsh_value_from_vectors(a: Vec3, ap: Vec3, b: Vec3, bp: Vec3) -> float:

@@ -12,14 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chshbounds import _kernels, quantum
+from chshbounds import _kernels
 from chshbounds._kernels import reference
-from chshbounds.geometry import random_configuration
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -30,24 +28,6 @@ PARITY_INPUTS = 10_000
 def _bits(values):
     """Exact bit patterns of floats, so 0.0 and -0.0 count as different."""
     return [float(v).hex() for v in values]
-
-
-def _rand_complex(r):
-    """Half of the draws are exactly real, imaginary or zero, so that the
-    zero-sign paths of the complex arithmetic are exercised too."""
-    re, im = r.uniform(-1, 1), r.uniform(-1, 1)
-    return r.choice((complex(re, 0.0), complex(0.0, im), 0j) + (complex(re, im),) * 3)
-
-
-def _rand_hermitian(r, n):
-    h = [0j] * (n * n)
-    for i in range(n):
-        h[i * n + i] = complex(r.uniform(-1, 1), 0.0)
-        for j in range(i + 1, n):
-            z = _rand_complex(r)
-            h[i * n + j] = z
-            h[j * n + i] = z.conjugate()
-    return h
 
 
 def test_backend_names(native, monkeypatch):
@@ -83,210 +63,11 @@ def test_rng_u01_is_the_top_53_bits_of_rng_u64(backend):
         assert _kernels.rng_u01(seed, index).hex() == expected.hex()
 
 
-def _rand_special_complex(r, nonfinite):
-    """Each part is +-0.0 or a uniform draw, or with probability ``nonfinite``
-    an infinity or a NaN."""
-
-    def part():
-        if r.random() < nonfinite:
-            return r.choice((math.inf, -math.inf, math.nan))
-        return r.choice((0.0, -0.0, r.uniform(-1, 1), r.uniform(-1, 1)))
-
-    return complex(part(), part())
-
-
-def _matrix_bits(entries):
-    return [_complex_bits(z) for z in entries]
-
-
-def _kron_spec(a, b):
-    """Entry (r, c) of the Kronecker product is a[r // 2, c // 2] * b[r % 2, c % 2]."""
-    return [a[2 * (r // 2) + c // 2] * b[2 * (r % 2) + c % 2] for r in range(4) for c in range(4)]
-
-
-def _matmul_spec(a, b, n):
-    """Entry (i, j) is 0j + a[i,0]*b[0,j] + ... + a[i,n-1]*b[n-1,j], added left to right."""
-    out = []
-    for i in range(n):
-        for j in range(n):
-            acc = 0j
-            for k in range(n):
-                acc = acc + a[i * n + k] * b[k * n + j]
-            out.append(acc)
-    return out
-
-
-def test_kron2_matches_its_specification(backend):
-    """quantum.tensor_product forms the Kronecker product in plain Python; its
-    bits must not depend on which kernel backend is selected."""
-    r = random.Random(18)
-    for i in range(PARITY_INPUTS):
-        nonfinite = (0.0, 0.02, 0.1)[i % 3]
-        a = [_rand_special_complex(r, nonfinite) for _ in range(4)]
-        b = [_rand_special_complex(r, nonfinite) for _ in range(4)]
-        got = quantum.tensor_product(quantum.ComplexMatrix(2, a), quantum.ComplexMatrix(2, b))
-        assert _matrix_bits(got.entries) == _matrix_bits(_kron_spec(a, b))
-
-
-def _product(a, b, n):
-    return (quantum.ComplexMatrix(n, a) @ quantum.ComplexMatrix(n, b)).entries
-
-
-@pytest.mark.parametrize("n", (2, 4))
-def test_matmul_matches_its_specification(backend, n):
-    """ComplexMatrix @ forms the product in plain Python; its straight-line
-    n = 2 and n = 4 bodies must match the specification, sign of zero
-    included, whichever kernel backend is selected."""
-    r = random.Random(19 + n)
-    for i in range(PARITY_INPUTS):
-        nonfinite = (0.0, 0.01, 0.05)[i % 3]
-        a = [_rand_special_complex(r, nonfinite) for _ in range(n * n)]
-        b = [_rand_special_complex(r, nonfinite) for _ in range(n * n)]
-        assert _matrix_bits(_product(a, b, n)) == _matrix_bits(_matmul_spec(a, b, n))
-
-
-def _complex_bits(z):
-    return _bits((z.real, z.imag))
-
-
-def test_eigvals_match_numpy_oracle():
-    r = random.Random(13)
-    worst = 0.0
-    for n in (2, 3, 4):
-        for _ in range(100):
-            h = _rand_hermitian(r, n)
-            got = reference.eigvals_hermitian(h)
-            assert list(got) == sorted(got)
-            expected = np.linalg.eigvalsh(np.array(h).reshape(n, n))
-            worst = max(worst, float(np.max(np.abs(np.array(got) - expected))))
-    assert worst < 1e-12
-
-
-def test_eigvals_backends_agree(native):
-    r = random.Random(14)
-    for i in range(PARITY_INPUTS):
-        n = 1 + i % 4
-        h = _rand_hermitian(r, n)
-        assert _bits(native.eigvals_hermitian(h)) == _bits(reference.eigvals_hermitian(h))
-    # The spectral path of the quantum track: B and B^dagger B.
-    for cfg in (random_configuration(5, i) for i in range(200)):
-        op = quantum.chsh_operator(cfg)
-        for m in (op, op.dagger() @ op):
-            got = native.eigvals_hermitian(m.entries)
-            assert _bits(got) == _bits(reference.eigvals_hermitian(m.entries))
-
-
-def test_eigvals_diagonal_and_degenerate(native):
-    diag = [0j] * 16
-    for i, x in enumerate((3.0, -1.0, 3.0, 0.5)):
-        diag[4 * i + i] = complex(x)
-    for backend in (reference, native):
-        assert list(backend.eigvals_hermitian(diag)) == [-1.0, 0.5, 3.0, 3.0]
-
-
-def test_eigvals_reports_non_convergence(native):
-    # Finite but not Hermitian, so the rotations never clear the off-diagonal mass.
-    skew = [0j, 1 + 0j, 0j, 0j]
-    for backend in (reference, native):
-        with pytest.raises(RuntimeError, match="within 100 sweeps"):
-            backend.eigvals_hermitian(skew)
-
-
-_NAN, _INF = float("nan"), float("inf")
-
-
-@pytest.mark.parametrize(
-    "entries",
-    [
-        [complex(_INF, 0.0), 0j, 0j, 0j],
-        [0j, complex(_NAN, 0.0), complex(_NAN, 0.0), 0j],
-        [0j, complex(0.0, _INF), complex(0.0, -_INF), 0j],
-        [complex(_NAN, 0.0)] * 4,
-    ],
-)
-def test_eigvals_rejects_non_finite_entries(native, entries):
-    for backend in (reference, native):
-        with pytest.raises(ValueError, match="NaN or infinite"):
-            backend.eigvals_hermitian(entries)
-
-
-_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-# Entries that neither backend may read as a finite complex number.
-_BAD_ENTRIES = st.sampled_from([None, "1", _NAN, _INF, -_INF, complex(_NAN, 1.0), 10**400])
-
-
-@st.composite
-def _eigvals_arguments(draw):
-    """A Hermitian matrix of side 0-4, perhaps with one entry replaced by a
-    bad one, or a list whose length (2-20) is not a perfect square."""
-    if draw(st.integers(0, 3)) == 0:
-        # The length alone decides: even a bad entry is never read.
-        length = draw(st.integers(2, 20).filter(lambda k: math.isqrt(k) ** 2 != k))
-        entries = st.one_of(st.just(1j), _BAD_ENTRIES)
-        return draw(st.lists(entries, min_size=length, max_size=length))
-    n = draw(st.integers(0, 4))
-    h = [0j] * (n * n)
-    for i in range(n):
-        h[i * n + i] = complex(draw(_FLOATS), 0.0)
-        for j in range(i + 1, n):
-            z = complex(draw(_FLOATS), draw(_FLOATS))
-            h[i * n + j], h[j * n + i] = z, z.conjugate()
-    if n and draw(st.booleans()):
-        h[draw(st.integers(0, n * n - 1))] = draw(_BAD_ENTRIES)
-    return h
-
-
-def _eigvals_outcome(backend, entries):
-    """The bits of the eigenvalues, or the type of the error raised."""
-    try:
-        return _bits(backend.eigvals_hermitian(entries))
-    except Exception as exc:  # the type is what the backends must agree on
-        return type(exc)
-
-
-@settings(derandomize=True, max_examples=2000, deadline=None)
-@given(_eigvals_arguments())
-def test_eigvals_backends_agree_on_any_entries(native, entries):
-    """Same bits or the same error type on both backends, whatever the
-    length, the scale of the entries or the kind of a bad entry."""
-    assert _eigvals_outcome(native, entries) == _eigvals_outcome(reference, entries)
-
-
-class _Unread:
-    """A sequence of a given length whose entries must not be read."""
-
-    def __init__(self, length):
-        self.length = length
-
-    def __len__(self):
-        return self.length
-
-    def __getitem__(self, index):
-        raise AssertionError(f"entry {index} was read")
-
-
-@pytest.mark.parametrize("length", [2, 3, 5, 15, 17, 2**62 - 1, sys.maxsize])
-def test_eigvals_checks_the_length_before_any_work_on_both_backends(native, monkeypatch, length):
-    """A length that is not a perfect square is refused with the same
-    ValueError on both backends, before an entry is read or, on python, the
-    Jacobi tables are built.  The two large lengths check that the C square
-    root does not overflow."""
-
-    def no_tables(n):
-        raise AssertionError(f"Jacobi tables built for n = {n}")
-
-    monkeypatch.setattr(reference, "_jacobi_tables", no_tables)
-    message = f"matrix has {length} entries, which is not a square number"
-    for backend in (reference, native):
-        with pytest.raises(ValueError, match=message):
-            backend.eigvals_hermitian(_Unread(length))
-
-
 class _Unreadable:
-    """A sequence of ``length`` entries, by default 2**62, a perfect square too
-    large to allocate, of which only the first ``readable`` can be read."""
+    """A sequence of ``length`` entries, of which only the first ``readable``
+    can be read."""
 
-    def __init__(self, readable, length=2**62):
+    def __init__(self, readable, length):
         self.readable = readable
         self.length = length
 
@@ -297,17 +78,6 @@ class _Unreadable:
         if index < self.readable:
             return 1.0
         raise IndexError(f"entry {index} cannot be read")
-
-
-@pytest.mark.parametrize("readable", [0, 1, 16, 40])
-def test_eigvals_reads_the_entries_before_allocating_the_matrix_on_both_backends(
-    native, readable
-):
-    """Both backends read the entries in order before they hold n*n of them,
-    so both raise the first unreadable entry's IndexError, not MemoryError."""
-    for backend in (reference, native):
-        with pytest.raises(IndexError, match=f"entry {readable} cannot be read"):
-            backend.eigvals_hermitian(_Unreadable(readable))
 
 
 def _cum_weights(weights):
@@ -638,7 +408,7 @@ _WEIGHT_EDGES = (
     1.0 + 2.0**-52,
     math.inf,
     -math.inf,
-    _NAN,
+    math.nan,
 )
 
 
@@ -666,7 +436,6 @@ def test_draw_threshold_agrees_with_the_float_comparison(c):
 # so that removing a row renames no other test.
 BAD_CALLS = {
     "rng_u01": {2: (1, 2, 3), 3: (0, 1.5)},
-    "eigvals_hermitian": {18: (), 19: ([0j] * 4, 2), 20: (None,), 21: ([object()] * 4,)},
     "lhv_mc_sums": {
         22: ([1.0], [1.0] * 4, 0, 0),
         23: ([0.5, 1.0], [1.0] * 4, 0, 0, 100),
@@ -699,7 +468,6 @@ def test_bad_arguments_raise_on_both_backends(native, name, args):
     [
         ("lhv_mc_sums", ([1.0], [1j, 1.0, 1.0, 1.0], 0, 0, 5), TypeError),  # a complex
         ("lhv_mc_sums", ([10**400], [1.0] * 4, 0, 0, 3), OverflowError),  # beyond a float
-        ("eigvals_hermitian", (["1", "0", "0", "1"],), TypeError),  # complex() parses a str
     ],
 )
 def test_entries_are_read_as_numbers_on_both_backends(native, name, args, error):
@@ -724,7 +492,7 @@ class NativeFinder(importlib.abc.MetaPathFinder, importlib.abc.Loader):
 
     def exec_module(self, module):
         module.BACKEND_NAME = "native"
-        module.hermitian_norm = module.rng_u01 = module.lhv_mc_sums = print
+        module.eigvals_hermitian = module.rng_u01 = print
 
 sys.meta_path.insert(0, NativeFinder())
 import chshbounds
@@ -745,7 +513,7 @@ _STALE_SPEC = 'return importlib.util.spec_from_file_location(name, "/stale_nativ
         # An explicit python backend never touches the native module.
         ('ImportError("undefined symbol: broken_build")', "python", None),
         # Built from other sources: it imports but lacks a kernel.
-        (None, None, "ImportError: /stale_native.so is missing kernels: eigvals_hermitian"),
+        (None, None, "ImportError: /stale_native.so is missing kernels: lhv_mc_sums"),
         (None, "python", None),
     ],
 )
@@ -774,9 +542,10 @@ def test_load_backend_rejects_unknown():
 
 
 def test_selected_backend_exports():
-    assert len(_kernels.KERNEL_NAMES) == 3
+    assert _kernels.KERNEL_NAMES == ("rng_u01", "lhv_mc_sums")
     retired = {
-        "gp8", "kron2", "matmul", "spin_matrix", "expectation", "rng_u64", "singlet_expectation"
+        "gp8", "kron2", "matmul", "spin_matrix", "expectation", "rng_u64", "singlet_expectation",
+        "eigvals_hermitian",
     }
     assert not retired & set(_kernels.KERNEL_NAMES)
     for name in _kernels.KERNEL_NAMES:

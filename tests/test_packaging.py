@@ -8,10 +8,13 @@ and the tier-1 and acceptance commands, never the text of its other steps.
 """
 
 import ast
+import importlib.util
+import os
 import re
 import shutil
 import subprocess
 import sys
+import sysconfig
 import textwrap
 from pathlib import Path
 
@@ -66,15 +69,53 @@ def _builtin_sum_calls(node, function: str, found: list) -> None:
 def test_sources_make_no_builtin_sum_call():
     # From CPython 3.12, builtin sum() of floats is compensated (gh-100425),
     # so it returns other bits than on 3.10 and 3.11.  Sums are written as
-    # left-to-right loops instead.  The one exception is operator_norm's
-    # complex sum: it only tests whether every entry is finite, and no bit
-    # of it reaches a result.
+    # left-to-right loops instead.
     found = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         calls = []
         _builtin_sum_calls(ast.parse(path.read_text(encoding="utf-8")), "<module>", calls)
         found += [(path.relative_to(ROOT).as_posix(), function) for function in calls]
-    assert found == [("src/chshbounds/quantum.py", "operator_norm")]
+    assert found == []
+
+
+# C99 <math.h> functions, any of which gcc may replace by a builtin or fuse
+# with another (cos and sin into sincos) unless a -fno-builtin flag says not.
+LIBM = {
+    "sin", "cos", "tan", "asin", "acos", "atan", "atan2", "sinh", "cosh", "tanh", "exp",
+    "exp2", "expm1", "log", "log2", "log10", "log1p", "pow", "sqrt", "cbrt", "hypot",
+    "fabs", "floor", "ceil", "trunc", "round", "rint", "fmod", "remainder", "fma", "fmin",
+    "fmax", "frexp", "ldexp", "scalbn", "modf", "copysign", "nextafter", "isfinite",
+    "isinf", "isnan", "signbit",
+}
+
+
+def test_native_kernels_call_no_libm_function_so_only_fma_contraction_is_off():
+    """The C kernels call no libm function, which gcc could fuse or replace
+    by a builtin, so the one floating-point flag setup.py needs is the one
+    that keeps multiply-adds unfused."""
+    source = (ROOT / "src" / "chshbounds" / "_kernels" / "_native.c").read_text(encoding="utf-8")
+    code = re.sub(r"/\*.*?\*/", "", source, flags=re.S)
+    assert "<math.h>" not in code
+    assert set(re.findall(r"\b(\w+)\s*\(", code)) & LIBM == set()
+    path = ROOT / "tools" / "interpreters.py"
+    spec = importlib.util.spec_from_file_location("interpreters", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.strict_fp_flags() == ["-ffp-contract=off"]
+
+
+def test_native_kernels_build_without_a_warning(tmp_path):
+    """The CI build, CFLAGS="-Wall -Werror", compiles: the C kernels leave no
+    unused static function and raise no other warning."""
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(compiler) is None:
+        pytest.skip(f"no C compiler ({compiler}) on PATH")
+    command = [sys.executable, "setup.py", "build_ext", "--build-lib", tmp_path, "--build-temp",
+               tmp_path]
+    env = dict(os.environ, CFLAGS="-Wall -Werror")
+    build = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    assert (tmp_path / "chshbounds" / "_kernels" / f"_native{suffix}").exists(), build.stderr
 
 
 def _count_products(monkeypatch, argv: list) -> tuple:

@@ -187,7 +187,7 @@ _TREES = st.recursive(
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(_TREES, st.lists(st.tuples(_SCALARS, _SCALARS, _SCALARS), max_size=4))
-def test_writer_caches_match_a_spec_encoder(tree, rows):
+def test_writers_match_a_spec_encoder(tree, rows):
     # The tree again a level and two levels deeper, with its dicts' keys in
     # the other insertion order: every key set it holds is written at several
     # depths, and every float more than once.
