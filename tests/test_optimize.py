@@ -142,7 +142,7 @@ def test_zero_response_vector_keeps_the_current_direction():
         ("ga", (E1, E2, E2, E1, 0.0, 0.0)),
     ],
 )
-def test_degenerate_start_runs_to_a_finite_bounded_value(track, start):
+def test_degenerate_start_runs_to_a_finite_bounded_value(backend, track, start):
     """a = +/-a', b = +/-b' or zero coefficients give zero response vectors."""
     if track == "quantum":
         rounds = optimize._see_saw(optimize._quantum_round, optimize._quantum_value, start)

@@ -46,7 +46,7 @@ from chshbounds.vector_values import (
     chsh_vector_value,
     vector_bound_expression,
 )
-from test_kernels import PARITY_INPUTS, _bits
+from test_kernels import PARITY_INPUTS, _matmul_spec, _matrix_bits, _product, _rand_complex
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -132,75 +132,6 @@ def test_commutator_matrix_raises_the_errors_of_the_matrix_product():
     message = "matrix product expects 2x2 or 4x4 matrices, got 3x3"
     with pytest.raises(ValueError, match=re.escape(message)):
         commutator_matrix(three, three)
-
-
-def _rand_complex(r):
-    """Half of the draws are exactly real, imaginary or zero, so that the
-    zero-sign paths of the complex arithmetic are exercised too."""
-    re, im = r.uniform(-1, 1), r.uniform(-1, 1)
-    return r.choice((complex(re, 0.0), complex(0.0, im), 0j) + (complex(re, im),) * 3)
-
-
-def _rand_special_complex(r, nonfinite):
-    """Each part is +-0.0 or a uniform draw, or with probability ``nonfinite``
-    an infinity or a NaN."""
-
-    def part():
-        if r.random() < nonfinite:
-            return r.choice((math.inf, -math.inf, math.nan))
-        return r.choice((0.0, -0.0, r.uniform(-1, 1), r.uniform(-1, 1)))
-
-    return complex(part(), part())
-
-
-def _matrix_bits(entries):
-    return [_bits((z.real, z.imag)) for z in entries]
-
-
-def _kron_spec(a, b):
-    """Entry (r, c) of the Kronecker product is a[r // 2, c // 2] * b[r % 2, c % 2]."""
-    return [a[2 * (r // 2) + c // 2] * b[2 * (r % 2) + c % 2] for r in range(4) for c in range(4)]
-
-
-def _matmul_spec(a, b, n):
-    """Entry (i, j) is 0j + a[i,0]*b[0,j] + ... + a[i,n-1]*b[n-1,j], added left to right."""
-    out = []
-    for i in range(n):
-        for j in range(n):
-            acc = 0j
-            for k in range(n):
-                acc = acc + a[i * n + k] * b[k * n + j]
-            out.append(acc)
-    return out
-
-
-def test_kron2_matches_its_specification():
-    """quantum.tensor_product forms the Kronecker product in plain Python,
-    sign of zero and non-finite parts included."""
-    r = random.Random(18)
-    for i in range(PARITY_INPUTS):
-        nonfinite = (0.0, 0.02, 0.1)[i % 3]
-        a = [_rand_special_complex(r, nonfinite) for _ in range(4)]
-        b = [_rand_special_complex(r, nonfinite) for _ in range(4)]
-        got = tensor_product(ComplexMatrix(2, a), ComplexMatrix(2, b))
-        assert _matrix_bits(got.entries) == _matrix_bits(_kron_spec(a, b))
-
-
-def _product(a, b, n):
-    return (ComplexMatrix(n, a) @ ComplexMatrix(n, b)).entries
-
-
-@pytest.mark.parametrize("n", (2, 4))
-def test_matmul_matches_its_specification(n):
-    """ComplexMatrix @ forms the product in plain Python; its straight-line
-    n = 2 and n = 4 bodies must match the specification, sign of zero
-    included."""
-    r = random.Random(19 + n)
-    for i in range(PARITY_INPUTS):
-        nonfinite = (0.0, 0.01, 0.05)[i % 3]
-        a = [_rand_special_complex(r, nonfinite) for _ in range(n * n)]
-        b = [_rand_special_complex(r, nonfinite) for _ in range(n * n)]
-        assert _matrix_bits(_product(a, b, n)) == _matrix_bits(_matmul_spec(a, b, n))
 
 
 def _rand_matrix(r, n):
