@@ -254,6 +254,6 @@ def random_model(seed: int, index: int) -> LhvModel:
         total += weight
     states = []
     for i in range(n_states):
-        responses = tuple(2.0 * stream.u01() - 1.0 for _ in range(4))
+        responses = tuple(stream.uniform(-1.0, 1.0) for _ in range(4))
         states.append(HiddenState(raw_weights[i] / total, responses))
     return LhvModel(tuple(states))

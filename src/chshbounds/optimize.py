@@ -19,9 +19,7 @@ import math
 
 from . import rng
 from ._value import Value
-from .geometry import (
-    Configuration, Vec3, add, dot, normalized, planar_vector, scale, spherical_vector, sub,
-)
+from .geometry import Configuration, Vec3, add, normalized, planar_vector, scale, sub
 from .lhv import (
     CLASSICAL_BOUND,
     LhvModel,
@@ -30,7 +28,7 @@ from .lhv import (
     classical_correlations,
 )
 from .quantum import TSIRELSON_BOUND, _chsh_value_from_vectors, _correlation_from_vectors
-from .vector_values import ResponseCoefficients, _chsh_vector_from_dots
+from .vector_values import ResponseCoefficients, _chsh_vector
 
 __all__ = [
     "OptimizationResult",
@@ -133,10 +131,7 @@ def _quantum_round(point: tuple) -> tuple:
 
 def _ga_value(point: tuple) -> float:
     a, a_prime, b, b_prime, alpha_b, alpha_b_prime = point
-    return _chsh_vector_from_dots(
-        dot(a, b), dot(a, b_prime), dot(a_prime, b), dot(a_prime, b_prime),
-        1.0, 1.0, alpha_b, alpha_b_prime,
-    )
+    return _chsh_vector(a, a_prime, b, b_prime, 1.0, 1.0, alpha_b, alpha_b_prime)
 
 
 def _ga_round(point: tuple) -> tuple:
@@ -179,18 +174,17 @@ def _multistart(
 ) -> OptimizationResult:
     """The see-saw from ``restarts`` seeded random starts; the best point is reported.
 
-    Restart ``index`` draws its start from the stream ``derive_seed(seed,
-    index)``: a, a', b, b' uniform on the sphere (polar angle acos(2u - 1),
-    then azimuth 2*pi*u), then ``coefficients`` values uniform on [-1, 1).
+    Restart ``index`` starts at the directions of ``random_configuration(seed,
+    index)``: a, a', b, b' are the first four ``unit_vector()`` draws of the
+    stream ``derive_seed(seed, index)``, then ``coefficients`` values follow
+    from the same stream, uniform on [-1, 1).  No configuration is built for
+    a start.
     """
     _require_restarts(restarts)
 
     def start(index: int) -> tuple:
         stream = rng.CounterStream(rng.derive_seed(seed, index))
-        directions = [
-            spherical_vector(math.acos(2.0 * stream.u01() - 1.0), rng.TWO_PI * stream.u01())
-            for _ in range(4)
-        ]
+        directions = [stream.unit_vector() for _ in range(4)]
         return (*directions, *(stream.uniform(-1.0, 1.0) for _ in range(coefficients)))
 
     best_value, best, history, evaluations = _best(

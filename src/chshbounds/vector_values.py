@@ -86,17 +86,15 @@ def pair_value(
     return require_bounded(alpha, "alpha") * require_bounded(beta, "beta") * dot(ux, uy)
 
 
-def _chsh_vector_from_dots(
-    d_ab: float,
-    d_abp: float,
-    d_apb: float,
-    d_apbp: float,
-    aa: float,
-    aap: float,
-    ab: float,
-    abp: float,
+def _chsh_vector(
+    a: Vec3, a_prime: Vec3, b: Vec3, b_prime: Vec3,
+    aa: float, aap: float, ab: float, abp: float,
 ) -> float:
-    return abs(aa * ab * d_ab + aa * abp * d_abp) + abs(aap * ab * d_apb - aap * abp * d_apbp)
+    """:func:`chsh_vector_value` on plain vectors and coefficients (alpha_a,
+    alpha_a', alpha_b, alpha_b'), without the input checks."""
+    return abs(aa * ab * dot(a, b) + aa * abp * dot(a, b_prime)) + abs(
+        aap * ab * dot(a_prime, b) - aap * abp * dot(a_prime, b_prime)
+    )
 
 
 def chsh_vector_value(cfg: Configuration, co: ResponseCoefficients) -> float:
@@ -106,13 +104,7 @@ def chsh_vector_value(cfg: Configuration, co: ResponseCoefficients) -> float:
     response; bounded by 2*sqrt(2) for every configuration and coefficient
     choice, attained at the canonical configuration with unit coefficients.
     """
-    return _chsh_vector_from_dots(
-        dot(cfg.a, cfg.b),
-        dot(cfg.a, cfg.b_prime),
-        dot(cfg.a_prime, cfg.b),
-        dot(cfg.a_prime, cfg.b_prime),
-        *co.as_tuple(),
-    )
+    return _chsh_vector(*cfg.vectors(), *co.as_tuple())
 
 
 def vector_bound_expression(

@@ -70,8 +70,8 @@ def test_sweep_10001_digest(out_format, backend, tmp_path):
 # sha256 of the 32-restart searches at seed 0, the size the benchmark's
 # optimize_quantum workload runs, where the golden files use 8 restarts.
 OPTIMIZE_32_SHA256 = {
-    "quantum": "8cc5e0f839cf052719423daaf94ffd5b5d7090718ce25802535efe03490caf57",
-    "ga": "96b04af59498697bd9b42c785546fe32180ce9eed6d2333adfde7bcbf41968e3",
+    "quantum": "86da8698d1747b2dbc7a57a3536bc42ba17a27efac28b4a730de8547f8a8f316",
+    "ga": "92297c7cf71cf5487030352c013effa5d6b0b4aa767e1c8eee0bbf189c9670ca",
 }
 
 

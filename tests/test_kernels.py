@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from chshbounds import _kernels, quantum
 from chshbounds._kernels import reference
+from test_quantum import _kron_spec, _matmul_spec, _matrix_bits, _product, _rand_special_complex
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -63,46 +64,6 @@ def test_rng_u01_is_the_top_53_bits_of_rng_u64(backend):
         assert _kernels.rng_u01(seed, index).hex() == expected.hex()
 
 
-def _rand_complex(r):
-    """Half of the draws are exactly real, imaginary or zero, so that the
-    zero-sign paths of the complex arithmetic are exercised too."""
-    re, im = r.uniform(-1, 1), r.uniform(-1, 1)
-    return r.choice((complex(re, 0.0), complex(0.0, im), 0j) + (complex(re, im),) * 3)
-
-
-def _rand_special_complex(r, nonfinite):
-    """Each part is +-0.0 or a uniform draw, or with probability ``nonfinite``
-    an infinity or a NaN."""
-
-    def part():
-        if r.random() < nonfinite:
-            return r.choice((math.inf, -math.inf, math.nan))
-        return r.choice((0.0, -0.0, r.uniform(-1, 1), r.uniform(-1, 1)))
-
-    return complex(part(), part())
-
-
-def _matrix_bits(entries):
-    return [_bits((z.real, z.imag)) for z in entries]
-
-
-def _kron_spec(a, b):
-    """Entry (r, c) of the Kronecker product is a[r // 2, c // 2] * b[r % 2, c % 2]."""
-    return [a[2 * (r // 2) + c // 2] * b[2 * (r % 2) + c % 2] for r in range(4) for c in range(4)]
-
-
-def _matmul_spec(a, b, n):
-    """Entry (i, j) is 0j + a[i,0]*b[0,j] + ... + a[i,n-1]*b[n-1,j], added left to right."""
-    out = []
-    for i in range(n):
-        for j in range(n):
-            acc = 0j
-            for k in range(n):
-                acc = acc + a[i * n + k] * b[k * n + j]
-            out.append(acc)
-    return out
-
-
 def test_kron2_matches_its_specification(backend):
     """quantum.tensor_product forms the Kronecker product in plain Python; its
     bits must not depend on which kernel backend is selected."""
@@ -113,10 +74,6 @@ def test_kron2_matches_its_specification(backend):
         b = [_rand_special_complex(r, nonfinite) for _ in range(4)]
         got = quantum.tensor_product(quantum.ComplexMatrix(2, a), quantum.ComplexMatrix(2, b))
         assert _matrix_bits(got.entries) == _matrix_bits(_kron_spec(a, b))
-
-
-def _product(a, b, n):
-    return (quantum.ComplexMatrix(n, a) @ quantum.ComplexMatrix(n, b)).entries
 
 
 @pytest.mark.parametrize("n", (2, 4))

@@ -10,6 +10,7 @@ from chshbounds.geometry import (
     add,
     dot,
     magnitude,
+    random_configuration,
     random_unit_vector,
     scale,
     sub,
@@ -27,8 +28,8 @@ from chshbounds.quantum import (
     _correlation_from_vectors,
     chsh_quantum_value,
 )
-from chshbounds.rng import CounterStream
-from chshbounds.vector_values import _chsh_vector_from_dots, chsh_vector_value
+from chshbounds.rng import CounterStream, derive_seed
+from chshbounds.vector_values import ResponseCoefficients, chsh_vector_value
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -84,10 +85,8 @@ def _full_quantum_value(point):
 
 
 def _full_ga_value(point):
-    a, a_prime, b, b_prime, alpha_b, alpha_b_prime = point
-    return _chsh_vector_from_dots(
-        dot(a, b), dot(a, b_prime), dot(a_prime, b), dot(a_prime, b_prime),
-        1.0, 1.0, alpha_b, alpha_b_prime,
+    return chsh_vector_value(
+        Configuration(*point[:4]), ResponseCoefficients(1.0, 1.0, *point[4:])
     )
 
 
@@ -241,8 +240,8 @@ def test_ga_best_responses_are_optimal(b, b_prime, alpha_b, alpha_b_prime):
 @pytest.mark.parametrize(
     "maximize, best_hex, iterations, improvements",
     [
-        (maximize_quantum, "0x1.6a09e667f3bcfp+1", 107, 3),
-        (maximize_ga, "0x1.6a09e667f3bcep+1", 131, 4),
+        pytest.param(maximize_quantum, "0x1.6a09e667f3bcep+1", 103, 2, id="quantum"),
+        pytest.param(maximize_ga, "0x1.6a09e667f3bcep+1", 132, 5, id="ga"),
     ],
 )
 def test_default_search_is_pinned(maximize, best_hex, iterations, improvements):
@@ -250,6 +249,44 @@ def test_default_search_is_pinned(maximize, best_hex, iterations, improvements):
     assert result.best_value.hex() == best_hex
     assert result.iterations == iterations
     assert len(result.history) == improvements
+
+
+def _point_bits(point):
+    return [x.hex() for part in point for x in (part if isinstance(part, tuple) else (part,))]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+@pytest.mark.parametrize(
+    "maximize, coefficients",
+    [pytest.param(maximize_quantum, 0, id="quantum"), pytest.param(maximize_ga, 2, id="ga")],
+)
+def test_restart_starts_at_the_directions_of_random_configuration(
+    monkeypatch, maximize, coefficients, seed
+):
+    """The first point scored for restart i is random_configuration(seed, i)'s
+    four directions, bit for bit; on the ga track the stream's next two
+    uniform(-1, 1) draws follow them."""
+    see_saw = optimize._see_saw
+    starts = []
+
+    def recorded(round_, value, start):
+        scored = see_saw(round_, value, start)
+        first = next(scored)
+        starts.append(first[0])
+        yield first
+        yield from scored
+
+    monkeypatch.setattr(optimize, "_see_saw", recorded)
+    maximize(restarts=4, seed=seed)
+    assert len(starts) == 4
+    for index, start in enumerate(starts):
+        stream = CounterStream(derive_seed(seed, index))
+        stream.index = 8  # past the four directions, two draws each
+        expected = (
+            *random_configuration(seed, index).vectors(),
+            *(stream.uniform(-1.0, 1.0) for _ in range(coefficients)),
+        )
+        assert _point_bits(start) == _point_bits(expected), (seed, index)
 
 
 def test_configuration_built_only_for_the_reported_maximizer(monkeypatch):

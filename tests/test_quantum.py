@@ -46,9 +46,10 @@ from chshbounds.vector_values import (
     chsh_vector_value,
     vector_bound_expression,
 )
-from test_kernels import PARITY_INPUTS, _matmul_spec, _matrix_bits, _product, _rand_complex
-
 SQRT8 = 2.0 * math.sqrt(2.0)
+
+# Random inputs in each specification test.
+RANDOM_INPUTS = 10_000
 
 SIGNED_AXES = [
     tuple(s if i == k else 0.0 for i in range(3)) for k in range(3) for s in (1.0, -1.0)
@@ -134,6 +135,54 @@ def test_commutator_matrix_raises_the_errors_of_the_matrix_product():
         commutator_matrix(three, three)
 
 
+def _rand_complex(r):
+    """Half of the draws are exactly real, imaginary or zero, so that the
+    zero-sign paths of the complex arithmetic are exercised too."""
+    re, im = r.uniform(-1, 1), r.uniform(-1, 1)
+    return r.choice((complex(re, 0.0), complex(0.0, im), 0j) + (complex(re, im),) * 3)
+
+
+# test_kernels.py runs the kron and matmul specifications below once per backend.
+
+
+def _rand_special_complex(r, nonfinite):
+    """Each part is +-0.0 or a uniform draw, or with probability ``nonfinite``
+    an infinity or a NaN."""
+
+    def part():
+        if r.random() < nonfinite:
+            return r.choice((math.inf, -math.inf, math.nan))
+        return r.choice((0.0, -0.0, r.uniform(-1, 1), r.uniform(-1, 1)))
+
+    return complex(part(), part())
+
+
+def _matrix_bits(entries):
+    """Exact bit patterns of complex entries, so 0.0 and -0.0 count as different."""
+    return [(z.real.hex(), z.imag.hex()) for z in entries]
+
+
+def _kron_spec(a, b):
+    """Entry (r, c) of the Kronecker product is a[r // 2, c // 2] * b[r % 2, c % 2]."""
+    return [a[2 * (r // 2) + c // 2] * b[2 * (r % 2) + c % 2] for r in range(4) for c in range(4)]
+
+
+def _matmul_spec(a, b, n):
+    """Entry (i, j) is 0j + a[i,0]*b[0,j] + ... + a[i,n-1]*b[n-1,j], added left to right."""
+    out = []
+    for i in range(n):
+        for j in range(n):
+            acc = 0j
+            for k in range(n):
+                acc = acc + a[i * n + k] * b[k * n + j]
+            out.append(acc)
+    return out
+
+
+def _product(a, b, n):
+    return (quantum.ComplexMatrix(n, a) @ quantum.ComplexMatrix(n, b)).entries
+
+
 def _rand_matrix(r, n):
     return [_rand_complex(r) for _ in range(n * n)]
 
@@ -142,7 +191,7 @@ def test_matrix_product_matches_numpy():
     """n = 2 and n = 4: the specification's bits, and numpy's values to
     within rounding.  Any other size is refused."""
     r = random.Random(11)
-    for i in range(PARITY_INPUTS):
+    for i in range(RANDOM_INPUTS):
         n = 2 + 2 * (i % 2)
         a = _rand_matrix(r, n)
         b = _rand_matrix(r, n)
@@ -267,7 +316,7 @@ def test_singlet_pipeline_identical():
     unfused Kronecker-product pipeline up to the sign of a zero (``==``)."""
     r = random.Random(15)
     special = _exact_zero_directions()
-    pairs = [(_rand_direction(r), _rand_direction(r)) for _ in range(PARITY_INPUTS)]
+    pairs = [(_rand_direction(r), _rand_direction(r)) for _ in range(RANDOM_INPUTS)]
     pairs += [(a, b) for a in special for b in special]
     for a, b in pairs:
         assert quantum._correlation_from_vectors(a, b) == _singlet_oracle(a, b).real
