@@ -5,17 +5,18 @@ Multivectors carry 8 real coefficients over the basis
     1, e1, e2, e3, e12, e13, e23, e123
 
 (scalar | vector | bivector | pseudoscalar).  Basis blades are indexed by
-bitmasks (bit i set means the generator e_{i+1} is a factor).  The product of
-two blades is computed once, from the parity of the transpositions that sort
-the concatenated generators and with e_i e_i = +1; the resulting
-sign-and-index tables, which encode e_i e_j + e_j e_i = 2 delta_ij with exact
-integer signs, drive ``geometric_product``.  It is plain Python, not a
-kernel: no CLI command multiplies multivectors.
+bitmasks (bit i set means the generator e_{i+1} is a factor).
+``geometric_product`` spells out the 64 products of coefficients with their
+exact signs, which follow from e_i e_j + e_j e_i = 2 delta_ij;
+``tests/test_ga.py`` derives the same signs from the blade bitmasks and checks
+the product against them and against a matrix model.  It is plain Python, not
+a kernel: no CLI command multiplies multivectors.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 from ._value import Value
@@ -32,30 +33,6 @@ __all__ = [
 BLADE_ORDER: tuple[int, ...] = (0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111)
 BLADE_NAMES: tuple[str, ...] = ("1", "e1", "e2", "e3", "e12", "e13", "e23", "e123")
 BLADE_GRADES: tuple[int, ...] = tuple(bin(mask).count("1") for mask in BLADE_ORDER)
-_INDEX_OF_MASK = {mask: i for i, mask in enumerate(BLADE_ORDER)}
-
-
-def blade_product(mask_left: int, mask_right: int) -> tuple[int, int]:
-    """Multiply two basis blades; return (sign, result mask).
-
-    The sign counts the transpositions that sort the concatenated generators,
-    one for each pair of a left generator above a right one; e_i e_i = +1
-    then cancels the shared ones (Dorst, Fontijne & Mann 2007, section 19.1).
-    """
-    swaps = 0
-    shifted = mask_left >> 1
-    while shifted:
-        swaps += bin(shifted & mask_right).count("1")
-        shifted >>= 1
-    return -1 if swaps % 2 else 1, mask_left ^ mask_right
-
-
-# Flattened 8x8 tables, row-major in the canonical blade order:
-# coefficient u_i * v_j contributes PRODUCT_SIGNS[8*i+j] * u_i * v_j to the
-# coefficient at PRODUCT_TARGETS[8*i+j].
-_PRODUCTS = [blade_product(left, right) for left in BLADE_ORDER for right in BLADE_ORDER]
-PRODUCT_SIGNS = tuple(sign for sign, _ in _PRODUCTS)
-PRODUCT_TARGETS = tuple(_INDEX_OF_MASK[mask] for _, mask in _PRODUCTS)
 
 
 class Multivector(Value):
@@ -73,7 +50,7 @@ class Multivector(Value):
         if len(coefficients) != 8:
             raise ValueError(f"multivector needs exactly 8 coefficients, got {len(coefficients)}")
         # math.isfinite refuses text, which float() would parse.
-        if not all(math.isfinite(c) for c in coefficients):
+        if not all(map(math.isfinite, coefficients)):
             raise ValueError(f"non-finite multivector coefficients: {coefficients!r}")
         self.__dict__["coefficients"] = tuple(map(float, coefficients))
 
@@ -118,16 +95,12 @@ class Multivector(Value):
     def __add__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             return NotImplemented
-        return Multivector(
-            tuple(x + y for x, y in zip(self.coefficients, other.coefficients))
-        )
+        return Multivector(tuple(map(operator.add, self.coefficients, other.coefficients)))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             return NotImplemented
-        return Multivector(
-            tuple(x - y for x, y in zip(self.coefficients, other.coefficients))
-        )
+        return Multivector(tuple(map(operator.sub, self.coefficients, other.coefficients)))
 
     def __neg__(self) -> "Multivector":
         return Multivector(tuple(-x for x in self.coefficients))
@@ -164,22 +137,26 @@ def geometric_product(u: Multivector, v: Multivector) -> Multivector:
     Bilinear and associative; for grade-1 inputs the grade-0 part of the
     result is the dot product and the grade-2 part is the wedge product.
 
-    Terms with a zero coefficient are skipped, with the same bits as the
-    full 64-term sum: every accumulator starts at +0.0, and a
-    round-to-nearest sum is -0.0 only when both addends are, so no
-    accumulator is ever -0.0 and adding a zero (of either sign) never
-    changes one.  A skipped term is a zero times a finite coefficient.
+    Each coefficient is the sum, from +0.0 and left to right, of its 8 signed
+    terms u_i v_j in the order of (i, j).  A round-to-nearest sum is -0.0
+    only when both addends are, so no partial sum is ever -0.0 and adding a
+    zero term, of either sign, never changes one.  So the sum has the bits
+    of the same sum with the zero terms left out, and of any other that adds
+    the nonzero terms in the same order, such as a loop over the nonzero
+    coefficients alone.
     """
-    out = [0.0] * 8
-    signs = PRODUCT_SIGNS
-    targets = PRODUCT_TARGETS
-    v_terms = [(j, vj) for j, vj in enumerate(v.coefficients) if vj]
-    for i, ui in enumerate(u.coefficients):
-        if ui:
-            for j, vj in v_terms:
-                k = 8 * i + j
-                out[targets[k]] += signs[k] * ui * vj
-    return Multivector(tuple(out))
+    u0, u1, u2, u3, u4, u5, u6, u7 = u.coefficients
+    v0, v1, v2, v3, v4, v5, v6, v7 = v.coefficients
+    return Multivector((
+        0.0 + u0 * v0 + u1 * v1 + u2 * v2 + u3 * v3 - u4 * v4 - u5 * v5 - u6 * v6 - u7 * v7,
+        0.0 + u0 * v1 + u1 * v0 - u2 * v4 - u3 * v5 + u4 * v2 + u5 * v3 - u6 * v7 - u7 * v6,
+        0.0 + u0 * v2 + u1 * v4 + u2 * v0 - u3 * v6 - u4 * v1 + u5 * v7 + u6 * v3 + u7 * v5,
+        0.0 + u0 * v3 + u1 * v5 + u2 * v6 + u3 * v0 - u4 * v7 - u5 * v1 - u6 * v2 - u7 * v4,
+        0.0 + u0 * v4 + u1 * v2 - u2 * v1 + u3 * v7 + u4 * v0 - u5 * v6 + u6 * v5 + u7 * v3,
+        0.0 + u0 * v5 + u1 * v3 - u2 * v7 - u3 * v1 + u4 * v6 + u5 * v0 - u6 * v4 - u7 * v2,
+        0.0 + u0 * v6 + u1 * v7 + u2 * v3 - u3 * v2 - u4 * v5 + u5 * v4 + u6 * v0 + u7 * v1,
+        0.0 + u0 * v7 + u1 * v6 - u2 * v5 + u3 * v4 + u4 * v3 - u5 * v2 + u6 * v1 + u7 * v0,
+    ))
 
 
 def commutator(u: Multivector, v: Multivector) -> Multivector:

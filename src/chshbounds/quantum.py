@@ -9,7 +9,9 @@ the operator identity B^2 = 4*I - C with C = [A, A'] (x) [B, B'], and the
 spectral norms that establish the 2*sqrt(2) ceiling.
 
 Operators are formed on flat entry tuples, in the operation order of the matrix
-sums and products they stand for; ``_product`` is the one matrix product.
+sums and products they stand for.  Two routines form the matrix products:
+``_hermitian_square`` the squares of exactly Hermitian matrices, from their
+upper triangle, and ``_product`` every other product.
 
 Conventions: computational basis ordered |00>, |01>, |10>, |11> with the left
 tensor factor as side A; Pauli matrices sigma_x = [[0, 1], [1, 0]],
@@ -54,7 +56,8 @@ class ComplexMatrix(Value):
     ``entries`` is stored as a tuple whatever sequence is passed, so that
     equality, hashing and :meth:`is_hermitian` compare like with like.  The
     matrix product ``@`` (2x2 and 4x4 only) is plain Python, not a kernel: no
-    CLI command forms more than 11 4x4 and 4 2x2 products; ``@`` wraps :func:`_product`.
+    CLI command forms more than 11 4x4 and 4 2x2 products, counting the squares
+    of :func:`_hermitian_square`; ``@`` wraps :func:`_product`.
     """
 
     _fields = ("dim", "entries")
@@ -151,6 +154,57 @@ def _product(x: Sequence[complex], y: Sequence[complex]) -> tuple[complex, ...]:
     raise ValueError(f"matrix product expects 2x2 or 4x4 matrices, got {n}x{n}")
 
 
+def _hermitian_square(x: Sequence[complex]) -> tuple[complex, ...]:
+    """``_product(x, x)`` of a flat 2x2 or 4x4 matrix with finite entries that
+    equals its conjugate transpose under ``==``, formed from the upper triangle.
+
+    The diagonal and upper entries are ``_product``'s, with its expressions;
+    each lower entry is the conjugate of its mirror.  That conjugate has the
+    bits of ``_product``'s lower entry, except that an imaginary part which
+    ``_product`` gives as +0.0 is -0.0 here:
+
+    - Each part of a ``_product`` entry is a sum, left to right, from +0.0.
+      A round-to-nearest sum is -0.0 only when both addends are, so it is
+      never -0.0, and a zero addend of either sign leaves it unchanged.  A
+      zero of either sign in a finite factor gives only zeros, of some sign,
+      in the parts of its terms.  So no entry sees the sign of a zero in x
+      or in a term.
+    - With x[i,k] = a + bi and x[k,j] = c + di, term k of entry (i, j) is
+      (ac - bd) + (ad + bc)i.  Term k of entry (j, i) is
+      conj(x[k,j]) conj(x[i,k]) = (ca - db) + (-(cb) - da)i, up to the signs
+      of zeros.  IEEE products and sums commute and rounding commutes with
+      negation, so that is the conjugate of the former, up to the sign of a
+      zero imaginary part.
+    - Summed from +0.0, the negated nonzero terms give the negated sum, and a
+      zero sum is +0.0 both ways.
+
+    Such a -0.0 reaches nothing that is read: later products ignore it (first
+    point), alpha and beta in :func:`operator_norm` are means of the real parts
+    of diagonal entries, and ``abs`` ignores the signs of both parts.
+    """
+    if len(x) == 16:
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = x
+        s0 = 0j + a0 * a0 + a1 * a4 + a2 * a8 + a3 * a12
+        s1 = 0j + a0 * a1 + a1 * a5 + a2 * a9 + a3 * a13
+        s2 = 0j + a0 * a2 + a1 * a6 + a2 * a10 + a3 * a14
+        s3 = 0j + a0 * a3 + a1 * a7 + a2 * a11 + a3 * a15
+        s5 = 0j + a4 * a1 + a5 * a5 + a6 * a9 + a7 * a13
+        s6 = 0j + a4 * a2 + a5 * a6 + a6 * a10 + a7 * a14
+        s7 = 0j + a4 * a3 + a5 * a7 + a6 * a11 + a7 * a15
+        s10 = 0j + a8 * a2 + a9 * a6 + a10 * a10 + a11 * a14
+        s11 = 0j + a8 * a3 + a9 * a7 + a10 * a11 + a11 * a15
+        s15 = 0j + a12 * a3 + a13 * a7 + a14 * a11 + a15 * a15
+        return (
+            s0, s1, s2, s3,
+            s1.conjugate(), s5, s6, s7,
+            s2.conjugate(), s6.conjugate(), s10, s11,
+            s3.conjugate(), s7.conjugate(), s11.conjugate(), s15,
+        )
+    a0, a1, a2, a3 = x
+    s1 = 0j + a0 * a1 + a1 * a3
+    return (0j + a0 * a0 + a1 * a2, s1, s1.conjugate(), 0j + a2 * a1 + a3 * a3)
+
+
 def _commutator(x: Sequence[complex], y: Sequence[complex]) -> tuple[complex, ...]:
     """Flat XY - YX, entry by entry over the two :func:`_product` results."""
     return tuple(map(operator.sub, _product(x, y), _product(y, x)))
@@ -164,6 +218,8 @@ def _kron(x: Sequence[complex], y: Sequence[complex]) -> tuple[complex, ...]:
 # Kronecker index table: entry k = 4r + c of left (x) right is
 # left[i] * right[j], i = 2(r // 2) + c // 2 and j = 2(r % 2) + c % 2.
 _KRON = tuple((2 * (r // 2) + c // 2, 2 * (r % 2) + c % 2) for r in range(4) for c in range(4))
+# (k, i, j) for the entries k = 4r + c, r <= c, on and above the diagonal.
+_UPPER_KRON = tuple((k, i, j) for k, (i, j) in enumerate(_KRON) if k // 4 <= k % 4)
 _FOUR_I = tuple(4.0 * z for z in ComplexMatrix.identity(4).entries)  # as identity(4) * 4.0
 # operator_norm's tolerance on the entries of (M^2 - alpha I)^2 - beta I after
 # its prescale: over twice the rounding bound derived in its docstring.
@@ -287,11 +343,33 @@ def singlet_correlation_closed_form(a: Sequence[float], b: Sequence[float]) -> f
 
 
 def chsh_operator(cfg: Configuration) -> ComplexMatrix:
-    """The CHSH operator A(x)B + A(x)B' + A'(x)B - A'(x)B' on the joint space."""
-    a, ap, b, bp = map(_spin_entries, cfg.vectors())
-    return ComplexMatrix(4, [
-        a[i] * b[j] + a[i] * bp[j] + ap[i] * b[j] - ap[i] * bp[j] for i, j in _KRON
-    ])
+    """The CHSH operator A(x)B + A(x)B' + A'(x)B - A'(x)B' on the joint space.
+
+    Entry 4r + c is a[i] b[j] + a[i] b'[j] + a'[i] b[j] - a'[i] b'[j], with
+    (i, j) the Kronecker indices of :data:`_KRON`, spelled out.
+    """
+    a0, a1, a2, a3 = _spin_entries(cfg.a)
+    ap0, ap1, ap2, ap3 = _spin_entries(cfg.a_prime)
+    b0, b1, b2, b3 = _spin_entries(cfg.b)
+    bp0, bp1, bp2, bp3 = _spin_entries(cfg.b_prime)
+    return ComplexMatrix(4, (
+        a0 * b0 + a0 * bp0 + ap0 * b0 - ap0 * bp0,
+        a0 * b1 + a0 * bp1 + ap0 * b1 - ap0 * bp1,
+        a1 * b0 + a1 * bp0 + ap1 * b0 - ap1 * bp0,
+        a1 * b1 + a1 * bp1 + ap1 * b1 - ap1 * bp1,
+        a0 * b2 + a0 * bp2 + ap0 * b2 - ap0 * bp2,
+        a0 * b3 + a0 * bp3 + ap0 * b3 - ap0 * bp3,
+        a1 * b2 + a1 * bp2 + ap1 * b2 - ap1 * bp2,
+        a1 * b3 + a1 * bp3 + ap1 * b3 - ap1 * bp3,
+        a2 * b0 + a2 * bp0 + ap2 * b0 - ap2 * bp0,
+        a2 * b1 + a2 * bp1 + ap2 * b1 - ap2 * bp1,
+        a3 * b0 + a3 * bp0 + ap3 * b0 - ap3 * bp0,
+        a3 * b1 + a3 * bp1 + ap3 * b1 - ap3 * bp1,
+        a2 * b2 + a2 * bp2 + ap2 * b2 - ap2 * bp2,
+        a2 * b3 + a2 * bp3 + ap2 * b3 - ap2 * bp3,
+        a3 * b2 + a3 * bp2 + ap3 * b2 - ap3 * bp2,
+        a3 * b3 + a3 * bp3 + ap3 * b3 - ap3 * bp3,
+    ))
 
 
 def chsh_squared_identity_deviation(cfg: Configuration) -> float:
@@ -301,12 +379,20 @@ def chsh_squared_identity_deviation(cfg: Configuration) -> float:
     factors act on different tensor slots, which is what lets C be formed as
     a single Kronecker product; :func:`cross_commutator_residual` reports
     that premise.
+
+    The maximum is taken over the entries on and above the diagonal.  B^2 and
+    C are Hermitian up to the signs of zeros: B^2 by the argument of
+    :func:`_hermitian_square`, and C because, by the same argument, both
+    commutators are anti-Hermitian up to the signs of zeros, so where C's
+    entry (r, c) is uv its entry (c, r) is (-conj u)(-conj v), which IEEE
+    arithmetic makes conj(uv) up to the sign of a zero.  So each entry below
+    the diagonal deviates by the modulus of its mirror.
     """
     op = chsh_operator(cfg).entries
-    squared = _product(op, op)
+    squared = _hermitian_square(op)
     a, ap, b, bp = map(_spin_entries, cfg.vectors())
     ca, cb = _commutator(a, ap), _commutator(b, bp)
-    return max([abs(squared[k] - (_FOUR_I[k] - ca[i] * cb[j])) for k, (i, j) in enumerate(_KRON)])
+    return max([abs(squared[k] - (_FOUR_I[k] - ca[i] * cb[j])) for k, i, j in _UPPER_KRON])
 
 
 def cross_commutator_residual(cfg: Configuration) -> float:
@@ -361,20 +447,21 @@ def operator_norm(m: ComplexMatrix) -> float:
 
     Rounding tolerance.  After the prescale every part is below 1, so every
     |m_ij| < sqrt(2).  In exact arithmetic |S_ij|, alpha and |K_ij| are then
-    below 2n <= 8, and |(K @ K)_ij| below 4 * 8 * 8 = 256.  Products of
-    exactly Hermitian matrices are exactly Hermitian, with real diagonals,
-    for the reason above.  Each entry of ``_product`` is a complex inner
-    product of length n <= 4, within sqrt(2) * gamma_6 < 8.5u of the sum of
-    its terms' moduli, with u = 2**-53 (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 2002, section 3.6).  So, entry by entry
-    and in modulus, the computed S is within 68u of S, alpha within 93u and
-    K within 170u; K @ K is within 4 * 2 * 170u * 8 + 8.5u * 256 < 13,100u,
-    and beta, the mean of its diagonal, within 13,900u.  Every entry of the
-    computed K @ K - beta*I is then within 27,100u of its exact value, which
-    is 0 on a matrix that qualifies.  The tolerance 2**-37 = 65,536u is over
-    twice that.  A matrix that only nearly qualifies passes too; its norm is
-    then off by at most 2e-5 relative, where on B and C the error is
-    rounding.
+    below 2n <= 8, and |(K @ K)_ij| below 4 * 8 * 8 = 256.  Products of exactly
+    Hermitian matrices are exactly Hermitian, with real diagonals, for the
+    reason above.  S and K @ K are formed by :func:`_hermitian_square`, whose
+    upper entries are those of ``_product`` and whose lower entries are their
+    exact conjugates.  Each entry is then a complex inner product of length n
+    <= 4, within sqrt(2) * gamma_6 < 8.5u of the sum of its terms' moduli,
+    with u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 2002, section 3.6).  So, entry by entry and in modulus, the
+    computed S is within 68u of S, alpha within 93u and K within 170u; K @ K
+    is within 4 * 2 * 170u * 8 + 8.5u * 256 < 13,100u, and beta, the mean of
+    its diagonal, within 13,900u.  Every entry of the computed K @ K - beta*I
+    is then within 27,100u of its exact value, which is 0 on a matrix that
+    qualifies.  The tolerance 2**-37 = 65,536u is over twice that.  A matrix
+    that only nearly qualifies passes too; its norm is then off by at most
+    2e-5 relative, where on B and C the error is rounding.
 
     Raises TypeError naming the first entry that is not a number, and
     ValueError naming the first non-finite entry, for a matrix that is not
@@ -384,27 +471,34 @@ def operator_norm(m: ComplexMatrix) -> float:
     n = m.dim
     if n not in (2, 4):
         raise ValueError(f"operator_norm expects a 2x2 or 4x4 matrix, got {n}x{n}")
+    entries = m.entries
     isfinite = math.isfinite
-    biggest = 0.0
-    for index, z in enumerate(m.entries):
-        try:
-            x, y = z.real, z.imag
-        except AttributeError:
-            raise TypeError(
-                f"matrix entry ({index // n}, {index % n}) must be a number,"
-                f" not {type(z).__name__}"
-            ) from None
-        if not (isfinite(x) and isfinite(y)):
-            raise ValueError(f"matrix entry ({index // n}, {index % n}) is not finite: {z!r}")
-        biggest = max(biggest, abs(x), abs(y))
+    try:
+        reals = [z.real for z in entries]
+        imags = [z.imag for z in entries]
+        finite = all(map(isfinite, reals)) and all(map(isfinite, imags))
+    except (AttributeError, TypeError):
+        finite = False
+    if not finite:
+        # Walk the entries in order, to name the first bad one.
+        for index, z in enumerate(entries):
+            try:
+                x, y = z.real, z.imag
+            except AttributeError:
+                raise TypeError(
+                    f"matrix entry ({index // n}, {index % n}) must be a number,"
+                    f" not {type(z).__name__}"
+                ) from None
+            if not (isfinite(x) and isfinite(y)):
+                raise ValueError(f"matrix entry ({index // n}, {index % n}) is not finite: {z!r}")
     if not m.is_hermitian():
         raise ValueError("operator_norm expects an exactly Hermitian matrix")
     # frexp(0.0) gives exponent 0: the zero matrix is left unscaled.
-    exponent = math.frexp(biggest)[1]
+    exponent = math.frexp(max(max(map(abs, reals)), max(map(abs, imags))))[1]
     ldexp = math.ldexp
-    scaled = [complex(ldexp(z.real, -exponent), ldexp(z.imag, -exponent)) for z in m.entries]
-    alpha, k = _traceless_part(_product(scaled, scaled), n)
-    beta, residual = _traceless_part(_product(k, k), n)
+    scaled = [complex(ldexp(x, -exponent), ldexp(y, -exponent)) for x, y in zip(reals, imags)]
+    alpha, k = _traceless_part(_hermitian_square(scaled), n)
+    beta, residual = _traceless_part(_hermitian_square(k), n)
     deviation = max(map(abs, residual))
     if not deviation <= _SQUARE_TOLERANCE:
         raise ValueError(

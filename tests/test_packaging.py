@@ -120,19 +120,25 @@ def test_native_kernels_build_without_a_warning(tmp_path):
 
 def _count_products(monkeypatch, argv: list) -> tuple:
     """4x4 and 2x2 matrix products and Kronecker products that ``cli.main(argv)``
-    forms, counted at ``quantum._product`` and ``quantum._kron``, which form them all."""
+    forms, counted at ``quantum._product``, ``quantum._hermitian_square`` (a
+    product of its size) and ``quantum._kron``, which form them all."""
     counts = {"4x4": 0, "2x2": 0, "kron": 0}
-    product, kron = quantum._product, quantum._kron
+    product, square, kron = quantum._product, quantum._hermitian_square, quantum._kron
 
     def counting_product(x, y):
         counts["4x4" if len(x) == 16 else "2x2"] += 1
         return product(x, y)
+
+    def counting_square(x):
+        counts["4x4" if len(x) == 16 else "2x2"] += 1
+        return square(x)
 
     def counting_kron(x, y):
         counts["kron"] += 1
         return kron(x, y)
 
     monkeypatch.setattr(quantum, "_product", counting_product)
+    monkeypatch.setattr(quantum, "_hermitian_square", counting_square)
     monkeypatch.setattr(quantum, "_kron", counting_kron)
     assert cli.main(argv) == 0
     monkeypatch.undo()

@@ -429,6 +429,105 @@ def test_one_pass_operators_have_the_bits_of_the_matrix_sums():
         assert _operator_bits(_one_pass_operators(cfg)) == expected, cfg
 
 
+# The reference for operator_norm's arithmetic after its checks: both
+# squares formed by the full matrix product.
+
+
+def _norm_by_full_products(m: ComplexMatrix) -> float:
+    n = m.dim
+    exponent = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in m.entries))[1]
+    scaled = [
+        complex(math.ldexp(z.real, -exponent), math.ldexp(z.imag, -exponent)) for z in m.entries
+    ]
+    alpha, k = quantum._traceless_part(quantum._product(scaled, scaled), n)
+    beta, residual = quantum._traceless_part(quantum._product(k, k), n)
+    assert max(map(abs, residual)) <= quantum._SQUARE_TOLERANCE
+    return math.ldexp(math.sqrt(alpha + math.sqrt(beta)), exponent)
+
+
+def _deviation_by_full_square(cfg: Configuration) -> float:
+    """The B^2 identity deviation with B^2 by the full product, over all 16 entries."""
+    op = chsh_operator(cfg).entries
+    squared = quantum._product(op, op)
+    a, ap, b, bp = map(quantum._spin_entries, cfg.vectors())
+    ca, cb = quantum._commutator(a, ap), quantum._commutator(b, bp)
+    return max(
+        abs(squared[k] - (quantum._FOUR_I[k] - ca[i] * cb[j]))
+        for k, (i, j) in enumerate(quantum._KRON)
+    )
+
+
+@pytest.fixture(scope="module")
+def oracle_configurations() -> list:
+    """10^4 random configurations, 2,000 of directions with exact zeros of
+    either sign and 1,000 coplanar ones."""
+    r = random.Random(41)
+    directions = _exact_zero_directions() + SIGNED_ZERO_AXES
+    configurations = [random_configuration(41, i) for i in range(RANDOM_INPUTS)]
+    configurations += [
+        Configuration(*(r.choice(directions) for _ in range(4))) for _ in range(2000)
+    ]
+    angles = [[r.uniform(-math.pi, math.pi) for _ in range(4)] for _ in range(1000)]
+    configurations += [
+        Configuration(*((math.cos(t), math.sin(t), 0.0) for t in four)) for four in angles
+    ]
+    return configurations
+
+
+@pytest.fixture(scope="module")
+def hermitian_matrices(oracle_configurations) -> list:
+    """B and C on the oracle configurations; 1,000 of them rescaled by
+    2**600 and by 2**-600; 1,000 Hermitian 2x2 matrices; and zero matrices,
+    with zeros of either sign."""
+    ldexp = math.ldexp
+    matrices = [
+        m for cfg in oracle_configurations for m in (chsh_operator(cfg), _c_operator(cfg))
+    ]
+    matrices += [
+        ComplexMatrix(4, [complex(ldexp(z.real, e), ldexp(z.imag, e)) for z in m.entries])
+        for m in matrices[:1000]
+        for e in (600, -600)
+    ]
+    s = rng.CounterStream(41)
+    matrices += [_random_hermitian_2x2(s, 1.0) for _ in range(1000)]
+    for n in (2, 4):
+        matrices.append(ComplexMatrix(n, [0j] * (n * n)))
+        signed = [complex(-0.0, 0.0) if i % (n + 1) else complex(0.0, -0.0) for i in range(n * n)]
+        matrices.append(ComplexMatrix(n, signed))
+    assert all(m.is_hermitian() for m in matrices)
+    return matrices
+
+
+def test_operator_norm_has_the_bits_of_full_products(hermitian_matrices):
+    for m in hermitian_matrices:
+        assert operator_norm(m).hex() == _norm_by_full_products(m).hex(), m
+
+
+def test_identity_deviation_has_the_bits_of_the_16_entry_maximum(oracle_configurations):
+    for cfg in oracle_configurations:
+        expected = _deviation_by_full_square(cfg).hex()
+        assert chsh_squared_identity_deviation(cfg).hex() == expected, cfg
+
+
+def test_hermitian_square_matches_the_full_product(hermitian_matrices):
+    # Entries on and above the diagonal bit for bit.  Below it, the real
+    # parts bit for bit, and the imaginary parts too, except that where the
+    # full product gives +0.0 the square gives -0.0.  The squares of S,
+    # Hermitian only up to those zeros, are checked as well: operator_norm
+    # squares K = S - alpha*I.
+    for m in hermitian_matrices:
+        if not all(abs(z) < 1e100 for z in m.entries):
+            continue
+        n = m.dim
+        for x in (m.entries, quantum._hermitian_square(m.entries)):
+            full = quantum._product(x, x)
+            expected = [
+                (z.real.hex(), "-0x0.0p+0" if i // n > i % n and z.imag == 0.0 else z.imag.hex())
+                for i, z in enumerate(full)
+            ]
+            assert _matrix_bits(quantum._hermitian_square(x)) == expected, m
+
+
 def test_operator_norm_matches_numpy_hermitian():
     # The square of every 2x2 Hermitian matrix has two eigenvalues of
     # multiplicity one, so operator_norm takes any of them.
@@ -637,6 +736,7 @@ def test_operator_norm_of_nearly_hermitian_matrices(backend, monkeypatch):
         raise AssertionError("a product was formed of a matrix that is not Hermitian")
 
     monkeypatch.setattr(quantum, "_product", no_product)
+    monkeypatch.setattr(quantum, "_hermitian_square", no_product)
     tiny = ComplexMatrix(2, (0j, 1e-20 + 0j, 0j, 0j))
     skewed = ComplexMatrix(2, (0j, 1 + 0j, 1 + 1e-13 + 0j, 0j))
     for m in (tiny, skewed):
@@ -725,6 +825,10 @@ NAN, INF = math.nan, math.inf
         ((1.0, 2.0, complex(0.0, NAN), 0j), "(1, 0)", False),
         ((1.0, 2.0, complex(INF, 1.0), 0j), "(1, 0)", False),
         ((1.0, complex(0.0, -INF), 0j, NAN), "(0, 1)", False),
+        # A non-finite entry named before a later one that is not a number
+        # (which has no conjugate, so there is no Hermitian test to pass).
+        ((NAN, 0j, "1", 1.0), "(0, 0)", None),
+        ((1.0, complex(0.0, INF), 0j, None), "(0, 1)", None),
     ],
 )
 def test_operator_norm_rejects_non_finite_entries(monkeypatch, entries, position, hermitian):
@@ -732,8 +836,10 @@ def test_operator_norm_rejects_non_finite_entries(monkeypatch, entries, position
         raise AssertionError("a product was formed of a non-finite matrix")
 
     monkeypatch.setattr(quantum, "_product", no_product)
+    monkeypatch.setattr(quantum, "_hermitian_square", no_product)
     m = ComplexMatrix(2, entries)
-    assert m.is_hermitian() == hermitian
+    if hermitian is not None:
+        assert m.is_hermitian() == hermitian
     with pytest.raises(ValueError, match=re.escape(f"matrix entry {position} is not finite")):
         operator_norm(m)
 
@@ -744,6 +850,9 @@ def test_operator_norm_rejects_non_finite_entries(monkeypatch, entries, position
         (("1", "0", "0", "1"), "(0, 0)", "str"),
         ((1.0, 0j, None, 1.0), "(1, 0)", "NoneType"),
         ((1.0, 0j, 0j, object()), "(1, 1)", "object"),
+        # A non-number named before a later non-finite entry.
+        ((1.0, None, complex(INF, 0.0), NAN), "(0, 1)", "NoneType"),
+        (("1", NAN, NAN, 1.0), "(0, 0)", "str"),
     ],
 )
 def test_operator_norm_rejects_entries_that_are_not_numbers(entries, position, kind):
