@@ -21,8 +21,6 @@ from .geometry import (
     canonical_configuration,
     planar_vector,
     random_configuration,
-    random_unit_vector,
-    spherical_vector,
 )
 from .lhv import (
     CLASSICAL_BOUND,
@@ -81,8 +79,6 @@ __all__ = [
     "canonical_configuration",
     "planar_vector",
     "random_configuration",
-    "random_unit_vector",
-    "spherical_vector",
     # geometric algebra
     "Multivector",
     "E1",

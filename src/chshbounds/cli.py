@@ -67,11 +67,11 @@ from .lhv import (
 from .optimize import (
     DEFAULT_RESTARTS,
     OptimizationResult,
-    _coplanar_rows,
     _require_restarts,
     maximize_classical,
     maximize_ga,
     maximize_quantum,
+    sweep_coplanar_family,
 )
 from .quantum import (
     TSIRELSON_BOUND,
@@ -439,7 +439,7 @@ def _run_optimize(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    points = _coplanar_rows(args.steps)
+    points = sweep_coplanar_family(args.steps)
     _emit(sweep_chunks(points, CLASSICAL_BOUND, TSIRELSON_BOUND, args.format), args.out)
     return 0
 

@@ -85,13 +85,6 @@ class Multivector(Value):
             total += c * c
         return math.sqrt(total)
 
-    def max_abs_difference(self, other: "Multivector") -> float:
-        return max(abs(x - y) for x, y in zip(self.coefficients, other.coefficients))
-
-    def approx_equal(self, other: "Multivector") -> bool:
-        """Whether every coefficient agrees to within 1e-12."""
-        return self.max_abs_difference(other) <= 1e-12
-
     def __add__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             return NotImplemented

@@ -1,8 +1,7 @@
 """Unit vectors in R^3 and measurement-direction configurations.
 
 A configuration is the quadruple of unit directions (a, a', b, b') measured
-by the two sides of a correlation experiment.  Its six pairwise angles are
-not stored; they are derived from the dot products when read.
+by the two sides of a correlation experiment.
 """
 
 from __future__ import annotations
@@ -119,20 +118,13 @@ def planar_vector(angle_rad: float) -> Vec3:
     return (math.cos(angle_rad), math.sin(angle_rad), 0.0)
 
 
-def spherical_vector(polar: float, azimuth: float) -> Vec3:
-    """Unit vector from spherical angles: polar from +e3, azimuth from +e1."""
-    sp = math.sin(polar)
-    return (sp * math.cos(azimuth), sp * math.sin(azimuth), math.cos(polar))
-
-
 class Configuration(Value):
     """Measurement directions a, a', b, b', each a unit vector to within 1e-12.
 
     The vectors are the only stored state.  Construction, directly or via
     :meth:`from_vectors` or :meth:`coplanar`, coerces each one to a float
     triple and rejects input of the wrong length, non-finite input and
-    non-unit input.  The six pairwise ``theta_*`` angles are derived from the
-    vectors on access.
+    non-unit input.
     """
 
     _fields = ("a", "a_prime", "b", "b_prime")
@@ -155,16 +147,13 @@ class Configuration(Value):
         b: Sequence[float],
         b_prime: Sequence[float],
     ) -> "Configuration":
-        """Same as ``Configuration(a, a_prime, b, b_prime)``."""
-        return cls(a, a_prime, b, b_prime)
+        """Same as ``Configuration(a, a_prime, b, b_prime)``.
 
-    # Derived on access; only tests read them, so nothing is cached.
-    theta_a_aprime = property(lambda self: angle_between(self.a, self.a_prime))
-    theta_b_bprime = property(lambda self: angle_between(self.b, self.b_prime))
-    theta_aprime_bprime = property(lambda self: angle_between(self.a_prime, self.b_prime))
-    theta_a_b = property(lambda self: angle_between(self.a, self.b))
-    theta_a_bprime = property(lambda self: angle_between(self.a, self.b_prime))
-    theta_aprime_b = property(lambda self: angle_between(self.a_prime, self.b))
+        It stays beside the constructor because ``perfbench/certify.py``
+        builds its configurations through it, and the traced benchmark run
+        counts its ``geometry.configuration`` layer by wrapping it.
+        """
+        return cls(a, a_prime, b, b_prime)
 
     @classmethod
     def coplanar(
@@ -197,11 +186,6 @@ def canonical_configuration() -> Configuration:
         (-h, -h, 0.0),
         (-h, h, 0.0),
     )
-
-
-def random_unit_vector(seed: int, index: int) -> Vec3:
-    """Uniformly distributed unit vector, pure in (seed, index)."""
-    return rng.unit_vector_draw(seed, index)
 
 
 def random_configuration(seed: int, index: int) -> Configuration:

@@ -16,6 +16,7 @@ report it through one rule, :func:`_best`.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 from . import rng
 from ._value import Value
@@ -257,19 +258,14 @@ def maximize_ga(restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> Optimization
     return _multistart("ga", _ga_round, _ga_value, restarts, seed, 2)
 
 
-def sweep_coplanar_family(steps: int) -> list[tuple[float, float]]:
+def sweep_coplanar_family(steps: int) -> Iterator[tuple[float, float]]:
     """Quantum CHSH value along the coplanar family a=0, a'=pi/2, b=theta, b'=-theta.
 
-    Returns (theta, value) pairs on the uniform grid over [0, pi]; the value
-    follows the closed form 2*sqrt(2)*|sin(theta + pi/4)|, giving 2 at the
-    endpoints and the 2*sqrt(2) peak at theta = pi/4.
+    Yields (theta, value) pairs on the uniform grid over [0, pi], one at a
+    time; the value follows the closed form 2*sqrt(2)*|sin(theta + pi/4)|,
+    giving 2 at the endpoints and the 2*sqrt(2) peak at theta = pi/4.
+    ``steps`` is checked when the first pair is drawn.
     """
-    return list(_coplanar_rows(steps))
-
-
-def _coplanar_rows(steps: int):
-    """The pairs of :func:`sweep_coplanar_family`, one at a time; ``steps`` is
-    checked when the first pair is drawn."""
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     a, a_prime = planar_vector(0.0), planar_vector(0.5 * math.pi)

@@ -80,10 +80,6 @@ class ComplexMatrix(Value):
     def identity(cls, dim: int) -> "ComplexMatrix":
         return cls(dim, tuple(1 + 0j if i == j else 0j for i in range(dim) for j in range(dim)))
 
-    def dagger(self) -> "ComplexMatrix":
-        e = self.entries
-        return ComplexMatrix(self.dim, tuple([e[k].conjugate() for k in _transposition(self.dim)]))
-
     def is_hermitian(self) -> bool:
         """Exactly equal to its conjugate transpose, entry by entry."""
         e = self.entries

@@ -6,10 +6,9 @@ zero is normalized away, keys are sorted, and every writer appends a single
 trailing newline.  Running the same seeded command twice must produce
 identical files.  ``sweep_chunks`` forms the sweep table in chunks of
 ``CHUNK_ROWS`` rows, as the rows are drawn, so the CLI writes a sweep of any
-length from one chunk's memory; ``sweep_to_json`` and ``sweep_to_csv`` join
-the chunks into one string.  Each sweep table's row text is formed once, with
-its two bounds, when the first row is written, and every row fills in its
-theta and value.
+length from one chunk's memory.  Each sweep table's row text is formed once,
+with its two bounds, when the first row is written, and every row fills in
+its theta and value.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ __all__ = [
     "reports_to_json",
     "reports_to_csv",
     "sweep_chunks",
-    "sweep_to_json",
-    "sweep_to_csv",
     "violation_exit_code",
 ]
 
@@ -231,14 +228,6 @@ def _csv_sweep(points: Iterator, classical: float, tsirelson: float) -> Iterator
             lines.clear()
     if lines:
         yield "\n".join(lines) + "\n"
-
-
-def sweep_to_json(points: Sequence[tuple[float, float]], classical: float, tsirelson: float) -> str:
-    return "".join(sweep_chunks(points, classical, tsirelson, "json"))
-
-
-def sweep_to_csv(points: Sequence[tuple[float, float]], classical: float, tsirelson: float) -> str:
-    return "".join(sweep_chunks(points, classical, tsirelson, "csv"))
 
 
 def violation_exit_code(reports: Sequence[BoundReport]) -> int:

@@ -16,7 +16,6 @@ from chshbounds.geometry import (
     cross,
     normalized,
     random_configuration,
-    random_unit_vector,
 )
 from chshbounds.ga import Multivector, commutator
 from chshbounds.lhv import (
@@ -90,8 +89,8 @@ def test_criterion_2_matrix_pipeline_matches_negative_dot():
     start = time.perf_counter()
     worst = 0.0
     for i in range(1000):
-        x = random_unit_vector(202, 2 * i)
-        y = random_unit_vector(202, 2 * i + 1)
+        x = rng.unit_vector_draw(202, 2 * i)
+        y = rng.unit_vector_draw(202, 2 * i + 1)
         dot_xy = x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
         worst = max(worst, abs(singlet_correlation(x, y) - (-dot_xy)))
     elapsed = time.perf_counter() - start
@@ -237,8 +236,8 @@ def test_criterion_7_pair_response_reproduces_singlet_correlation():
     start = time.perf_counter()
     worst = 0.0
     for i in range(1000):
-        x = random_unit_vector(702, 2 * i)
-        y = random_unit_vector(702, 2 * i + 1)
+        x = rng.unit_vector_draw(702, 2 * i)
+        y = rng.unit_vector_draw(702, 2 * i + 1)
         worst = max(worst, abs(pair_value(x, y, 1.0, -1.0) - singlet_correlation(x, y)))
     elapsed = time.perf_counter() - start
     _gate(

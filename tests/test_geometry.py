@@ -16,9 +16,7 @@ from chshbounds.geometry import (
     normalized,
     planar_vector,
     random_configuration,
-    random_unit_vector,
     require_unit,
-    spherical_vector,
 )
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -86,15 +84,6 @@ def test_planar_vector_is_unit(angle):
     assert v[2] == 0.0
 
 
-@given(
-    st.floats(min_value=0, max_value=math.pi, allow_nan=False),
-    st.floats(min_value=0, max_value=2 * math.pi, allow_nan=False),
-)
-def test_spherical_vector_is_unit(polar, azimuth):
-    v = spherical_vector(polar, azimuth)
-    assert abs(magnitude(v) - 1.0) < 4e-16
-
-
 def test_angle_between_clamps_rounding():
     v = normalized((1.0, 1e-8, 0.0))
     assert angle_between(v, v) == 0.0
@@ -143,19 +132,13 @@ def test_configuration_stores_only_vectors_validated_once(monkeypatch):
 
 
 def test_configuration_angles_are_derived_and_read_only():
+    """A configuration stores its four vectors only, and none can be replaced;
+    an angle is ``angle_between`` of two of them."""
     cfg = random_configuration(2, 3)
-    pairs = {
-        "theta_a_aprime": (cfg.a, cfg.a_prime),
-        "theta_b_bprime": (cfg.b, cfg.b_prime),
-        "theta_aprime_bprime": (cfg.a_prime, cfg.b_prime),
-        "theta_a_b": (cfg.a, cfg.b),
-        "theta_a_bprime": (cfg.a, cfg.b_prime),
-        "theta_aprime_b": (cfg.a_prime, cfg.b),
-    }
-    for name, (u, v) in pairs.items():
-        assert getattr(cfg, name) == angle_between(u, v)
+    assert tuple(vars(cfg)) == Configuration._fields
+    for name in Configuration._fields:
         with pytest.raises(AttributeError):
-            setattr(cfg, name, 0.0)
+            setattr(cfg, name, (1.0, 0.0, 0.0))
 
 
 def test_canonical_configuration_geometry():
@@ -165,9 +148,9 @@ def test_canonical_configuration_geometry():
     assert cfg.a_prime == (0.0, 1.0, 0.0)
     assert cfg.b == (-h, -h, 0.0)
     assert cfg.b_prime == (-h, h, 0.0)
-    assert abs(cfg.theta_a_aprime - math.pi / 2) < 1e-15
-    assert abs(cfg.theta_b_bprime - math.pi / 2) < 1e-15
-    assert abs(cfg.theta_aprime_bprime - math.pi / 4) < 1e-15
+    assert abs(angle_between(cfg.a, cfg.a_prime) - math.pi / 2) < 1e-15
+    assert abs(angle_between(cfg.b, cfg.b_prime) - math.pi / 2) < 1e-15
+    assert abs(angle_between(cfg.a_prime, cfg.b_prime) - math.pi / 4) < 1e-15
     # the two diagonal sums that drive the bound chain
     s = tuple(x + y for x, y in zip(cfg.b, cfg.b_prime))
     d = tuple(x - y for x, y in zip(cfg.b, cfg.b_prime))
@@ -177,17 +160,10 @@ def test_canonical_configuration_geometry():
 
 def test_coplanar_constructor():
     cfg = Configuration.coplanar(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
-    assert abs(cfg.theta_a_b - math.pi / 4) < 1e-15
-    assert abs(cfg.theta_b_bprime - math.pi / 2) < 1e-15
+    assert abs(angle_between(cfg.a, cfg.b) - math.pi / 4) < 1e-15
+    assert abs(angle_between(cfg.b, cfg.b_prime) - math.pi / 2) < 1e-15
     for v in cfg.vectors():
         assert v[2] == 0.0
-
-
-def test_random_unit_vector_determinism_and_norm():
-    assert random_unit_vector(5, 9) == random_unit_vector(5, 9)
-    assert random_unit_vector(5, 9) != random_unit_vector(5, 10)
-    for i in range(200):
-        assert abs(magnitude(random_unit_vector(3, i)) - 1.0) < 1e-12
 
 
 def test_random_configuration_determinism():

@@ -8,10 +8,10 @@ from chshbounds import _kernels, cli, optimize, quantum
 from chshbounds.geometry import (
     Configuration,
     add,
+    angle_between,
     dot,
     magnitude,
     random_configuration,
-    random_unit_vector,
     scale,
     sub,
 )
@@ -28,7 +28,7 @@ from chshbounds.quantum import (
     _correlation_from_vectors,
     chsh_quantum_value,
 )
-from chshbounds.rng import CounterStream, derive_seed
+from chshbounds.rng import CounterStream, derive_seed, unit_vector_draw
 from chshbounds.vector_values import ResponseCoefficients, chsh_vector_value
 
 SQRT8 = 2.0 * math.sqrt(2.0)
@@ -64,7 +64,7 @@ def test_singlet_objective_counts_correlations(monkeypatch):
     expected = 4 * result.iterations + 12 * (result.iterations - restarts)
     assert counts == {"tensor_product": 0, "_correlation_from_vectors": expected}
     counts.update(tensor_product=0, _correlation_from_vectors=0)
-    sweep_coplanar_family(11)
+    list(sweep_coplanar_family(11))
     assert counts == {"tensor_product": 0, "_correlation_from_vectors": 4 * 11}
 
 
@@ -174,7 +174,7 @@ def test_best_keeps_the_first_maximizer_and_records_strict_improvements():
 
 
 unit_vectors = st.one_of(
-    st.integers(min_value=0, max_value=10**6).map(lambda i: random_unit_vector(91, i)),
+    st.integers(min_value=0, max_value=10**6).map(lambda i: unit_vector_draw(91, i)),
     st.sampled_from(AXES + (MINUS_E1, MINUS_E2)),
 )
 coefficients = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -184,7 +184,7 @@ def _random_pairs(seed):
     """64 (x, x', alpha, alpha') draws: unit x, x' and alphas uniform on [-1, 1)."""
     stream = CounterStream(seed)
     return [
-        (random_unit_vector(seed, 2 * k), random_unit_vector(seed, 2 * k + 1),
+        (unit_vector_draw(seed, 2 * k), unit_vector_draw(seed, 2 * k + 1),
          stream.uniform(-1.0, 1.0), stream.uniform(-1.0, 1.0))
         for k in range(64)
     ]
@@ -298,7 +298,7 @@ def test_configuration_built_only_for_the_reported_maximizer(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(Configuration, "__init__", counted)
-    sweep_coplanar_family(11)
+    list(sweep_coplanar_family(11))
     assert built == []
     quantum = maximize_quantum(restarts=2, seed=0)
     ga = maximize_ga(restarts=2, seed=0)
@@ -377,7 +377,8 @@ def test_ga_recovers_tsirelson_with_unit_coefficients():
 
 def test_ga_maximizer_has_perpendicular_b_pair():
     result = maximize_ga(restarts=32, seed=0)
-    assert abs(result.best_configuration.theta_b_bprime - math.pi / 2) < 1e-3
+    cfg = result.best_configuration
+    assert abs(angle_between(cfg.b, cfg.b_prime) - math.pi / 2) < 1e-3
 
 
 def test_quantum_and_ga_agree():
@@ -395,7 +396,7 @@ def test_restart_validation():
 
 def test_sweep_matches_closed_form():
     steps = 101
-    rows = sweep_coplanar_family(steps)
+    rows = list(sweep_coplanar_family(steps))
     assert len(rows) == steps
     for i, (theta, value) in enumerate(rows):
         assert abs(theta - math.pi * i / (steps - 1)) < 1e-15
@@ -405,10 +406,10 @@ def test_sweep_matches_closed_form():
 
 
 def test_sweep_endpoints_and_peak():
-    two = sweep_coplanar_family(2)
+    two = list(sweep_coplanar_family(2))
     assert abs(two[0][1] - 2.0) < 1e-12
     assert abs(two[1][1] - 2.0) < 1e-12
-    five = sweep_coplanar_family(5)
+    five = list(sweep_coplanar_family(5))
     values = [v for _, v in five]
     assert values.index(max(values)) == 1  # the grid point at pi/4
     assert abs(max(values) - SQRT8) < 1e-12
@@ -416,5 +417,5 @@ def test_sweep_endpoints_and_peak():
 
 def test_sweep_rejects_short_grids():
     with pytest.raises(ValueError):
-        sweep_coplanar_family(1)
+        next(sweep_coplanar_family(1))
 

@@ -20,7 +20,6 @@ from chshbounds.geometry import (
     magnitude,
     normalized,
     random_configuration,
-    random_unit_vector,
 )
 from chshbounds.quantum import (
     IDENTITY_2,
@@ -74,7 +73,7 @@ def test_pauli_algebra():
 
 def test_spin_operator_is_pauli_combination():
     for i in range(100):
-        n = random_unit_vector(50, i)
+        n = rng.unit_vector_draw(50, i)
         got = _np(spin_operator(n))
         expected = n[0] * _np(PAULI_X) + n[1] * _np(PAULI_Y) + n[2] * _np(PAULI_Z)
         assert np.max(np.abs(got - expected)) == 0.0
@@ -100,8 +99,8 @@ def test_spin_commutator_mirrors_algebra_commutator():
     blades.append(pauli[1] @ pauli[2])
     blades.append(pauli[0] @ pauli[1] @ pauli[2])
     for i in range(50):
-        u = random_unit_vector(51, 2 * i)
-        v = random_unit_vector(51, 2 * i + 1)
+        u = rng.unit_vector_draw(51, 2 * i)
+        v = rng.unit_vector_draw(51, 2 * i + 1)
         matrix_side = _np(commutator_matrix(spin_operator(u), spin_operator(v)))
         algebra_side = commutator(Multivector.from_vector(u), Multivector.from_vector(v))
         image = sum(c * b for c, b in zip(algebra_side.coefficients, blades))
@@ -226,8 +225,8 @@ def test_singlet_state_is_normalized_and_antisymmetric():
 
 def test_singlet_correlation_equals_minus_cosine():
     for i in range(300):
-        a = random_unit_vector(61, 2 * i)
-        b = random_unit_vector(61, 2 * i + 1)
+        a = rng.unit_vector_draw(61, 2 * i)
+        b = rng.unit_vector_draw(61, 2 * i + 1)
         pipeline = singlet_correlation(a, b)
         closed = singlet_correlation_closed_form(a, b)
         assert abs(pipeline - closed) < 1e-12
@@ -343,6 +342,39 @@ def test_squared_identity_on_random_configurations():
     for i in range(200):
         cfg = random_configuration(63, i)
         assert chsh_squared_identity_deviation(cfg) < 1e-10
+
+
+def _sos_residual(cfg, sign: float) -> float:
+    """max |4I - sign*sqrt(2)*CHSH - (X^2 + Y^2)| over the 16 entries, for
+    Tsirelson's sum of squares X = A(x)I - sign*I(x)B+, Y = A'(x)I - sign*I(x)B-,
+    with B+/- = (sigma.b +/- sigma.b')/sqrt(2)."""
+    r = 1.0 / math.sqrt(2.0)
+    b = quantum._spin_entries(cfg.b)
+    bp = quantum._spin_entries(cfg.b_prime)
+    b_plus = [(x + y) * r for x, y in zip(b, bp)]
+    b_minus = [(x - y) * r for x, y in zip(b, bp)]
+    identity = IDENTITY_2.entries
+    squares = [0j] * 16
+    for side, other in ((cfg.a, b_plus), (cfg.a_prime, b_minus)):
+        left = quantum._kron(quantum._spin_entries(side), identity)
+        right = quantum._kron(identity, other)
+        z = [u - sign * v for u, v in zip(left, right)]
+        squares = [t + q for t, q in zip(squares, quantum._product(z, z))]
+    chsh = chsh_operator(cfg).entries
+    four_i = ComplexMatrix.identity(4).entries
+    return max(
+        abs(4.0 * e - sign * math.sqrt(2.0) * c - q) for e, c, q in zip(four_i, chsh, squares)
+    )
+
+
+def test_tsirelson_sum_of_squares_certificate():
+    """4I - sqrt(2)*CHSH = X^2 + Y^2, and 4I + sqrt(2)*CHSH likewise, so the
+    CHSH operator's spectrum lies in [-2*sqrt(2), 2*sqrt(2)]: a certificate
+    of the Tsirelson bound that uses no eigenvalue."""
+    configurations = [canonical_configuration()]
+    configurations += [random_configuration(43, i) for i in range(RANDOM_INPUTS)]
+    worst = max(_sos_residual(cfg, sign) for cfg in configurations for sign in (1.0, -1.0))
+    assert worst <= 1e-12
 
 
 def test_cross_commutator_residual_is_exactly_zero():
@@ -641,7 +673,7 @@ def test_quantum_and_ga_tracks_meet_in_the_commutator_norms():
     # so the ga commutators give ||C|| and Landau's ||B|| = 2 sqrt(1 + ||C|| / 4).
     parallel, perpendicular = [], []
     for i in range(500):
-        u, v, w = (random_unit_vector(72, 3 * i + k) for k in range(3))
+        u, v, w = (rng.unit_vector_draw(72, 3 * i + k) for k in range(3))
         sign = 1.0 if i % 2 else -1.0
         parallel.append(Configuration(u, tuple(sign * x for x in u), v, w))
         parallel.append(Configuration(v, w, u, tuple(sign * x for x in u)))
@@ -666,8 +698,8 @@ def test_quantum_and_ga_tracks_meet_in_the_commutator_norms():
 def _random_rotation(seed: int, index: int) -> tuple:
     """Rows of a uniformly random rotation: a Haar-random first row u, then
     w along u x v for a second random v, then w x u."""
-    u = random_unit_vector(seed, 2 * index)
-    w = normalized(cross(u, random_unit_vector(seed, 2 * index + 1)))
+    u = rng.unit_vector_draw(seed, 2 * index)
+    w = normalized(cross(u, rng.unit_vector_draw(seed, 2 * index + 1)))
     return (u, cross(w, u), w)
 
 
@@ -730,8 +762,8 @@ def test_chsh_and_commutator_operators_are_exactly_hermitian(backend):
 
 
 def test_operator_norm_of_nearly_hermitian_matrices(backend, monkeypatch):
-    # Any difference from the dagger, however small in absolute terms, is
-    # refused before any product is formed.
+    # Any difference from the conjugate transpose, however small in absolute
+    # terms, is refused before any product is formed.
     def no_product(*args):
         raise AssertionError("a product was formed of a matrix that is not Hermitian")
 
@@ -873,8 +905,8 @@ def test_complex_matrix_validation():
         ComplexMatrix(2, (0j, 0j, 0j))
     m = ComplexMatrix(2, (1 + 0j, 2j, 0j, 1 + 0j))
     assert m.entries[1] == 2j
-    assert m.dagger().entries[2] == -2j
     assert not m.is_hermitian()
+    assert ComplexMatrix(2, (1 + 0j, 2j, -2j, 1 + 0j)).is_hermitian()
 
 
 @pytest.mark.parametrize("dim, entries", [(2.0, (1, 0, 0, 1)), (True, (3,))])

@@ -19,8 +19,6 @@ from chshbounds.reporting import (
     reports_to_csv,
     reports_to_json,
     sweep_chunks,
-    sweep_to_csv,
-    sweep_to_json,
     violation_exit_code,
 )
 
@@ -161,6 +159,10 @@ def _spec_cell(value):
     return str(value) if isinstance(value, int) else format_float(value)
 
 
+def _sweep_text(points, classical, tsirelson, out_format):
+    return "".join(sweep_chunks(points, classical, tsirelson, out_format))
+
+
 def _reversed_insertion(value):
     """The same value with every dict's keys inserted in reverse order."""
     if isinstance(value, dict):
@@ -199,7 +201,7 @@ def test_writers_match_a_spec_encoder(tree, rows):
     points = [(floats[i % len(floats)], -floats[-1 - i % len(floats)]) for i in range(4)]
     expected = ["theta_rad,classical_bound,qm_value,tsirelson_bound"]
     expected += [",".join(_spec_cell(x) for x in (t, floats[0], v, 2.0)) for t, v in points]
-    assert sweep_to_csv(points, floats[0], 2.0) == "\n".join(expected) + "\n"
+    assert _sweep_text(points, floats[0], 2.0, "csv") == "\n".join(expected) + "\n"
     reports = [
         BoundReport(str(i), value=value, bound=bound, inputs={}, seed=seed)
         for i, (value, bound, seed) in enumerate(rows)
@@ -219,7 +221,7 @@ def test_writers_raise_on_a_non_finite_float_after_cached_ones(bad):
     with pytest.raises(ValueError, match="non-finite"):
         canonical_json([bad, bad])
     with pytest.raises(ValueError, match="non-finite"):
-        sweep_to_csv([(0.5, 2.5), (0.5, 2.5), (0.5, bad)], 2.0, 2.5)
+        _sweep_text([(0.5, 2.5), (0.5, 2.5), (0.5, bad)], 2.0, 2.5, "csv")
     with pytest.raises(ValueError, match="non-finite"):
         reports_to_csv([_report(2.0), _report(2.0, bound=bad)])
 
@@ -301,7 +303,7 @@ SQRT8 = 2.8284271247461903
 
 def test_sweep_csv_schema():
     points = [(0.0, 2.0), (math.pi / 4, 2.8284271247461903)]
-    text = sweep_to_csv(points, 2.0, 2.8284271247461903)
+    text = _sweep_text(points, 2.0, 2.8284271247461903, "csv")
     lines = text.splitlines()
     assert lines[0] == "theta_rad,classical_bound,qm_value,tsirelson_bound"
     assert len(lines) == 3
@@ -321,8 +323,8 @@ def test_sweep_chunks_hold_chunk_rows_each_and_join_to_the_whole_table(count):
     ) + "\n"
     full, rest = divmod(count, CHUNK_ROWS)
     for out_format, text, whole in (
-        ("json", json_text, sweep_to_json(points, 2.0, SQRT8)),
-        ("csv", csv_text, sweep_to_csv(points, 2.0, SQRT8)),
+        ("json", json_text, _sweep_text(points, 2.0, SQRT8, "json")),
+        ("csv", csv_text, _sweep_text(points, 2.0, SQRT8, "csv")),
     ):
         drawn = []
         chunks = []
@@ -345,7 +347,7 @@ def test_sweep_chunks_hold_chunk_rows_each_and_join_to_the_whole_table(count):
 
 def test_sweep_json_matches_csv_content():
     points = [(0.0, 2.0), (1.0, 2.5)]
-    parsed = json.loads(sweep_to_json(points, 2.0, 2.8284271247461903))
+    parsed = json.loads(_sweep_text(points, 2.0, 2.8284271247461903, "json"))
     assert len(parsed["sweep"]) == 2
     row = parsed["sweep"][1]
     assert row["theta_rad"] == 1.0
@@ -411,14 +413,14 @@ def test_sweep_raises_on_a_non_finite_cell_at_its_row(bad, out_format):
 
 def test_sweep_cells_print_negative_zero_ints_and_bools_as_scalars():
     points = [(-0.0, -0.0), (0, True), (1, False), (True, 7), (-0.0, 2**64)]
-    json_text = sweep_to_json(points, 2.0, SQRT8)
+    json_text = _sweep_text(points, 2.0, SQRT8, "json")
     assert json_text.startswith(
         '{\n  "sweep": [\n    {\n      "classical_bound": 2,\n      "qm_value": 0,\n'
         '      "theta_rad": 0,\n      "tsirelson_bound": 2.8284271247461903\n    },\n'
     )
     rows = [dict(zip(SWEEP_COLUMNS, (theta, 2.0, value, SQRT8))) for theta, value in points]
     assert json_text == _spec_text({"sweep": rows}) + "\n"
-    assert sweep_to_csv(points, 2.0, SQRT8).splitlines()[1:] == [
+    assert _sweep_text(points, 2.0, SQRT8, "csv").splitlines()[1:] == [
         "0,2,0,2.8284271247461903",
         "0,2,true,2.8284271247461903",
         "1,2,false,2.8284271247461903",
@@ -427,11 +429,11 @@ def test_sweep_cells_print_negative_zero_ints_and_bools_as_scalars():
     ]
     # A cell that is not a float, an int or a bool is refused in both formats.
     for bad in ("0.5", None, [0.5]):
-        for write in (sweep_to_json, sweep_to_csv):
+        for out_format in ("json", "csv"):
             with pytest.raises(TypeError, match="as a report value"):
-                write([(0.5, 2.0), (0.5, bad)], 2.0, SQRT8)
+                _sweep_text([(0.5, 2.0), (0.5, bad)], 2.0, SQRT8, out_format)
 
 
 def test_sweep_of_no_rows_formats_no_bound():
-    assert sweep_to_json([], math.nan, math.inf) == '{\n  "sweep": []\n}\n'
-    assert sweep_to_csv([], math.nan, math.inf) == ",".join(SWEEP_COLUMNS) + "\n"
+    assert _sweep_text([], math.nan, math.inf, "json") == '{\n  "sweep": []\n}\n'
+    assert _sweep_text([], math.nan, math.inf, "csv") == ",".join(SWEEP_COLUMNS) + "\n"

@@ -65,6 +65,13 @@ def test_unit_vector_draw_is_unit(seed, index):
     assert abs(sum(x * x for x in v) - 1.0) < 1e-12
 
 
+def test_unit_vector_draw_determinism_and_norm():
+    assert rng.unit_vector_draw(5, 9) == rng.unit_vector_draw(5, 9)
+    assert rng.unit_vector_draw(5, 9) != rng.unit_vector_draw(5, 10)
+    for i in range(200):
+        assert abs(math.sqrt(sum(x * x for x in rng.unit_vector_draw(3, i))) - 1.0) < 1e-12
+
+
 def test_unit_vector_draw_covers_sphere():
     n = 4000
     vs = [rng.unit_vector_draw(7, i) for i in range(n)]

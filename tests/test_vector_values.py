@@ -9,10 +9,9 @@ from chshbounds.geometry import (
     canonical_configuration,
     dot,
     random_configuration,
-    random_unit_vector,
 )
 from chshbounds.quantum import TSIRELSON_BOUND, singlet_correlation
-from chshbounds.rng import CounterStream
+from chshbounds.rng import CounterStream, unit_vector_draw
 from chshbounds.vector_values import (
     ResponseCoefficients,
     case_inequality_holds,
@@ -59,8 +58,8 @@ def test_directions_must_be_unit_vectors(direction):
 
 def test_pair_value_with_unit_minus_unit_is_singlet_correlation():
     for i in range(300):
-        x = random_unit_vector(80, 2 * i)
-        y = random_unit_vector(80, 2 * i + 1)
+        x = unit_vector_draw(80, 2 * i)
+        y = unit_vector_draw(80, 2 * i + 1)
         assert abs(pair_value(x, y, 1.0, -1.0) - singlet_correlation(x, y)) < 1e-12
 
 
@@ -125,8 +124,8 @@ def test_value_never_exceeds_tsirelson(ci, vi):
 def test_case_inequalities_all_three_sign_cases():
     stream = CounterStream(84)
     for i in range(1000):
-        b = random_unit_vector(85, 2 * i)
-        bp = random_unit_vector(85, 2 * i + 1)
+        b = unit_vector_draw(85, 2 * i)
+        bp = unit_vector_draw(85, 2 * i + 1)
         alpha = stream.uniform(0.01, 1.0)
         beta = stream.uniform(0.01, 1.0)
         case = i % 3
@@ -164,15 +163,15 @@ def test_case_inequality_tolerance_is_inclusive():
 
 
 def test_zero_coefficient_collapse():
-    b = random_unit_vector(86, 0)
-    bp = random_unit_vector(86, 1)
+    b = unit_vector_draw(86, 0)
+    bp = unit_vector_draw(86, 1)
     assert abs(vector_bound_expression(b, bp, 0.0, 0.7) - 1.4) < 1e-12
     assert abs(vector_bound_expression(b, bp, 0.0, 0.0)) == 0.0
 
 
 def test_equality_condition_at_parallel_pairs():
     for i in range(50):
-        b = random_unit_vector(87, i)
+        b = unit_vector_draw(87, i)
         same = equality_condition_check(b, b)
         flipped = equality_condition_check(b, tuple(-x for x in b))
         for probe in (same, flipped):
@@ -192,10 +191,10 @@ def test_equality_condition_on_separated_pairs():
     # angular separation in [1e-3, pi - 1e-3]: clearly not parallel, and the
     # value must sit clearly above 2
     for i in range(200):
-        b = random_unit_vector(88, i)
+        b = unit_vector_draw(88, i)
         angle = 1e-3 + (math.pi - 2e-3) * (i / 199.0)
         # rotate b by `angle` inside the plane spanned with a helper axis
-        helper = random_unit_vector(89, i)
+        helper = unit_vector_draw(89, i)
         axis = _orthonormal_to(b, helper)
         bp = tuple(
             math.cos(angle) * x + math.sin(angle) * y for x, y in zip(b, axis)
@@ -220,8 +219,8 @@ def test_is_two_implies_is_parallel():
     # within the detection band the value grows linearly with angle, so a
     # value within 1e-9 of 2 forces an angle well inside the 1e-6 gate
     for i in range(100):
-        b = random_unit_vector(90, i)
-        helper = random_unit_vector(91, i)
+        b = unit_vector_draw(90, i)
+        helper = unit_vector_draw(91, i)
         axis = _orthonormal_to(b, helper)
         angle = 10.0 ** (-12 + 10 * (i / 99.0))  # 1e-12 .. 1e-2 radians
         bp = tuple(
@@ -254,7 +253,7 @@ def test_bound_functions_require_unit_directions(bad):
 def test_bound_functions_unchanged_on_unit_directions():
     stream = CounterStream(88)
     for i in range(200):
-        b, b_prime = random_unit_vector(89, 2 * i), random_unit_vector(89, 2 * i + 1)
+        b, b_prime = unit_vector_draw(89, 2 * i), unit_vector_draw(89, 2 * i + 1)
         alpha, beta = stream.uniform(-1.0, 1.0), stream.uniform(-1.0, 1.0)
         value = vector_values._bound_expression(b, b_prime, alpha, beta)
         assert vector_bound_expression(b, b_prime, alpha, beta) == value
@@ -264,7 +263,7 @@ def test_bound_functions_unchanged_on_unit_directions():
 
 
 def test_each_coefficient_checked_once_per_call(monkeypatch):
-    b, b_prime = random_unit_vector(83, 0), random_unit_vector(83, 1)
+    b, b_prime = unit_vector_draw(83, 0), unit_vector_draw(83, 1)
     alpha, beta = 0.75, -0.5
     lhs = vector_bound_expression(b, b_prime, alpha, beta)
     coefficient_free = vector_bound_expression(b, b_prime, 1.0, 1.0)
