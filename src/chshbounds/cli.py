@@ -55,6 +55,7 @@ from .geometry import (
     Configuration,
     canonical_configuration,
     normalized,
+    planar_vector,
     require_unit,
 )
 from .lhv import (
@@ -94,8 +95,6 @@ from .vector_values import (
     chsh_vector_value,
     vector_bound_expression,
 )
-
-__all__ = ["ConfigError", "main"]
 
 _CONFIG_KEYS = frozenset(
     {
@@ -218,7 +217,7 @@ def _parse_configuration(spec: object) -> tuple[Configuration, object]:
         return canonical_configuration(), "canonical"
     if isinstance(spec, dict) and set(spec) == {"angles_deg"}:
         angles = _require_numbers(spec["angles_deg"], 4, "configuration.angles_deg")
-        cfg = Configuration.coplanar(*(math.radians(x) for x in angles))
+        cfg = Configuration.from_vectors(*(planar_vector(math.radians(x)) for x in angles))
         return cfg, {"angles_deg": angles}
     vector_keys = ("a", "a_prime", "b", "b_prime")
     if isinstance(spec, dict) and set(spec) == set(vector_keys):

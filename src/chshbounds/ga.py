@@ -21,15 +21,6 @@ from typing import Sequence
 
 from ._value import Value
 
-__all__ = [
-    "Multivector",
-    "E1",
-    "E2",
-    "E3",
-    "geometric_product",
-    "commutator",
-]
-
 BLADE_ORDER: tuple[int, ...] = (0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111)
 BLADE_NAMES: tuple[str, ...] = ("1", "e1", "e2", "e3", "e12", "e13", "e23", "e123")
 BLADE_GRADES: tuple[int, ...] = tuple(bin(mask).count("1") for mask in BLADE_ORDER)

@@ -38,14 +38,6 @@ def scale(v: Sequence[float], factor: float) -> Vec3:
     return (factor * v[0], factor * v[1], factor * v[2])
 
 
-def cross(u: Sequence[float], v: Sequence[float]) -> Vec3:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def magnitude(v: Sequence[float]) -> float:
     """Euclidean length of a 3-vector."""
     return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
@@ -122,9 +114,10 @@ class Configuration(Value):
     """Measurement directions a, a', b, b', each a unit vector to within 1e-12.
 
     The vectors are the only stored state.  Construction, directly or via
-    :meth:`from_vectors` or :meth:`coplanar`, coerces each one to a float
-    triple and rejects input of the wrong length, non-finite input and
-    non-unit input.
+    :meth:`from_vectors`, coerces each one to a float triple and rejects
+    input of the wrong length, non-finite input and non-unit input.  The
+    CLI's ``angles_deg`` route builds its in-plane quadruple with
+    :func:`planar_vector` and :meth:`from_vectors`.
     """
 
     _fields = ("a", "a_prime", "b", "b_prime")
@@ -154,18 +147,6 @@ class Configuration(Value):
         counts its ``geometry.configuration`` layer by wrapping it.
         """
         return cls(a, a_prime, b, b_prime)
-
-    @classmethod
-    def coplanar(
-        cls, phi_a: float, phi_aprime: float, phi_b: float, phi_bprime: float
-    ) -> "Configuration":
-        """Configuration with all four vectors in the e1-e2 plane, angles in radians."""
-        return cls.from_vectors(
-            planar_vector(phi_a),
-            planar_vector(phi_aprime),
-            planar_vector(phi_b),
-            planar_vector(phi_bprime),
-        )
 
     def vectors(self) -> tuple[Vec3, Vec3, Vec3, Vec3]:
         return (self.a, self.a_prime, self.b, self.b_prime)

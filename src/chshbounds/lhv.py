@@ -18,21 +18,6 @@ from . import _kernels, rng
 from ._value import Value
 from .geometry import _as_float, require_bounded
 
-__all__ = [
-    "CLASSICAL_BOUND",
-    "HiddenState",
-    "LhvModel",
-    "CorrelationSet",
-    "all_deterministic_strategies",
-    "classical_correlations",
-    "chsh_classical_value",
-    "per_state_chsh_value",
-    "scalar_pair_bound_holds",
-    "MonteCarloEstimate",
-    "monte_carlo_correlations",
-    "random_model",
-]
-
 CLASSICAL_BOUND = 2.0
 
 WEIGHT_SUM_TOLERANCE = 1e-12

@@ -31,14 +31,6 @@ from .lhv import (
 from .quantum import TSIRELSON_BOUND, _chsh_value_from_vectors, _correlation_from_vectors
 from .vector_values import ResponseCoefficients, _chsh_vector
 
-__all__ = [
-    "OptimizationResult",
-    "maximize_classical",
-    "maximize_quantum",
-    "maximize_ga",
-    "sweep_coplanar_family",
-]
-
 DEFAULT_RESTARTS = 32
 
 # Safety valve only: a restart stops at the first round that does not raise

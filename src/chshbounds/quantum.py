@@ -27,26 +27,6 @@ from typing import Sequence
 from ._value import Value
 from .geometry import UNIT_GATE_TOLERANCE, Configuration, Vec3, dot, require_unit
 
-__all__ = [
-    "ComplexMatrix",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "IDENTITY_2",
-    "spin_operator",
-    "tensor_product",
-    "commutator_matrix",
-    "singlet_state",
-    "singlet_correlation",
-    "singlet_correlation_closed_form",
-    "chsh_operator",
-    "chsh_squared_identity_deviation",
-    "cross_commutator_residual",
-    "operator_norm",
-    "chsh_quantum_value",
-    "TSIRELSON_BOUND",
-]
-
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 

@@ -19,18 +19,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from ._value import Value
 from ._version import __version__
 
-__all__ = [
-    "ATTAINMENT_TOLERANCE",
-    "MARGIN_TOLERANCE",
-    "BoundReport",
-    "format_float",
-    "canonical_json",
-    "reports_to_json",
-    "reports_to_csv",
-    "sweep_chunks",
-    "violation_exit_code",
-]
-
 # A value counts as attaining its bound when it gets this close.
 ATTAINMENT_TOLERANCE = 1e-6
 # Margins below this are genuine violations (numerical noise allowance).

@@ -14,7 +14,8 @@ independently of every other.  Consequences relied on throughout the package:
   by jumping a shared generator.
 
 The kernels reduce seed and index modulo 2**64, so any integer seed is
-accepted and ``s`` and ``s + k * 2**64`` name the same stream.  Uniform
+accepted and ``s`` and ``s + k * 2**64`` name the same stream;
+``CounterStream`` stores its seed so reduced, in [0, 2**64).  Uniform
 draws go through the selected kernel backend; the few 64-bit draws (derived
 seeds and ``CounterStream.u64``) use the reference finalizer on both.
 """
@@ -26,25 +27,11 @@ import math
 from . import _kernels
 from ._kernels.reference import rng_u64
 
-MASK64 = (1 << 64) - 1
 TWO_PI = 2.0 * math.pi
 
 # Salt for sub-stream derivation, so derived seeds never collide with data
 # draws taken from the parent stream itself.
 _STREAM_SALT = 0x5CA1AB1E0DDBA11
-
-__all__ = [
-    "MASK64",
-    "normalize_seed",
-    "derive_seed",
-    "unit_vector_draw",
-    "CounterStream",
-]
-
-
-def normalize_seed(seed: int) -> int:
-    """Reduce an arbitrary integer seed to the 64-bit stream identifier."""
-    return seed & MASK64
 
 
 def derive_seed(seed: int, stream: int) -> int:
@@ -83,7 +70,7 @@ class CounterStream:
     __slots__ = ("seed", "index")
 
     def __init__(self, seed: int):
-        self.seed = normalize_seed(seed)
+        self.seed = seed & 0xFFFF_FFFF_FFFF_FFFF
         self.index = 0
 
     def u64(self) -> int:

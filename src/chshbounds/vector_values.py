@@ -34,17 +34,6 @@ from .geometry import (
     sub,
 )
 
-__all__ = [
-    "ResponseCoefficients",
-    "response_vector",
-    "pair_value",
-    "chsh_vector_value",
-    "vector_bound_expression",
-    "case_inequality_holds",
-    "EqualityCondition",
-    "equality_condition_check",
-]
-
 class ResponseCoefficients(Value):
     """Magnitude coefficients of the four vector-valued responses, each in [-1, 1]."""
 

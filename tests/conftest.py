@@ -26,18 +26,22 @@ def child_env():
 
 @pytest.fixture(scope="session")
 def native(tmp_path_factory):
-    """The C kernel module, built by ``setup.py build_ext`` into a temporary directory.
+    """The C kernel module, built by ``setup.py build_ext`` into a temporary
+    directory with CI's ``CFLAGS="-Wall -Werror"``, so that every native test
+    runs on CI's build.
 
     Skips only when no C compiler is on PATH.  setup.py marks the extension
-    optional, so a compiler that produces no module would otherwise pass
-    unnoticed: that case fails with the build log.
+    optional, so a compiler that produces no module, or a warning that
+    ``-Werror`` turns into an error, would otherwise pass unnoticed: that case
+    fails with the build log.
     """
     compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(compiler) is None:
         pytest.skip(f"no C compiler ({compiler}) on PATH")
     out = tmp_path_factory.mktemp("native_build")
     command = [sys.executable, "setup.py", "build_ext", "--build-lib", out, "--build-temp", out]
-    build = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
+    env = dict(os.environ, CFLAGS="-Wall -Werror")
+    build = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
     so_path = out / "chshbounds" / "_kernels" / f"_native{sysconfig.get_config_var('EXT_SUFFIX')}"
     if not so_path.exists():
         pytest.fail(f"setup.py built no native module:\n{build.stdout}\n{build.stderr}")

@@ -13,7 +13,6 @@ import time
 from chshbounds import rng
 from chshbounds.geometry import (
     canonical_configuration,
-    cross,
     normalized,
     random_configuration,
 )
@@ -57,8 +56,8 @@ def _gate(criterion: int, ok: bool, text: str) -> None:
 
 def _unit_pair_at_angle(stream: rng.CounterStream, theta: float):
     u = stream.unit_vector()
-    helper = (1.0, 0.0, 0.0) if abs(u[0]) < 0.9 else (0.0, 1.0, 0.0)
-    w = normalized(cross(u, helper))
+    # w is along u x e1, or along u x e2 when u is near e1.
+    w = normalized((0.0, u[2], -u[1]) if abs(u[0]) < 0.9 else (-u[2], 0.0, u[0]))
     v = normalized(
         tuple(math.cos(theta) * ui + math.sin(theta) * wi for ui, wi in zip(u, w))
     )

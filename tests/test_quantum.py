@@ -15,7 +15,6 @@ from chshbounds.ga import E1, Multivector, commutator
 from chshbounds.geometry import (
     Configuration,
     canonical_configuration,
-    cross,
     dot,
     magnitude,
     normalized,
@@ -57,6 +56,10 @@ SIGNED_AXES = [
 
 def _np(m: ComplexMatrix) -> np.ndarray:
     return np.array(m.entries, dtype=complex).reshape(m.dim, m.dim)
+
+
+def _cross(u, v) -> tuple:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 def test_tsirelson_constant():
@@ -585,7 +588,7 @@ def test_operator_norms_of_b_and_c_match_numpy_and_landau():
     got, matrices, closed = [], [], []
     for i in range(10_000):
         cfg = random_configuration(501, i)
-        sines = magnitude(cross(cfg.a, cfg.a_prime)) * magnitude(cross(cfg.b, cfg.b_prime))
+        sines = magnitude(_cross(cfg.a, cfg.a_prime)) * magnitude(_cross(cfg.b, cfg.b_prime))
         for m in (chsh_operator(cfg), _c_operator(cfg)):
             got.append(operator_norm(m))
             matrices.append(m.entries)
@@ -647,7 +650,7 @@ def test_operator_norms_match_closed_forms(backend):
     # product [A,A'] (x) [B,B'] has norm 2|a x a'| * 2|b x b'|.
     for i in range(2000 if backend == "python" else 10_000):
         cfg = random_configuration(69, i)
-        sines = magnitude(cross(cfg.a, cfg.a_prime)) * magnitude(cross(cfg.b, cfg.b_prime))
+        sines = magnitude(_cross(cfg.a, cfg.a_prime)) * magnitude(_cross(cfg.b, cfg.b_prime))
         assert abs(operator_norm(chsh_operator(cfg)) - 2.0 * math.sqrt(1.0 + sines)) < 1e-12
         product = tensor_product(
             commutator_matrix(spin_operator(cfg.a), spin_operator(cfg.a_prime)),
@@ -678,7 +681,7 @@ def test_quantum_and_ga_tracks_meet_in_the_commutator_norms():
         parallel.append(Configuration(u, tuple(sign * x for x in u), v, w))
         parallel.append(Configuration(v, w, u, tuple(sign * x for x in u)))
         perpendicular.append(
-            Configuration(u, normalized(cross(u, v)), w, normalized(cross(w, v)))
+            Configuration(u, normalized(_cross(u, v)), w, normalized(_cross(w, v)))
         )
     groups = [
         ([random_configuration(71, i) for i in range(2000)], None),
@@ -699,8 +702,8 @@ def _random_rotation(seed: int, index: int) -> tuple:
     """Rows of a uniformly random rotation: a Haar-random first row u, then
     w along u x v for a second random v, then w x u."""
     u = rng.unit_vector_draw(seed, 2 * index)
-    w = normalized(cross(u, rng.unit_vector_draw(seed, 2 * index + 1)))
-    return (u, cross(w, u), w)
+    w = normalized(_cross(u, rng.unit_vector_draw(seed, 2 * index + 1)))
+    return (u, _cross(w, u), w)
 
 
 def test_value_and_norm_are_invariant_under_rotation_and_party_swap(backend):

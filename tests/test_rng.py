@@ -108,9 +108,10 @@ def test_counter_stream_below():
 @settings(max_examples=50)
 @given(st.integers())
 def test_normalize_seed_is_64_bit(seed):
-    n = rng.normalize_seed(seed)
-    assert 0 <= n < 2**64
-    assert rng.normalize_seed(n) == n
+    """A CounterStream keeps its seed reduced modulo 2**64."""
+    n = rng.CounterStream(seed).seed
+    assert n == seed % 2**64
+    assert rng.CounterStream(n).seed == n
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5, -3])
@@ -139,7 +140,7 @@ def test_seeds_reduce_modulo_2_64_in_the_kernels(backend):
         )
 
     for seed in (0, 1, 7, -1, -3, 2**63 + 5, 2**64 - 1, -(2**70) + 11):
-        expected = draws(rng.normalize_seed(seed))
+        expected = draws(seed % 2**64)
         for k in (-1, 0, 1):
             assert draws(seed + k * 2**64) == expected
 

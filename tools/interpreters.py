@@ -15,11 +15,17 @@ With ``--native``, each interpreter also gets its own build of ``_native.c``:
 ``gcc`` with the include flags of ``pythonX.Y-config --includes`` (found next
 to the interpreter) and ``setup.py``'s ``_STRICT_FP_FLAGS`` compiles it into a
 temporary copy of ``src``, and the same outputs are hashed again with
-``CHSHBOUNDS_BACKEND=native``, labelled ``[native]``.  They too must equal the
-first interpreter's pure-Python outputs.  No setuptools is needed.
+``CHSHBOUNDS_BACKEND=native``, labelled ``[native]``.  No setuptools is needed.
 
-Exit status: 0 when every output equals the first interpreter's, 1 when any
-differs, 2 when a command fails.
+Each report command's output must have the sha256 that the test suite pins
+for it: that of its file in ``tests/golden/``, or a digest that
+``tests/test_golden.py`` assigns (read without running it), so that one
+``--python`` is a check of its own.  The outputs of ``perfbench/certify.py``
+and ``MONTE_CARLO``, which no test pins, must equal the first interpreter's
+pure-Python ones.
+
+Exit status: 0 when every output equals its pin or the first interpreter's, 1
+when any differs, 2 when a command fails.
 
 Usage: python3 tools/interpreters.py [--native] --python PATH [--python PATH ...]
 """
@@ -37,15 +43,17 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COMMANDS = (
-    "verify --track all --canonical --seed 7",
-    "verify --track all --canonical --seed 7 --format csv",
-    "sweep --steps 10001",
-    "sweep --steps 10001 --format csv",
-    "optimize --track quantum --restarts 32",
-    "optimize --track ga --restarts 32",
-    "optimize --track classical",
-)
+# Each command, with where the test suite pins its output: a file in
+# tests/golden/, or (dict, key) of a digest dict in tests/test_golden.py.
+COMMANDS = {
+    "verify --track all --canonical --seed 7": "verify_all_canonical_seed7.json",
+    "verify --track all --canonical --seed 7 --format csv": "verify_all_canonical_seed7.csv",
+    "sweep --steps 10001": ("SWEEP_10001_SHA256", "json"),
+    "sweep --steps 10001 --format csv": ("SWEEP_10001_SHA256", "csv"),
+    "optimize --track quantum --restarts 32": ("OPTIMIZE_32_SHA256", "quantum"),
+    "optimize --track ga --restarts 32": ("OPTIMIZE_32_SHA256", "ga"),
+    "optimize --track classical": "optimize_classical.json",
+}
 CERTIFY = "perfbench/certify.py"
 VECTORS = (
     "from chshbounds.geometry import random_configuration\n"
@@ -101,14 +109,27 @@ def run(python: str, arguments: tuple[str, ...], src: Path, backend: str) -> byt
     return checked_output([python, *arguments], env)
 
 
-def strict_fp_flags() -> list[str]:
-    """``_STRICT_FP_FLAGS`` of setup.py, read without running it."""
-    for node in ast.parse((ROOT / "setup.py").read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and "_STRICT_FP_FLAGS" in [
+def assigned(path: Path, name: str):
+    """The literal that the file ``path`` assigns to ``name``, read without running it."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and name in [
             getattr(target, "id", None) for target in node.targets
         ]:
             return ast.literal_eval(node.value)
-    raise SystemExit("setup.py assigns no _STRICT_FP_FLAGS")
+    raise SystemExit(f"{path.relative_to(ROOT)} assigns no {name}")
+
+
+def strict_fp_flags() -> list[str]:
+    """``_STRICT_FP_FLAGS`` of setup.py."""
+    return assigned(ROOT / "setup.py", "_STRICT_FP_FLAGS")
+
+
+def pinned_digest(pin: str | tuple[str, str]) -> str:
+    """The sha256 that ``pin``, a value of ``COMMANDS``, names."""
+    if isinstance(pin, str):
+        return hashlib.sha256((ROOT / "tests" / "golden" / pin).read_bytes()).hexdigest()
+    name, key = pin
+    return assigned(ROOT / "tests" / "test_golden.py", name)[key]
 
 
 def build_native(python: str, src: Path) -> Path:
@@ -135,6 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     options = parser.parse_args(argv)
     pythons = options.python
+    pins = {label: pinned_digest(pin) for label, pin in COMMANDS.items()}
     differs = False
     first = None
     with tempfile.TemporaryDirectory() as scratch:
@@ -153,14 +175,12 @@ def main(argv: list[str] | None = None) -> int:
                 outputs = (run(python, args, src, backend) for _, args in checked)
                 digests = [hashlib.sha256(output).hexdigest() for output in outputs]
                 first = first or digests
-                for digest, expected, (label, _) in zip(digests, first, checked):
+                for digest, first_digest, (label, _) in zip(digests, first, checked):
                     print(f"{digest}  {python}  {label}{suffix}", flush=True)
-                    if digest != expected:
+                    if digest != pins.get(label, first_digest):
                         differs = True
-                        print(
-                            f"{python}: {label}{suffix} differs from {pythons[0]}",
-                            file=sys.stderr,
-                        )
+                        source = "its pinned sha256" if label in pins else pythons[0]
+                        print(f"{python}: {label}{suffix} differs from {source}", file=sys.stderr)
     return 1 if differs else 0
 
 
